@@ -17,6 +17,7 @@ surjective, which is opt-in via ``include_top``.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -48,7 +49,6 @@ __all__ = [
     "link",
     "star",
     "skeleton",
-    "simplex_dim",
     "enumerate_bounded_vertices",
     "build_sn_truncated",
     "pi_projection",
@@ -65,18 +65,38 @@ __all__ = [
 DEFAULT_SIZE_LIMIT = 200_000
 
 
-def _close_faces(simplices: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    closed: set[tuple[int, ...]] = set()
-    stack = list(simplices)
-    while stack:
-        s = stack.pop()
-        if s in closed or not s:
-            continue
-        closed.add(s)
-        if len(s) > 1:
-            for omit in range(len(s)):
-                stack.append(s[:omit] + s[omit + 1 :])
-    return closed
+def _close_faces(
+    simplices: set[tuple[int, ...]], size_limit: int | None
+) -> dict[int, set[tuple[int, ...]]]:
+    """Every nonempty face of the given sorted simplices, by dimension.
+
+    Faces are added one dimension at a time from the top down, and the count
+    is checked after every face, so an oversized closure stops as soon as it
+    passes ``size_limit`` rather than after it has been built.
+    """
+    limit = math.inf if size_limit is None else size_limit
+    by_dim: dict[int, set[tuple[int, ...]]] = {}
+    for s in simplices:
+        if s:
+            by_dim.setdefault(len(s) - 1, set()).add(s)
+    total = sum(len(v) for v in by_dim.values())
+    if total > limit:
+        raise SizeLimitError(
+            f"face closure exceeds the size limit {size_limit}: {total} simplices listed"
+        )
+    for d in range(max(by_dim, default=0), 0, -1):
+        lower = by_dim.setdefault(d - 1, set())
+        rest = total - len(lower)
+        for s in by_dim[d]:
+            for omit in range(d + 1):
+                lower.add(s[:omit] + s[omit + 1 :])
+                if rest + len(lower) > limit:
+                    raise SizeLimitError(
+                        f"face closure exceeds the size limit {size_limit}: "
+                        f"{rest + len(lower)} simplices at dimension {d - 1}"
+                    )
+        total = rest + len(lower)
+    return by_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +117,7 @@ class SimplicialComplex:
             if t and (t[0] < 0 or t[-1] >= len(vertices)):
                 raise ValidationError(f"simplex {s!r} outside vertex range")
             raw.add(t)
-        closed = _close_faces(raw)
-        if size_limit is not None and len(closed) > size_limit:
-            raise SizeLimitError(
-                f"complex would hold {len(closed)} simplices (limit {size_limit})"
-            )
-        by_dim: dict[int, set[tuple[int, ...]]] = {}
-        for s in closed:
-            by_dim.setdefault(len(s) - 1, set()).add(s)
+        by_dim = _close_faces(raw, size_limit)
         return cls(tuple(vertices), {d: frozenset(v) for d, v in sorted(by_dim.items())})
 
     @classmethod
@@ -137,17 +150,20 @@ class SimplicialComplex:
         return sum((-1) ** d * len(v) for d, v in self.simplices.items())
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
+        """Simplices that are no codimension-1 face of another, by (size, tuple).
+
+        In a face-closed complex a simplex lies in a larger one exactly when
+        it is a codimension-1 face of some simplex one dimension up.
+        """
         out = []
-        for d in sorted(self.simplices, reverse=True):
-            for s in sorted(self.simplices[d]):
-                sset = set(s)
-                if not any(sset < set(m) for m in out):
-                    out.append(s)
+        for d, layer in self.simplices.items():
+            covered = {
+                s[:omit] + s[omit + 1 :]
+                for s in self.simplices.get(d + 1, ())
+                for omit in range(d + 2)
+            }
+            out.extend(layer - covered)
         return sorted(out, key=lambda s: (len(s), s))
-
-
-def simplex_dim(simplex) -> int:
-    return len(simplex) - 1
 
 
 def link(k: SimplicialComplex, simplex) -> SimplicialComplex:
@@ -376,8 +392,44 @@ def _image_rays(v: HoughtonMap) -> tuple[MarkedRay, ...]:
     return tuple(v.image_ray(p) for p in v.pieces)
 
 
-def _images_disjoint(a: tuple[MarkedRay, ...], b: tuple[MarkedRay, ...]) -> bool:
-    return all(marked_intersect(x, y) is None for x in a for y in b)
+def _image_index(v: HoughtonMap) -> dict[int, list[Ray]]:
+    """The vertex's image rays, grouped by the copy they land in."""
+    by_copy: dict[int, list[Ray]] = {}
+    for m in _image_rays(v):
+        by_copy.setdefault(m.copy, []).append(m.ray)
+    return by_copy
+
+
+def _images_meet(a: dict[int, list[Ray]], b: dict[int, list[Ray]]) -> bool:
+    """Whether two images, indexed by copy, intersect; only shared copies are read."""
+    for copy, rays in a.items():
+        other = b.get(copy)
+        if other:
+            for x in rays:
+                for y in other:
+                    if x.meets(y):
+                        return True
+    return False
+
+
+def _disjoint_pairs(vertices: list[HoughtonMap]) -> list[tuple[int, int]]:
+    """Index pairs i < j of vertices whose images are disjoint.
+
+    Pairs with equal ``pi_projection`` are skipped untested: both images
+    contain a translated orthant of N^k in that copy, and any two orthants
+    meet (at the coordinatewise maximum of their bases).
+    """
+    index = [_image_index(v) for v in vertices]
+    buckets: dict[int, list[int]] = {}
+    for i, v in enumerate(vertices):
+        buckets.setdefault(pi_projection(v), []).append(i)
+    pairs = []
+    for p, q in itertools.combinations(sorted(buckets), 2):
+        for i in buckets[p]:
+            for j in buckets[q]:
+                if not _images_meet(index[i], index[j]):
+                    pairs.append((i, j) if i < j else (j, i))
+    return pairs
 
 
 def _jointly_surjective(k: int, n: int, image_rays: list[MarkedRay]) -> bool:
@@ -410,12 +462,11 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
         diag = validate(v)
         if not diag.valid:
             raise ValidationError(f"invalid vertex: {diag.problems}")
-    rays = [_image_rays(v) for v in vertices]
-    for a, b in itertools.combinations(rays, 2):
-        if not _images_disjoint(a, b):
-            return False
+    index = [_image_index(v) for v in vertices]
+    if any(_images_meet(a, b) for a, b in itertools.combinations(index, 2)):
+        return False
     if len(vertices) == n:
-        return _jointly_surjective(k, n, [r for rs in rays for r in rs])
+        return _jointly_surjective(k, n, [r for v in vertices for r in _image_rays(v)])
     return True
 
 
@@ -432,30 +483,34 @@ def build_sn_truncated(
     when their images are pairwise disjoint, for p+1 < n.  Sets of n vertices
     are included as top simplices only with ``include_top``, and then also
     need jointly surjective images.
+
+    The disjointness graph is built only when some degree >= 1 is kept, and
+    it never tests two vertices with the same ``pi_projection``.  Each
+    vertex sends the full orthant N^k onto a translated orthant in copy
+    ``pi_projection(v)``, and two orthants based at b and b' both contain the
+    point max(b, b'), so such a pair always meets.  The simplices come out
+    layer by layer as cliques, already face-closed and counted against
+    ``size_limit``, so no second closure pass runs.
     """
     candidates = enumerate_bounded_vertices(k, n, bound, size_limit)
     if include_top and n == 1:
         candidates = [
             v for v in candidates if _jointly_surjective(k, n, list(_image_rays(v)))
         ]
-    rays = [_image_rays(v) for v in candidates]
     count = len(candidates)
-    simplices: set[tuple[int, ...]] = {(i,) for i in range(count)}
-    adjacency: dict[int, set[int]] = {i: set() for i in range(count)}
-    if n >= 2:
-        for i, j in itertools.combinations(range(count), 2):
-            if _images_disjoint(rays[i], rays[j]):
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-    layer = [(i,) for i in range(count)]
+    layers = [[(i,) for i in range(count)]]
     max_dim = n - 1 if include_top else n - 2
-    total = count
-    for dim in range(1, max_dim + 1):
-        next_layer = []
-        for s in layer:
-            common = set.intersection(*(adjacency[v] for v in s)) if s else set()
-            for w in common:
-                if w > s[-1]:
+    if max_dim >= 1:
+        # later[v]: the neighbours of v above it, enough to grow sorted cliques
+        later: list[set[int]] = [set() for _ in range(count)]
+        for i, j in _disjoint_pairs(candidates):
+            later[i].add(j)
+        rays = [_image_rays(v) for v in candidates] if include_top else None
+        total = count
+        for dim in range(1, max_dim + 1):
+            next_layer = []
+            for s in layers[-1]:
+                for w in set.intersection(*(later[v] for v in s)):
                     t = s + (w,)
                     if dim == n - 1 and not _jointly_surjective(
                         k, n, [r for v in t for r in rays[v]]
@@ -465,11 +520,12 @@ def build_sn_truncated(
                     total += 1
                     if size_limit is not None and total > size_limit:
                         raise SizeLimitError(
-                            f"complex exceeds the size limit {size_limit}"
+                            f"simplex layers exceed the size limit {size_limit}: "
+                            f"{total} simplices at dimension {dim}"
                         )
-        simplices.update(next_layer)
-        layer = next_layer
-    return SimplicialComplex.build(tuple(candidates), simplices, size_limit=size_limit)
+            layers.append(next_layer)
+    simplices = {d: frozenset(layer) for d, layer in enumerate(layers) if layer}
+    return SimplicialComplex(tuple(candidates), simplices)
 
 
 # -- sections of the copy projection ------------------------------------------
@@ -546,13 +602,13 @@ def verify_s_section(
         if pi_projection(f) != p:
             raise ValidationError(f"not a section: assigned vertex for copy {p} projects to {pi_projection(f)}")
     all_maps = rho + svs
-    imgs = {id(v): _image_rays(v) for v in all_maps}
+    imgs = {id(v): _image_index(v) for v in all_maps}
     disjoint: dict[tuple[int, int], bool] = {}
 
     def dis(a, b):
         key = (id(a), id(b))
         if key not in disjoint:
-            val = _images_disjoint(imgs[id(a)], imgs[id(b)])
+            val = not _images_meet(imgs[id(a)], imgs[id(b)])
             disjoint[key] = val
             disjoint[(key[1], key[0])] = val
         return disjoint[key]
@@ -656,7 +712,7 @@ def connectivity_probe(
         return report
     report["claim"] = "sampled pairs connect within the enlarged truncation"
     rng = random.Random(seed)
-    rays = {id(v): _image_rays(v) for v in vertices}
+    index = {id(v): _image_index(v) for v in vertices}
     intermediates: list[HoughtonMap] = []
     full = Ray((1,) * k, tuple(range(1, k + 1)))
     connected = 0
@@ -668,27 +724,23 @@ def connectivity_probe(
             connected += 1
             lengths.append(0)
             continue
-        if _images_disjoint(rays[id(u)], rays[id(w)]):
+        if not _images_meet(index[id(u)], index[id(w)]):
             connected += 1
             lengths.append(1)
             continue
         occupied = {pi_projection(u), pi_projection(w)}
         copy = next(c for c in range(1, n + 1) if c not in occupied)
-        blockers = [
-            m.ray
-            for m in (*rays[id(u)], *rays[id(w)])
-            if m.copy == copy
-        ]
+        blockers = [*index[id(u)].get(copy, ()), *index[id(w)].get(copy, ())]
         offset = _avoidance_offset(k, blockers)
         z = HoughtonMap(
             k, 1, n, ((MarkedRay(full, 1), Translation((offset,) * k, copy)),)
         )
         z_ok = canonical_threshold(z) <= bound + slack and offset <= bound + slack
-        z_rays = _image_rays(z)
+        z_index = _image_index(z)
         if (
             z_ok
-            and _images_disjoint(z_rays, rays[id(u)])
-            and _images_disjoint(z_rays, rays[id(w)])
+            and not _images_meet(z_index, index[id(u)])
+            and not _images_meet(z_index, index[id(w)])
         ):
             connected += 1
             lengths.append(2)
@@ -705,12 +757,7 @@ def connectivity_probe(
     for z in intermediates:
         if not any(equals(z, v) for v in pool):
             pool.append(z)
-    pool_rays = [_image_rays(v) for v in pool]
-    edges = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(pool)), 2)
-        if _images_disjoint(pool_rays[i], pool_rays[j])
-    ]
+    edges = _disjoint_pairs(pool)
     parent = list(range(len(pool)))
 
     def find(x):

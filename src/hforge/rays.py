@@ -129,6 +129,22 @@ class Ray:
             )
         return Ray(moved, self.dirs)
 
+    def meets(self, other: "Ray") -> bool:
+        """Whether the two rays intersect, without building the intersection.
+
+        Coordinate j admits a common value exactly when the bases agree
+        there or the ray with the smaller base is free in j.
+        """
+        if len(self.base) != len(other.base):
+            raise ValidationError("dimension mismatch between rays")
+        for j, (b1, b2) in enumerate(zip(self.base, other.base), start=1):
+            if b1 < b2:
+                if j not in self.dirs:
+                    return False
+            elif b2 < b1 and j not in other.dirs:
+                return False
+        return True
+
     def sort_key(self) -> tuple:
         return (self.dirs, self.base)
 

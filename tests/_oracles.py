@@ -220,3 +220,69 @@ def boundary_matrices_from_facets(facets):
             sign = -1 if omit % 2 else 1
             d2[eindex[face]][col] = sign
     return d1, d2
+
+
+def maximal_simplices_quadratic(simplices) -> list:
+    """Maximal simplices by comparing each simplex with every one kept so far.
+
+    ``simplices`` maps dimension to a set of sorted tuples.  Simplices are
+    scanned from the top dimension down and kept unless they are a proper
+    subset of one already kept; quadratic, and independent of face closure.
+    """
+    out = []
+    for d in sorted(simplices, reverse=True):
+        for s in sorted(simplices[d]):
+            sset = set(s)
+            if not any(sset < set(m) for m in out):
+                out.append(s)
+    return sorted(out, key=lambda s: (len(s), s))
+
+
+def images_disjoint_all_pairs(a, b) -> bool:
+    """Whether two tuples of marked image rays are disjoint, via every pair.
+
+    Intersects each ray of ``a`` with each ray of ``b`` through
+    ``marked_intersect``, whatever their copies.
+    """
+    from hforge.rays import marked_intersect
+
+    return all(marked_intersect(x, y) is None for x in a for y in b)
+
+
+def _image_points(v, hi: int) -> set:
+    marked = [
+        (tuple(b + d for b, d in zip(base, offset)), dirs, target)
+        for base, dirs, _, offset, target in raw_pieces(v)
+    ]
+    return marked_points_in_box(marked, v.k, v.n, hi)
+
+
+def sn_simplices_brute_force(vertices, include_top: bool) -> dict:
+    """Simplices per degree of the bounded truncation on ``vertices``.
+
+    Every subset of at most n - 1 vertices (n with ``include_top``) is
+    tested pointwise.  Two rays that meet share the point whose coordinates
+    are the larger of their bases, and a union of rays covers N^k once it
+    covers every grid cell's base point, so the box [1, M + 1]^k, with M the
+    largest image base coordinate, decides both disjointness and coverage.
+    Every vertex is a 0-simplex, except that for n = 1 with ``include_top``
+    a vertex is a top simplex and must cover.  Simplices are tuples of
+    indices into ``vertices``.
+    """
+    k, n = vertices[0].k, vertices[0].n
+    hi = 1 + max(
+        b + d for v in vertices for base, _, _, offset, _ in raw_pieces(v)
+        for b, d in zip(base, offset)
+    )
+    points = [_image_points(v, hi) for v in vertices]
+    everything = hi**k * n
+    top = n if include_top else max(n - 1, 1)
+    out: dict = {}
+    for size in range(1, top + 1):
+        for combo in itertools.combinations(range(len(vertices)), size):
+            if any(points[a] & points[b] for a, b in itertools.combinations(combo, 2)):
+                continue
+            if include_top and size == n and sum(len(points[i]) for i in combo) != everything:
+                continue
+            out.setdefault(size - 1, set()).add(combo)
+    return out

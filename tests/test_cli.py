@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -81,6 +82,30 @@ def test_complex_build_sn_census(capsys):
     report = json.loads(out)
     assert report["vertex_count"] == 18
     assert report["simplex_counts"]["0"] == 18
+
+
+# sha256 of `complex build-sn` stdout, pinned from a build that tested every
+# vertex pair and found maximal simplices by a quadratic scan; the pruned build
+# must reproduce it byte for byte.
+BUILD_SN_DIGESTS = [
+    (("--k", "1", "--n", "4", "--bound", "1"),
+     "d199823e088e31ed79a1063c81b9bcb161cde0b068fc2e4195c40a9ab2ee8977"),
+    (("--k", "1", "--n", "2", "--bound", "2"),
+     "c9c234286566d7114c34dc3f20c3afecb1cb814b31828f2190bf5e64caafe526"),
+    (("--k", "1", "--n", "3", "--bound", "1", "--include-top"),
+     "dae5f59b5ff038c274553c88001851ccb9062b740820791a1990b59b244ca130"),
+    (("--k", "2", "--n", "1", "--bound", "1"),
+     "539eb09b775bdb8aacc5f73648e45ada49cc41c5dee29a4170edcd8773636d99"),
+]
+
+
+@pytest.mark.parametrize(
+    "params, digest", BUILD_SN_DIGESTS, ids=["1-4-1", "1-2-2", "1-3-1-top", "2-1-1"]
+)
+def test_build_sn_stdout_digests(capsys, params, digest):
+    code, out, _ = run_cli(capsys, "complex", "build-sn", *params)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_complex_homology_fixture(capsys):

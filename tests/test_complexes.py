@@ -1,8 +1,12 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hforge.complexes as complexes_module
 from hforge.complexes import (
     SimplicialComplex,
     boundary_matrices,
@@ -35,6 +39,7 @@ from hforge.houghton import (
     compose,
     embed_symmetric,
     equals,
+    map_to_json,
     random_element,
     validate,
 )
@@ -44,9 +49,14 @@ from hforge.snf import snf_diagonal
 from _oracles import (
     boundary_matrices_from_facets,
     bounded_vertex_census,
+    images_disjoint_all_pairs,
+    maximal_simplices_quadratic,
     minor_gcd_diagonal,
+    sn_simplices_brute_force,
     RP2_FACETS,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def full_simplex(n):
@@ -88,7 +98,10 @@ def test_build_and_face_closure():
         SimplicialComplex.build((0, 1), [(0, 0)])
     with pytest.raises(ValidationError):
         SimplicialComplex.build((0, 1), [(0, 2)])
-    with pytest.raises(SizeLimitError):
+    # 2^20 - 1 faces if closed in full; the guard stops at the first one over.
+    with pytest.raises(
+        SizeLimitError, match=r"face closure exceeds the size limit 100: 101 simplices"
+    ):
         SimplicialComplex.from_maximal(tuple(range(20)), [tuple(range(20))], size_limit=100)
 
 
@@ -435,3 +448,93 @@ def test_complex_json_round_trip():
         {"degree": 1, "betti": 0, "torsion": []},
         {"degree": 2, "betti": 1, "torsion": []},
     ]
+
+
+def test_size_guard_messages_name_stage_and_count():
+    with pytest.raises(SizeLimitError, match=r"size limit 3: 5 simplices listed"):
+        SimplicialComplex.build(tuple(range(5)), [(i,) for i in range(5)], size_limit=3)
+    # 45 vertices fit; the first edge over 50 trips the layer guard.
+    with pytest.raises(
+        SizeLimitError, match=r"simplex layers exceed the size limit 50: 51 simplices"
+    ):
+        build_sn_truncated(1, 3, 1, size_limit=50)
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True), max_size=12
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_maximal_simplices_match_quadratic_reference(raw):
+    K = SimplicialComplex.build(tuple(range(8)), raw)
+    assert K.maximal_simplices() == maximal_simplices_quadratic(K.simplices)
+
+
+def test_maximal_simplices_match_quadratic_reference_on_fixtures():
+    rp2 = SimplicialComplex.from_maximal(
+        tuple(range(6)), [tuple(v - 1 for v in f) for f in RP2_FACETS]
+    )
+    delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
+    fixtures = [
+        SimplicialComplex.build((), []),
+        full_simplex(1),
+        full_simplex(4),
+        boundary_simplex(4),
+        simplex_skeleton(5, 2),
+        link(boundary_simplex(5), (0,)),
+        rp2,
+        delta3,
+        build_sn_truncated(1, 2, 1, include_top=True),
+        build_sn_truncated(1, 3, 1),
+        build_sn_truncated(1, 3, 1, include_top=True),
+    ]
+    for K in fixtures:
+        assert K.maximal_simplices() == maximal_simplices_quadratic(K.simplices)
+
+
+def _indexed_simplices(K, candidates):
+    """K's simplices per degree as tuples of indices into ``candidates``."""
+    position = {
+        json.dumps(map_to_json(v), sort_keys=True): i for i, v in enumerate(candidates)
+    }
+    index = [position[json.dumps(map_to_json(v), sort_keys=True)] for v in K.vertices]
+    return {
+        d: {tuple(sorted(index[i] for i in s)) for s in layer}
+        for d, layer in K.simplices.items()
+    }
+
+
+@pytest.mark.parametrize("include_top", [False, True])
+@pytest.mark.parametrize("k, n, bound", [(1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 2, 2), (2, 1, 1)])
+def test_build_sn_truncated_matches_brute_force(k, n, bound, include_top):
+    candidates = enumerate_bounded_vertices(k, n, bound)
+    K = build_sn_truncated(k, n, bound, include_top=include_top)
+    assert _indexed_simplices(K, candidates) == sn_simplices_brute_force(
+        candidates, include_top
+    )
+
+
+def test_build_sn_truncated_without_vertices(monkeypatch):
+    monkeypatch.setattr(complexes_module, "enumerate_bounded_vertices", lambda *a, **kw: [])
+    for n, include_top in ((1, True), (2, True), (3, False), (3, True)):
+        K = build_sn_truncated(1, n, 1, include_top=include_top)
+        assert K.vertices == ()
+        assert K.simplices == {}
+        assert K.is_empty
+
+
+def test_pair_test_matches_all_pairs_oracle():
+    rng = random.Random(11)
+    groups = [
+        enumerate_bounded_vertices(1, 3, 1),
+        [
+            canonical_form(restrict_vertex(random_element(2, 3, rng.randint(0, 2), seed=s)))
+            for s in range(30)
+        ],
+    ]
+    for vertices in groups:
+        images = [tuple(v.image_ray(p) for p in v.pieces) for v in vertices]
+        for i, j in itertools.combinations(range(len(vertices)), 2):
+            expected = images_disjoint_all_pairs(images[i], images[j])
+            assert simplex_test([vertices[i], vertices[j]]) == expected

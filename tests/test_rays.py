@@ -386,3 +386,18 @@ def test_json_round_trip():
     assert ray_from_json({"base": [1, 1], "dirs": [2, 1]}) == R((1, 1), 1, 2)
     with pytest.raises(ValidationError):
         ray_from_json({"dirs": []})
+
+
+def test_ray_meets_matches_ray_intersect_exhaustively():
+    for k in (1, 2):
+        rays = [
+            Ray(base, dirs)
+            for base in itertools.product(range(1, 5), repeat=k)
+            for size in range(k + 1)
+            for dirs in itertools.combinations(range(1, k + 1), size)
+        ]
+        for a in rays:
+            for b in rays:
+                assert a.meets(b) == (ray_intersect(a, b) is not None), (a, b)
+    with pytest.raises(ValidationError):
+        Ray((1,), ()).meets(Ray((1, 1), ()))
