@@ -2,8 +2,8 @@
 
 The package is organised in layers: :mod:`hforge.rays` handles the geometry
 of rays and ray partitions of N^k x [n], :mod:`hforge.houghton` the group and
-category arithmetic of translations on rays, :mod:`hforge.snf` exact integer
-linear algebra, :mod:`hforge.complexes` finite simplicial complexes with
+category arithmetic of translations on rays, :mod:`hforge.snf` the exact linear
+algebra over Z and Q, :mod:`hforge.complexes` finite simplicial complexes with
 integral homology plus the bounded stability complexes, and
 :mod:`hforge.fimodules` truncated FI-modules with generation-degree reports.
 ``hforge.cli`` exposes everything as a batch command line tool.

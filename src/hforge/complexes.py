@@ -33,7 +33,7 @@ from .houghton import (
     map_to_json,
     validate,
 )
-from .rays import MarkedRay, Ray, Region, grid_cells, marked_intersect, region_complement
+from .rays import MarkedRay, Ray, _uncovered_cells, grid_cells, marked_intersect
 from .snf import snf_diagonal
 
 __all__ = [
@@ -212,15 +212,6 @@ class ChainComplexZ:
 
     bases: tuple[tuple[tuple[int, ...], ...], ...]
     boundaries: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        from .snf import mat_mul
-
-        for lower, upper in zip(self.boundaries, self.boundaries[1:]):
-            if upper and upper[0] and lower:
-                prod = mat_mul(lower, upper)
-                if any(any(row) for row in prod):
-                    raise AssertionError("boundary of boundary is nonzero")
 
 
 def boundary_matrices(k: SimplicialComplex) -> ChainComplexZ:
@@ -433,7 +424,8 @@ def _disjoint_pairs(vertices: list[HoughtonMap]) -> list[tuple[int, int]]:
 
 
 def _jointly_surjective(k: int, n: int, image_rays: list[MarkedRay]) -> bool:
-    return region_complement(Region(k, n, tuple(image_rays))).is_empty
+    """Whether pairwise disjoint image rays cover N^k x [n]."""
+    return next(_uncovered_cells(k, n, image_rays), None) is None
 
 
 def pi_projection(vertex: HoughtonMap) -> int:
@@ -641,16 +633,10 @@ def verify_s_section(
         pi_sigma = {pi_projection(v) for v in sigma}
         for tau in taus:
             lhs = not (tau & pi_sigma) and len(tau | pi_sigma) <= n - 1
-            rho_tau = [rho[i - 1] for i in sorted(tau)]
-            joint = list(sigma) + rho_tau
-            no_repeats = all(
-                not equals(a, b) for a, b in itertools.combinations(joint, 2)
-            )
-            rhs = (
-                no_repeats
-                and len(joint) <= n - 1
-                and is_simplex(joint)
-            )
+            # a vertex of sigma equal to a section vertex has the same
+            # nonempty image, so is_simplex already rejects the repeat
+            joint = list(sigma) + [rho[i - 1] for i in sorted(tau)]
+            rhs = len(joint) <= n - 1 and is_simplex(joint)
             if lhs != rhs:
                 return False, (tuple(map_to_json(v) for v in sigma), tuple(sorted(tau)))
     return True, None

@@ -6,8 +6,9 @@ action of the adjacent transpositions of the symmetric group on n letters.
 Arbitrary injections act through a factorisation into a standard inclusion
 followed by a permutation; the induced module at level n assembles n twisted
 copies of level n-1, and the surjectivity of its differential onto level n
-detects whether new generators appear there.  Everything is exact: ranks
-over Q via fraction arithmetic, cokernels over Z via Smith normal forms.
+detects whether new generators appear there.  Everything is exact, and all
+matrix arithmetic (products, ranks over Q, cokernels over Z) goes through
+:mod:`hforge.snf`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .snf import snf_diagonal
+from .snf import identity_matrix, mat_mul, rank, snf_diagonal, zero_matrix
 
 __all__ = [
     "Level",
@@ -43,28 +44,6 @@ __all__ = [
 Mat = tuple[tuple, ...]
 
 
-def _as_mat(rows) -> Mat:
-    return tuple(tuple(x for x in row) for row in rows)
-
-
-def _identity(n: int) -> Mat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _zero(rows: int, cols: int) -> Mat:
-    return tuple((0,) * cols for _ in range(rows))
-
-
-def _matmul(a: Mat, b: Mat, cols_b: int) -> Mat:
-    """a @ b with an explicit column count so zero-rank factors stay shaped."""
-    if not b:
-        return _zero(len(a), cols_b)
-    return tuple(
-        tuple(sum(row[i] * b[i][j] for i in range(len(b))) for j in range(cols_b))
-        for row in a
-    )
-
-
 def _hstack(blocks: list[Mat], rows: int) -> Mat:
     out = []
     for i in range(rows):
@@ -73,26 +52,6 @@ def _hstack(blocks: list[Mat], rows: int) -> Mat:
             row.extend(block[i])
         out.append(tuple(row))
     return tuple(out)
-
-
-def _rank_q(mat: Mat, cols: int) -> int:
-    work = [[Fraction(x) for x in row] for row in mat]
-    rank = 0
-    col = 0
-    while rank < len(work) and col < cols:
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col] / pv
-                work[i] = [a - factor * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -144,8 +103,14 @@ def _shape_ok(mat: Mat | None, rows: int, cols: int) -> bool:
 
 
 def validate_fimodule(v: TruncatedFIModule) -> ModuleDiagnostics:
-    """Shapes, Coxeter relations, and inclusion equivariance at every level."""
+    """Shapes, Coxeter relations, and inclusion equivariance at every level.
+
+    Relations are only checked on matrices of the declared shapes: a level
+    with a misshapen matrix reports the shape and nothing that would
+    multiply it.
+    """
     problems = []
+    shaped: set[int] = set()
     for n in range(v.N + 1):
         lv = v.levels[n]
         r = lv.rank
@@ -162,28 +127,32 @@ def validate_fimodule(v: TruncatedFIModule) -> ModuleDiagnostics:
             continue
         if v.ring == "Q" and lv.presentation is not None:
             problems.append(f"level {n}: presentations are only supported over Z")
-        ident = _identity(r)
+        ident = identity_matrix(r)
         s = lv.transpositions
         for i, si in enumerate(s, start=1):
             if not _shape_ok(si, r, r):
                 problems.append(f"level {n}: s_{i} has wrong shape")
                 break
-            if _matmul(si, si, r) != ident:
+            if mat_mul(si, si, r) != ident:
                 problems.append(f"level {n}: s_{i}^2 != 1")
+        else:
+            shaped.add(n)
+        if n not in shaped:
+            continue
         for i in range(1, len(s)):
-            lhs = _matmul(_matmul(s[i - 1], s[i], r), s[i - 1], r)
-            rhs = _matmul(_matmul(s[i], s[i - 1], r), s[i], r)
+            lhs = mat_mul(mat_mul(s[i - 1], s[i], r), s[i - 1], r)
+            rhs = mat_mul(mat_mul(s[i], s[i - 1], r), s[i], r)
             if lhs != rhs:
                 problems.append(f"level {n}: braid relation fails at (s_{i}, s_{i + 1})")
         for i in range(1, len(s) + 1):
             for j in range(i + 2, len(s) + 1):
-                if _matmul(s[i - 1], s[j - 1], r) != _matmul(s[j - 1], s[i - 1], r):
+                if mat_mul(s[i - 1], s[j - 1], r) != mat_mul(s[j - 1], s[i - 1], r):
                     problems.append(f"level {n}: s_{i} and s_{j} do not commute")
-        if n >= 1:
+        if n - 1 in shaped:
             prev = v.levels[n - 1]
             for i in range(1, n - 1):
-                lhs = _matmul(s[i - 1], lv.iota, prev.rank)
-                rhs = _matmul(lv.iota, prev.transpositions[i - 1], prev.rank)
+                lhs = mat_mul(s[i - 1], lv.iota, prev.rank)
+                rhs = mat_mul(lv.iota, prev.transpositions[i - 1], prev.rank)
                 if lhs != rhs:
                     problems.append(
                         f"level {n}: inclusion does not intertwine s_{i}"
@@ -213,18 +182,18 @@ def action_matrix(v: TruncatedFIModule, n: int, perm: tuple[int, ...]) -> Mat:
     if n > v.N:
         raise ValidationError(f"level {n} exceeds the truncation {v.N}")
     r = v.levels[n].rank
-    out = _identity(r)
+    out = identity_matrix(r)
     for a in _adjacent_word(perm):
-        out = _matmul(out, v.levels[n].transpositions[a - 1], r)
+        out = mat_mul(out, v.levels[n].transpositions[a - 1], r)
     return out
 
 
 def _iota_chain(v: TruncatedFIModule, m: int, n: int) -> Mat:
     """The composite inclusion from level m into level n."""
-    acc = _identity(v.levels[m].rank)
+    acc = identity_matrix(v.levels[m].rank)
     cols = v.levels[m].rank
     for level in range(m + 1, n + 1):
-        acc = _matmul(v.levels[level].iota, acc, cols)
+        acc = mat_mul(v.levels[level].iota, acc, cols)
     return acc
 
 
@@ -242,7 +211,7 @@ def evaluate_injection(v: TruncatedFIModule, images: tuple[int, ...], n: int) ->
         raise ValidationError(f"injection [{m}] -> [{n}] outside truncation {v.N}")
     rest = [x for x in range(1, n + 1) if x not in images]
     perm = tuple(list(images) + rest)
-    return _matmul(action_matrix(v, n, perm), _iota_chain(v, m, n), v.levels[m].rank)
+    return mat_mul(action_matrix(v, n, perm), _iota_chain(v, m, n), v.levels[m].rank)
 
 
 @dataclass(frozen=True)
@@ -317,7 +286,7 @@ def sigma1(v: TruncatedFIModule, n: int) -> tuple[InducedModule, Mat]:
     reps = tuple(_tau(i, n) for i in range(1, n + 1))
     induced = InducedModule(v, n, 1, base_rank, reps)
     blocks = [
-        _matmul(action_matrix(v, n, tau), v.levels[n].iota, base_rank) for tau in reps
+        mat_mul(action_matrix(v, n, tau), v.levels[n].iota, base_rank) for tau in reps
     ]
     d1 = _hstack(blocks, v.levels[n].rank)
     return induced, d1
@@ -328,15 +297,12 @@ def _surjective_at(v: TruncatedFIModule, n: int) -> bool:
     if r == 0:
         return True
     _, d1 = sigma1(v, n)
-    cols = n * v.levels[n - 1].rank
     pres = v.levels[n].presentation
     if pres is not None:
         d1 = _hstack([d1, pres], r)
-        cols += len(pres[0]) if pres else 0
     if v.ring == "Q":
-        return _rank_q(d1, cols) == r
-    diag = snf_diagonal([list(row) for row in d1])
-    return sum(1 for x in diag if x == 1) == r
+        return rank(d1) == r
+    return snf_diagonal(d1).count(1) == r
 
 
 def surjectivity_table(v: TruncatedFIModule) -> dict[int, bool]:
@@ -363,12 +329,12 @@ def truncate(v: TruncatedFIModule, c: int) -> TruncatedFIModule:
     levels = []
     for n, lv in enumerate(v.levels):
         if n < c:
-            levels.append(Level(0, None if n == 0 else (), tuple(_zero(0, 0) for _ in range(max(n - 1, 0)))))
+            levels.append(Level(0, None if n == 0 else (), tuple(zero_matrix(0, 0) for _ in range(max(n - 1, 0)))))
         elif n == c:
             levels.append(
                 Level(
                     lv.rank,
-                    None if n == 0 else _zero(lv.rank, 0),
+                    None if n == 0 else zero_matrix(lv.rank, 0),
                     lv.transpositions,
                     lv.presentation,
                 )
@@ -508,10 +474,10 @@ def _entry_from_json(x, ring: str):
         value = Fraction(int(num), int(den or 1))
     else:
         value = Fraction(x)
-    if ring == "Z":
-        if value.denominator != 1:
-            raise ValidationError(f"non-integer entry {x!r} in a Z-module")
+    if value.denominator == 1:
         return value.numerator
+    if ring == "Z":
+        raise ValidationError(f"non-integer entry {x!r} in a Z-module")
     return value
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "equals",
     "canonical_form",
     "canonical_threshold",
-    "max_offset",
     "image_region",
     "sigma_projection",
     "in_kernel",
@@ -254,10 +253,6 @@ def _canonical_dict(f: HoughtonMap) -> tuple[int, dict[CellKey, Translation]]:
 
 def canonical_threshold(f: HoughtonMap) -> int:
     return _canonical_table(f)[0]
-
-
-def max_offset(f: HoughtonMap) -> int:
-    return max(abs(d) for _, tr in f.pieces for d in tr.offset)
 
 
 def canonical_form(f: HoughtonMap) -> HoughtonMap:

@@ -473,19 +473,29 @@ def region_equal(a: Region, b: Region) -> bool:
     return _canonical_cells(a)[1] == _canonical_cells(b)[1]
 
 
+def _uncovered_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> Iterator[MarkedRay]:
+    """Cells of N^k x [n] that no ray contains, on the grid of the largest threshold.
+
+    No ``Region`` is built, so callers that already know the rays to be
+    pairwise disjoint skip its pairwise overlap check.
+    """
+    per_copy: dict[int, list[Ray]] = {c: [] for c in range(1, n + 1)}
+    t = 0
+    for m in rays:
+        per_copy[m.copy].append(m.ray)
+        t = max(t, m.ray.threshold)
+    cells = grid_cells(k, t)
+    for copy in range(1, n + 1):
+        hosts = per_copy[copy]
+        for cell in cells:
+            if not any(_ray_contains_cell(h, cell, t) for h in hosts):
+                yield MarkedRay(cell, copy)
+
+
 def region_complement(reg: Region) -> Region:
     """N^k x [n] minus the region, in canonical grid form."""
-    t = reg.threshold
-    per_copy: dict[int, list[Ray]] = {c: [] for c in range(1, reg.n + 1)}
-    for m in reg.rays:
-        per_copy[m.copy].append(m.ray)
-    missing = []
-    for copy in range(1, reg.n + 1):
-        hosts = per_copy[copy]
-        for cell in grid_cells(reg.k, t):
-            if not any(_ray_contains_cell(h, cell, t) for h in hosts):
-                missing.append(MarkedRay(cell, copy))
-    return canonicalize_region(Region(reg.k, reg.n, tuple(missing)))
+    missing = tuple(_uncovered_cells(reg.k, reg.n, reg.rays))
+    return canonicalize_region(Region(reg.k, reg.n, missing))
 
 
 # -- JSON encoding ----------------------------------------------------------

@@ -1,13 +1,19 @@
-"""Exact integer linear algebra: Smith normal form with unimodular transforms.
+"""The one exact linear-algebra layer: products, ranks and Smith normal forms.
 
-Matrices are tuples of row tuples of Python ints, so every computation is
-arbitrary precision.  The elimination pivots on a minimal-absolute-value
-entry and repairs divisibility violations by folding offending rows into the
-pivot row, which yields the divisor chain d_1 | d_2 | ... directly.
+Every matrix computation in hforge goes through this module.  Matrices are
+tuples of row tuples of Python ints (or, for modules over Q, of ints and
+Fractions), so every computation is exact.  The elimination pivots on a
+minimal-absolute-value entry and repairs divisibility violations by folding
+offending rows into the pivot row, which yields the divisor chain
+d_1 | d_2 | ... directly.  Rank over Q reuses the integer path: scaling each
+row by the common denominator of its entries leaves the row space over Q
+unchanged, and the rank is then the count of nonzero Smith diagonal entries.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -17,8 +23,6 @@ __all__ = [
     "identity_matrix",
     "zero_matrix",
     "mat_mul",
-    "mat_transpose",
-    "mat_eq",
     "determinant",
     "rank",
     "smith_normal_form",
@@ -44,21 +48,16 @@ def zero_matrix(rows: int, cols: int) -> Matrix:
     return tuple((0,) * cols for _ in range(rows))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
-    bt = list(zip(*b)) if b else []
+def mat_mul(a: Matrix, b: Matrix, cols: int) -> Matrix:
+    """a @ b, where b has ``cols`` columns: a 0-row b cannot carry its width."""
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{cols}")
+    if not b:
+        return zero_matrix(len(a), cols)
+    bt = list(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return as_matrix(a) == as_matrix(b)
 
 
 def determinant(a: Matrix) -> int:
@@ -218,7 +217,8 @@ class SnfResult:
         )
 
     def verify(self) -> bool:
-        if mat_mul(mat_mul(self.u, self.matrix), self.v) != self.diagonal_matrix():
+        cols = len(self.v)
+        if mat_mul(mat_mul(self.u, self.matrix, cols), self.v, cols) != self.diagonal_matrix():
             return False
         if abs(determinant(self.u)) != 1 or abs(determinant(self.v)) != 1:
             return False
@@ -240,5 +240,15 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
     return SnfResult(mat, as_matrix(u), as_matrix(v), tuple(diag))
 
 
-def rank(a: Sequence[Sequence[int]]) -> int:
-    return sum(1 for x in snf_diagonal(a) if x)
+def _clear_denominators(a: Sequence[Sequence[int | Fraction]]) -> Matrix:
+    """Each row times the lcm of its denominators: integral, same row space over Q."""
+    out = []
+    for row in a:
+        scale = math.lcm(1, *(x.denominator for x in row))
+        out.append(tuple(x.numerator * (scale // x.denominator) for x in row))
+    return tuple(out)
+
+
+def rank(a: Sequence[Sequence[int | Fraction]]) -> int:
+    """Rank over Q of a matrix with integer or rational entries."""
+    return sum(1 for x in snf_diagonal(_clear_denominators(a)) if x)

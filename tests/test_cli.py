@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ import pytest
 
 import hforge
 from hforge.cli import main
+
+from _oracles import RP2_FACETS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -104,6 +107,57 @@ BUILD_SN_DIGESTS = [
 )
 def test_build_sn_stdout_digests(capsys, params, digest):
     code, out, _ = run_cli(capsys, "complex", "build-sn", *params)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _rp2_json():
+    return {
+        "vertices": list(range(6)),
+        "maximal_simplices": [[v - 1 for v in f] for f in RP2_FACETS],
+    }
+
+
+def _random_2_complex_json(seed):
+    rng = random.Random(seed)
+    triangles = {tuple(sorted(rng.sample(range(14), 3))) for _ in range(30)}
+    return {"vertices": list(range(14)), "maximal_simplices": sorted(triangles)}
+
+
+def _h1_module_json(n, ring):
+    from hforge.fimodules import houghton_h1_fimodule, module_to_json
+
+    return module_to_json(houghton_h1_fimodule(n, ring))
+
+
+# sha256 of stdout, pinned from the build whose fimodules kept its own
+# matrix product and Fraction elimination, and whose chain complexes checked
+# d o d = 0 at run time; the shared snf layer must reproduce it byte for byte.
+STDOUT_DIGESTS = [
+    ("complex-homology-rp2", ("complex", "homology"), _rp2_json,
+     "ae94f320414d6b4ad5cd2c6efd2eb98dbe741e146854180fa8de746fb3832600"),
+    ("complex-homology-random", ("complex", "homology"), lambda: _random_2_complex_json(5),
+     "67f6a9191bb0c2a60cc6576d35ee7744cc23727409cffd17aed81b2fab3ab59f"),
+    ("fimod-gendeg-Z", ("fimod", "gendeg"), lambda: _h1_module_json(8, "Z"),
+     "b75808e49f0846c01681b83eb452a5c9f09df13cfdbb4a65f62464553bdea7a8"),
+    ("fimod-report-Z", ("fimod", "report"), lambda: _h1_module_json(8, "Z"),
+     "0675f61ca253546e3a23f358f0b8af6c9702e8ab78bea876d685b0bce9de605f"),
+    ("fimod-gendeg-Q", ("fimod", "gendeg"), lambda: _h1_module_json(8, "Q"),
+     "b75808e49f0846c01681b83eb452a5c9f09df13cfdbb4a65f62464553bdea7a8"),
+    ("fimod-report-Q", ("fimod", "report"), lambda: _h1_module_json(8, "Q"),
+     "0675f61ca253546e3a23f358f0b8af6c9702e8ab78bea876d685b0bce9de605f"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, make_input, digest",
+    [case[1:] for case in STDOUT_DIGESTS],
+    ids=[case[0] for case in STDOUT_DIGESTS],
+)
+def test_stdout_digests(capsys, tmp_path, verb, make_input, digest):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(make_input()))
+    code, out, _ = run_cli(capsys, *verb, str(path))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

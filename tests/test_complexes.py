@@ -44,7 +44,7 @@ from hforge.houghton import (
     validate,
 )
 from hforge.rays import MarkedRay, Ray
-from hforge.snf import snf_diagonal
+from hforge.snf import as_matrix, mat_mul, snf_diagonal, zero_matrix
 
 from _oracles import (
     boundary_matrices_from_facets,
@@ -128,12 +128,57 @@ def test_link_star_skeleton_examples():
         link(bd3, (0, 1, 2, 3))
 
 
+def assert_squares_to_zero(K):
+    """Shapes chain up, and d_i @ d_{i+1} == 0 for every consecutive pair."""
+    chain = boundary_matrices(K)
+    assert len(chain.boundaries) == len(chain.bases) == K.dim + 1
+    for d, (basis, mat) in enumerate(zip(chain.bases, chain.boundaries)):
+        assert all(len(row) == len(basis) for row in mat)
+        assert len(mat) == (1 if d == 0 else len(chain.bases[d - 1]))
+    for lower, upper in zip(chain.boundaries, chain.boundaries[1:]):
+        cols = len(upper[0])
+        assert mat_mul(lower, upper, cols) == zero_matrix(len(lower), cols)
+    return chain
+
+
 def test_boundary_matrices_shape_and_squares_to_zero():
-    chain = boundary_matrices(boundary_simplex(4))
-    assert len(chain.boundaries) == 3
+    chain = assert_squares_to_zero(boundary_simplex(4))
     assert chain.boundaries[0] == ((1, 1, 1, 1),)
     assert len(chain.boundaries[1]) == 4 and len(chain.boundaries[1][0]) == 6
     assert len(chain.boundaries[2]) == 6 and len(chain.boundaries[2][0]) == 4
+
+    # RP^2 against the hand-rolled boundary matrices of the oracle
+    facets = sorted(RP2_FACETS)
+    rp2 = SimplicialComplex.from_maximal(
+        tuple(range(6)), [tuple(v - 1 for v in f) for f in facets]
+    )
+    chain = assert_squares_to_zero(rp2)
+    d1, d2 = boundary_matrices_from_facets(facets)
+    assert chain.boundaries[1:] == (as_matrix(d1), as_matrix(d2))
+
+    delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
+    assert_squares_to_zero(delta3)
+    for params, top in (((1, 2, 1), True), ((1, 3, 1), False), ((1, 3, 1), True)):
+        assert_squares_to_zero(build_sn_truncated(*params, include_top=top))
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(0, 6), min_size=3, max_size=3, unique=True),
+        min_size=1,
+        max_size=14,
+    ),
+    st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5, unique=True), max_size=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_random_boundaries_square_to_zero(triangles, extra):
+    """Pure 2-complexes also match the oracle; extra simplices reach dimension 4."""
+    facets = sorted({tuple(sorted(t)) for t in triangles})
+    K = SimplicialComplex.build(tuple(range(7)), facets)
+    chain = assert_squares_to_zero(K)
+    d1, d2 = boundary_matrices_from_facets(facets)
+    assert chain.boundaries[1:] == (as_matrix(d1), as_matrix(d2))
+    assert_squares_to_zero(SimplicialComplex.build(tuple(range(7)), facets + extra))
 
 
 def test_homology_point_and_spheres():
@@ -364,6 +409,16 @@ def test_build_s_section_examples():
     assert equals(fs[0], inclusion(1, 2, 1, shift=3))
     ok, _ = verify_s_section(1, 2, [g], fs)
     assert ok
+
+    # a section vertex equal to an S-vertex: sigma + rho(tau) then repeats a
+    # vertex, and with n = 3 that pair is short enough that only the
+    # disjointness test (equal maps have equal images) rejects it
+    s3 = inclusion(1, 3, 1)
+    fs = build_s_section(1, 3, [s3])
+    assert equals(fs[0], s3) and fs[0] is not s3
+    assert not simplex_test([s3, fs[0]])
+    ok, witness = verify_s_section(1, 3, [s3], fs)
+    assert ok, witness
 
 
 def test_verify_s_section_rejects_bad_sections():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -60,6 +61,22 @@ def test_validate_names_broken_relation():
     diag = validate_fimodule(bad)
     assert not diag.valid
     assert any("s_1" in p for p in diag.problems)
+
+
+def test_validate_reports_misshapen_matrices_without_multiplying():
+    v = constant_module(4)
+    # s_1 at level 3 is 2x1 on a rank-1 level; level 4's intertwining check
+    # would multiply it, so it is skipped
+    lv = v.levels[3]
+    tall = Level(lv.rank, lv.iota, (((1,), (0,)), lv.transpositions[1]))
+    diag = validate_fimodule(TruncatedFIModule(4, "Z", v.levels[:3] + (tall,) + v.levels[4:]))
+    assert diag.problems == ("level 3: s_1 has wrong shape",)
+
+    # level 2 lacks its transposition, which level 3's intertwining check reads
+    lv = v.levels[2]
+    short = Level(lv.rank, lv.iota, ())
+    diag = validate_fimodule(TruncatedFIModule(4, "Z", v.levels[:2] + (short,) + v.levels[3:]))
+    assert diag.problems == ("level 2: expected 1 transposition matrices",)
 
 
 def test_action_matrix_matches_permutation_matrices():
@@ -295,7 +312,45 @@ def test_module_json_round_trip():
         assert module_from_json(module_to_json(v)) == v
     q = constant_module(2, ring="Q")
     assert module_from_json(module_to_json(q)) == q
+    # integral entries of a Q-module are stored as ints, as the builders make them
+    h1 = houghton_h1_fimodule(5, ring="Q")
+    parsed = module_from_json(module_to_json(h1))
+    assert parsed == h1
+    assert all(
+        type(x) is int
+        for lv in parsed.levels[1:]
+        for mat in (lv.iota, *lv.transpositions)
+        for row in mat
+        for x in row
+    )
     data = module_to_json(constant_module(2))
     data["levels"][2]["transpositions"] = [[[2]]]
     with pytest.raises(ValidationError):
         module_from_json(data)
+
+
+def _rank_one_module_json(ring, iota2):
+    """Rank one at every level up to 3, trivial actions, level 2 included by iota2."""
+    return {
+        "N": 3,
+        "ring": ring,
+        "levels": [
+            {"rank": 1, "iota": None, "transpositions": []},
+            {"rank": 1, "iota": [[1]], "transpositions": []},
+            {"rank": 1, "iota": [[iota2]], "transpositions": [[[1]]]},
+            {"rank": 1, "iota": [[1]], "transpositions": [[[1]], [[1]]]},
+        ],
+    }
+
+
+def test_q_module_with_fractional_entry():
+    v = module_from_json(_rank_one_module_json("Q", "1/2"))
+    assert v.levels[2].iota == ((Fraction(1, 2),),)
+    assert type(v.levels[2].iota[0][0]) is Fraction
+    assert generation_degree(v) == 0
+    assert generation_degree(module_from_json(_rank_one_module_json("Q", "0"))) == 2
+    # 2 is a unit over Q but not over Z
+    assert generation_degree(module_from_json(_rank_one_module_json("Q", 2))) == 0
+    assert generation_degree(module_from_json(_rank_one_module_json("Z", 2))) == 2
+    with pytest.raises(ValidationError, match="non-integer entry"):
+        module_from_json(_rank_one_module_json("Z", "1/2"))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from hforge.snf import (
     rank,
     smith_normal_form,
     snf_diagonal,
+    zero_matrix,
 )
 
 from _oracles import det_cofactor, minor_gcd_diagonal, rank_over_q
@@ -40,6 +42,10 @@ def test_empty_shapes():
     assert snf_diagonal([]) == []
     res = smith_normal_form([])
     assert res.diag == ()
+    # a 0-row right factor cannot carry its width; the product takes it as given
+    assert mat_mul(((), ()), (), 3) == zero_matrix(2, 3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat_mul(((1, 2),), ((1,),), 1)
 
 
 def test_single_negative_entry():
@@ -83,6 +89,18 @@ def test_rank_matches_rational_rank():
         nc = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         assert rank(m) == rank_over_q(m, nc)
+    # rational entries: rows are cleared of denominators before the SNF
+    for _ in range(200):
+        nr = rng.randint(1, 5)
+        nc = rng.randint(1, 5)
+        m = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(nc)]
+            for _ in range(nr)
+        ]
+        if nr > 1 and rng.random() < 0.5:
+            # a row that is a rational multiple of another, so the rank drops
+            m[-1] = [x * Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for x in m[0]]
+        assert rank(m) == rank_over_q(m, nc), m
 
 
 def test_verify_rejects_broken_result():
