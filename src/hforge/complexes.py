@@ -33,7 +33,7 @@ from .houghton import (
     map_to_json,
     validate,
 )
-from .rays import MarkedRay, Ray, _uncovered_cells, grid_cells, marked_intersect
+from .rays import MarkedRay, Ray, _uncovered_cells, grid_cells
 from .snf import snf_diagonal
 
 __all__ = [
@@ -368,7 +368,7 @@ def enumerate_bounded_vertices(
             return
         for tr in options[i]:
             img = MarkedRay(cells[i].translate(tr.offset), tr.target_copy)
-            if all(marked_intersect(img, other) is None for other in images):
+            if not any(img.meets(other) for other in images):
                 images.append(img)
                 chosen.append(tr)
                 backtrack(i + 1)

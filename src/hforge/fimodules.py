@@ -125,8 +125,11 @@ def validate_fimodule(v: TruncatedFIModule) -> ModuleDiagnostics:
         if n >= 1 and not _shape_ok(lv.iota, r, v.levels[n - 1].rank):
             problems.append(f"level {n}: inclusion matrix has wrong shape")
             continue
-        if v.ring == "Q" and lv.presentation is not None:
+        pres = lv.presentation
+        if v.ring == "Q" and pres is not None:
             problems.append(f"level {n}: presentations are only supported over Z")
+        elif pres is not None and (len(pres) != r or len({len(row) for row in pres}) > 1):
+            problems.append(f"level {n}: presentation rows must number {r} and have equal length")
         ident = identity_matrix(r)
         s = lv.transpositions
         for i, si in enumerate(s, start=1):

@@ -13,14 +13,18 @@ Pointwise equality of maps is equality of canonical forms, and compositions
 are computed by refining the first map's domain far enough that each image
 cell lands inside a single canonical cell of the second map.
 
+A map's canonical table, ``(t, {(copy, cell): translation})`` in sorted
+cell order, lives in one LRU cache of ``_CANONICAL_CACHE_SIZE`` maps, as a
+read-only mapping that callers share.  The grid work is done by ``rays``.
+
 Everything is immutable and pure; seeded generators are deterministic.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import ValidationError
 from .rays import (
@@ -28,14 +32,13 @@ from .rays import (
     Ray,
     RayPartition,
     Region,
-    _cell_children,
     _cells_within_ray,
-    canonicalize_region,
+    _coarsen_cells,
+    _overlapping_pair,
+    _uncovered_cells,
     cell_of_point,
     grid_cells,
-    marked_intersect,
     marked_ray_from_json,
-    partition_validate,
     ray_split,
     region_complement,
     region_equal,
@@ -182,20 +185,25 @@ def image_region(f: HoughtonMap) -> Region:
 def validate(f: HoughtonMap) -> MapDiagnostics:
     """Domain partition, positivity, injectivity; bijectivity when m = n."""
     problems: list[str] = []
-    domain = RayPartition(
-        Region.full(f.k, f.m), tuple(dom for dom, _ in f.pieces)
-    )
-    diag = partition_validate(domain)
-    if not diag.ok:
-        problems.append(f"domain is not a ray partition: {diag.reason}")
+    domain = [dom for dom, _ in f.pieces]
+    pair = _overlapping_pair(domain)
+    if pair is not None:
+        problems.append(
+            f"domain is not a ray partition: cells overlap: {pair[0]} and {pair[1]}"
+        )
+    elif (gap := next(_uncovered_cells(f.k, f.m, domain), None)) is not None:
+        problems.append(
+            f"domain is not a ray partition: uncovered cell {gap.ray} on copy {gap.copy}"
+        )
     images = [f.image_ray(p) for p in f.pieces]
-    for a, b in itertools.combinations(images, 2):
-        if marked_intersect(a, b) is not None:
-            problems.append(f"image rays overlap: {a} and {b}")
-            break
-    bijective = False
-    if not problems and f.m == f.n:
-        bijective = region_complement(Region(f.k, f.n, tuple(images))).is_empty
+    pair = _overlapping_pair(images)
+    if pair is not None:
+        problems.append(f"image rays overlap: {pair[0]} and {pair[1]}")
+    bijective = (
+        not problems
+        and f.m == f.n
+        and next(_uncovered_cells(f.k, f.n, images), None) is None
+    )
     return MapDiagnostics(not problems, bijective, tuple(problems))
 
 
@@ -203,14 +211,18 @@ def validate(f: HoughtonMap) -> MapDiagnostics:
 
 CellKey = tuple[int, Ray]
 
+# Bound on the maps whose canonical tables are kept; a pass of the benchmark
+# workloads computes about 3,000 of them.
+_CANONICAL_CACHE_SIZE = 4096
 
-@lru_cache(maxsize=None)
-def _canonical_table(f: HoughtonMap) -> tuple[int, tuple[tuple[CellKey, Translation], ...]]:
-    """Minimal grid threshold and the per-cell translation table of ``f``.
+
+@lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
+def _canonical_table(f: HoughtonMap) -> tuple[int, MappingProxyType]:
+    """Minimal grid threshold and the read-only per-cell translation table of ``f``.
 
     The table at the representation's own threshold is coarsened one grid
     level at a time while all sibling cells agree, so the result depends only
-    on the map as a function.
+    on the map as a function.  Entries are in sorted cell order.
     """
     t = max(dom.ray.threshold for dom, _ in f.pieces)
     table: dict[CellKey, Translation] = {}
@@ -224,31 +236,9 @@ def _canonical_table(f: HoughtonMap) -> tuple[int, tuple[tuple[CellKey, Translat
             table[key] = tr
     if len(table) != f.m * (t + 1) ** f.k:
         raise ValidationError("domain pieces do not cover every copy")
-    while t > 0:
-        merged: dict[CellKey, Translation] = {}
-        ok = True
-        for copy in range(1, f.m + 1):
-            for parent in grid_cells(f.k, t - 1):
-                children = _cell_children(parent, t)
-                trs = {table[(copy, child)] for child in children}
-                if len(trs) != 1:
-                    ok = False
-                    break
-                merged[(copy, parent)] = next(iter(trs))
-            if not ok:
-                break
-        if not ok:
-            break
-        table = merged
-        t -= 1
-    items = tuple(sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
-    return t, items
-
-
-@lru_cache(maxsize=None)
-def _canonical_dict(f: HoughtonMap) -> tuple[int, dict[CellKey, Translation]]:
-    t, items = _canonical_table(f)
-    return t, dict(items)
+    t, table = _coarsen_cells(table, t)
+    items = sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key()))
+    return t, MappingProxyType(dict(items))
 
 
 def canonical_threshold(f: HoughtonMap) -> int:
@@ -256,8 +246,8 @@ def canonical_threshold(f: HoughtonMap) -> int:
 
 
 def canonical_form(f: HoughtonMap) -> HoughtonMap:
-    _, items = _canonical_table(f)
-    pieces = tuple((MarkedRay(cell, copy), tr) for (copy, cell), tr in items)
+    _, table = _canonical_table(f)
+    pieces = tuple((MarkedRay(cell, copy), tr) for (copy, cell), tr in table.items())
     return HoughtonMap(f.k, f.m, f.n, pieces)
 
 
@@ -274,7 +264,7 @@ def apply_map(f: HoughtonMap, point: tuple[int, ...], copy: int) -> tuple[tuple[
         raise ValidationError(f"{point!r} is not a point of N^{f.k}")
     if not 1 <= copy <= f.m:
         raise ValidationError(f"copy {copy} outside [1, {f.m}]")
-    t, table = _canonical_dict(f)
+    t, table = _canonical_table(f)
     tr = table[(copy, cell_of_point(point, t))]
     return tuple(x + d for x, d in zip(point, tr.offset)), tr.target_copy
 
@@ -290,8 +280,8 @@ def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
         raise ValidationError(
             f"shape mismatch: cannot compose {g.m}->{g.n} after {f.m}->{f.n}"
         )
-    tf, f_table = _canonical_dict(f)
-    tg, g_table = _canonical_dict(g)
+    tf, f_table = _canonical_table(f)
+    tg, g_table = _canonical_table(g)
     off = max((abs(d) for tr in f_table.values() for d in tr.offset), default=0)
     t = tf + tg + off
     pieces = []
@@ -477,7 +467,7 @@ def extend_to_automorphism(f: HoughtonMap) -> HoughtonMap:
     diag = validate(f)
     if not diag.valid:
         raise ValidationError(f"not a valid injection: {diag.problems}")
-    comp = canonicalize_region(image_complement(f))
+    comp = image_complement(f)
     k = f.k
     full_dirs = tuple(range(1, k + 1))
     kcell_base = {

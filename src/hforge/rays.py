@@ -14,6 +14,11 @@ in [1, t] and all free coordinates starting at t+1 partition N^k into
 is small enough relative to t is a union of t-cells.  Canonicalising a
 region means writing it as the set of cells of the minimal adequate grid.
 
+This module is the one owner of the grid layer: ``_coarsen_cells`` coarsens
+regions and the translation tables of maps alike, ``MarkedRay.meets`` is the
+overlap test and ``_uncovered_cells`` the cover test of the whole package.
+``marked_intersect`` is for callers that need the intersection itself.
+
 All values are immutable and all functions are pure; everything is safe to
 share between threads.
 """
@@ -163,6 +168,10 @@ class MarkedRay:
     def contains(self, point: tuple[int, ...], copy: int) -> bool:
         return copy == self.copy and self.ray.contains(point)
 
+    def meets(self, other: "MarkedRay") -> bool:
+        """Whether the two marked rays share a point: same copy, meeting rays."""
+        return self.copy == other.copy and self.ray.meets(other.ray)
+
     def sort_key(self) -> tuple:
         return (self.copy, self.ray.dirs, self.ray.base)
 
@@ -249,26 +258,27 @@ def cell_of_point(point: tuple[int, ...], t: int) -> Ray:
     return Ray(base, dirs)
 
 
-def _cell_parent(cell: Ray, t: int) -> Ray:
-    """The (t-1)-grid cell containing a t-grid cell."""
-    return cell_of_point(cell.base, t - 1)
+def _coarsen_cells(table: dict[tuple[int, Ray], object], t: int) -> tuple[int, dict]:
+    """Coarsen a ``{(copy, t-cell): label}`` table towards the minimal grid.
 
-
-def _cell_children(cell: Ray, t: int) -> list[Ray]:
-    """The t-grid cells partitioning a (t-1)-grid cell."""
-    options = []
-    free = set(cell.dirs)
-    for j, b in enumerate(cell.base, start=1):
-        if j in free:
-            options.append(((t, False), (t + 1, True)))
-        else:
-            options.append(((b, False),))
-    children = []
-    for combo in itertools.product(*options):
-        base = tuple(v for v, _ in combo)
-        dirs = tuple(j for j, (_, f) in enumerate(combo, start=1) if f)
-        children.append(Ray(base, dirs))
-    return children
+    One level at a time, each (t-1)-cell replaces its 2^dim children when
+    all of them are present with one label; a t-cell's parent is the
+    (t-1)-cell holding its base point.  The search stops at the first label
+    mismatch, or at the first level where some parent is incomplete, and
+    returns the last level that merged in full with its table.
+    """
+    while t > 0:
+        merged, counts = {}, {}
+        for (copy, cell), label in table.items():
+            key = (copy, cell_of_point(cell.base, t - 1))
+            if merged.setdefault(key, label) != label:
+                return t, table
+            counts[key] = counts.get(key, 0) + 1
+        if any(c != 2 ** len(parent.dirs) for (_, parent), c in counts.items()):
+            return t, table
+        table = merged
+        t -= 1
+    return t, table
 
 
 def _cells_within_ray(ray: Ray, t: int) -> Iterator[Ray]:
@@ -301,6 +311,11 @@ def _ray_contains_cell(ray: Ray, cell: Ray, t: int) -> bool:
     return ray.contains(cell.base)
 
 
+def _overlapping_pair(rays: Iterable[MarkedRay]) -> tuple[MarkedRay, MarkedRay] | None:
+    """The first pair of rays, in input order, that meet; None when disjoint."""
+    return next(((a, b) for a, b in itertools.combinations(rays, 2) if a.meets(b)), None)
+
+
 # -- regions ----------------------------------------------------------------
 
 
@@ -320,9 +335,9 @@ class Region:
                 raise ValidationError(f"ray {m} does not live in N^{self.k}")
             if m.copy > self.n:
                 raise ValidationError(f"copy {m.copy} exceeds ambient copy count {self.n}")
-        for a, b in itertools.combinations(self.rays, 2):
-            if marked_intersect(a, b) is not None:
-                raise ValidationError(f"region rays overlap: {a} and {b}")
+        pair = _overlapping_pair(self.rays)
+        if pair is not None:
+            raise ValidationError(f"region rays overlap: {pair[0]} and {pair[1]}")
 
     @classmethod
     def full(cls, k: int, n: int) -> "Region":
@@ -385,9 +400,9 @@ def partition_validate(p: RayPartition) -> PartitionDiagnostics:
     Coverage is decided on the grid whose threshold dominates every ray in
     sight, where cell containment reduces to a base-point test.
     """
-    for a, b in itertools.combinations(p.cells, 2):
-        if marked_intersect(a, b) is not None:
-            return PartitionDiagnostics(False, f"cells overlap: {a} and {b}")
+    pair = _overlapping_pair(p.cells)
+    if pair is not None:
+        return PartitionDiagnostics(False, f"cells overlap: {pair[0]} and {pair[1]}")
     t = max(
         p.region.threshold,
         max((m.ray.threshold for m in p.cells), default=0),
@@ -433,31 +448,18 @@ def _canonical_cells(reg: Region) -> tuple[int, tuple[MarkedRay, ...]]:
     """Minimal grid threshold t* and the t*-cells whose union is ``reg``.
 
     Starts from the grid adequate for the given representation and coarsens
-    one level at a time; a level merge succeeds when every parent cell is
-    fully covered by cells of the current level.  The search descends from
-    the representation's own threshold, so the result is independent of how
-    the region was presented.
+    it with unlabelled cells, so a level merges when every parent cell is
+    fully covered.  The search descends from the representation's own
+    threshold, so the result is independent of how the region was presented.
     """
     if reg.is_empty:
         return 0, ()
     t = reg.threshold
-    current: set[tuple[int, Ray]] = set()
-    for m in reg.rays:
-        for cell in _cells_within_ray(m.ray, t):
-            current.add((m.copy, cell))
-    while t > 0:
-        groups: dict[tuple[int, Ray], set[Ray]] = {}
-        for copy, cell in current:
-            groups.setdefault((copy, _cell_parent(cell, t)), set()).add(cell)
-        ok = all(
-            len(found) == 2 ** len(parent.dirs)
-            for (_, parent), found in groups.items()
-        )
-        if not ok:
-            break
-        current = set(groups.keys())
-        t -= 1
-    cells = sorted((MarkedRay(cell, copy) for copy, cell in current), key=MarkedRay.sort_key)
+    table = {
+        (m.copy, cell): None for m in reg.rays for cell in _cells_within_ray(m.ray, t)
+    }
+    t, table = _coarsen_cells(table, t)
+    cells = sorted((MarkedRay(cell, copy) for copy, cell in table), key=MarkedRay.sort_key)
     return t, tuple(cells)
 
 
@@ -476,6 +478,7 @@ def region_equal(a: Region, b: Region) -> bool:
 def _uncovered_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> Iterator[MarkedRay]:
     """Cells of N^k x [n] that no ray contains, on the grid of the largest threshold.
 
+    Cells come copy by copy, each copy's in the order of their base points.
     No ``Region`` is built, so callers that already know the rays to be
     pairwise disjoint skip its pairwise overlap check.
     """
@@ -484,7 +487,7 @@ def _uncovered_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> Iterator[Mark
     for m in rays:
         per_copy[m.copy].append(m.ray)
         t = max(t, m.ray.threshold)
-    cells = grid_cells(k, t)
+    cells = sorted(grid_cells(k, t), key=lambda cell: cell.base)
     for copy in range(1, n + 1):
         hosts = per_copy[copy]
         for cell in cells:

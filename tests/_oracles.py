@@ -286,3 +286,122 @@ def sn_simplices_brute_force(vertices, include_top: bool) -> dict:
                 continue
             out.setdefault(size - 1, set()).add(combo)
     return out
+
+
+# -- the grid layer as it was before rays.py owned it alone -----------------
+
+
+def partition_validate_pairwise(p):
+    """``rays.partition_validate`` with its first overlapping pair found by
+    ``marked_intersect``; returns the (ok, reason) of its diagnostics."""
+    from hforge.rays import _cells_within_ray, marked_intersect
+
+    for a, b in itertools.combinations(p.cells, 2):
+        if marked_intersect(a, b) is not None:
+            return False, f"cells overlap: {a} and {b}"
+    t = max(p.region.threshold, max((m.ray.threshold for m in p.cells), default=0))
+    region_rays = {c: [m.ray for m in p.region.rays if m.copy == c] for c in range(1, p.region.n + 1)}
+    cell_rays = {c: [m.ray for m in p.cells if m.copy == c] for c in range(1, p.region.n + 1)}
+    for copy, rays in cell_rays.items():
+        for ray in rays:
+            for sub in _cells_within_ray(ray, t):
+                if not any(h.contains(sub.base) for h in region_rays[copy]):
+                    return False, f"cell {ray} on copy {copy} leaves the region near {sub.base}"
+    for copy, hosts in region_rays.items():
+        for host in hosts:
+            for sub in _cells_within_ray(host, t):
+                if not any(c.contains(sub.base) for c in cell_rays[copy]):
+                    return False, f"uncovered cell {sub} on copy {copy}"
+    return True, None
+
+
+def validate_reference(f):
+    """(valid, bijective, problems) of a map, by the three geometric passes of
+    the first ``houghton.validate``: a partition check of the domain against
+    the full region, a pairwise ``marked_intersect`` over the image rays, and,
+    when m = n, the grid cells no image ray contains."""
+    from hforge.rays import RayPartition, Region, grid_cells, marked_intersect
+
+    problems = []
+    ok, reason = partition_validate_pairwise(
+        RayPartition(Region.full(f.k, f.m), tuple(dom for dom, _ in f.pieces))
+    )
+    if not ok:
+        problems.append(f"domain is not a ray partition: {reason}")
+    images = [f.image_ray(p) for p in f.pieces]
+    for a, b in itertools.combinations(images, 2):
+        if marked_intersect(a, b) is not None:
+            problems.append(f"image rays overlap: {a} and {b}")
+            break
+    bijective = False
+    if not problems and f.m == f.n:
+        t = max(m.ray.threshold for m in images)
+        bijective = all(
+            any(m.copy == copy and m.ray.contains(cell.base) for m in images)
+            for copy in range(1, f.n + 1)
+            for cell in grid_cells(f.k, t)
+        )
+    return not problems, bijective, tuple(problems)
+
+
+def _cell_children(cell, t: int) -> list:
+    """The t-grid cells partitioning a (t-1)-grid cell."""
+    from hforge.rays import Ray
+
+    options = []
+    for j, b in enumerate(cell.base, start=1):
+        options.append(((t, False), (t + 1, True)) if j in cell.dirs else ((b, False),))
+    return [
+        Ray(tuple(v for v, _ in combo), tuple(j for j, (_, f) in enumerate(combo, start=1) if f))
+        for combo in itertools.product(*options)
+    ]
+
+
+def canonical_table_children_scan(f):
+    """(t, sorted ((copy, cell), translation) items) of a map, coarsened by
+    scanning every (t-1)-cell's children for one common translation; raises
+    ``ValidationError`` on overlapping or missing domain pieces."""
+    from hforge.errors import ValidationError
+    from hforge.rays import _cells_within_ray, grid_cells
+
+    t = max(dom.ray.threshold for dom, _ in f.pieces)
+    table = {}
+    for dom, tr in f.pieces:
+        for cell in _cells_within_ray(dom.ray, t):
+            key = (dom.copy, cell)
+            if key in table and table[key] != tr:
+                raise ValidationError(f"domain pieces overlap on copy {dom.copy} at {cell}")
+            table[key] = tr
+    if len(table) != f.m * (t + 1) ** f.k:
+        raise ValidationError("domain pieces do not cover every copy")
+    while t > 0:
+        merged = {}
+        for copy in range(1, f.m + 1):
+            for parent in grid_cells(f.k, t - 1):
+                trs = {table[(copy, child)] for child in _cell_children(parent, t)}
+                if len(trs) != 1:
+                    return t, tuple(sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
+                merged[(copy, parent)] = trs.pop()
+        table = merged
+        t -= 1
+    return t, tuple(sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())))
+
+
+def canonical_cells_group_by_parent(reg):
+    """(t, sorted marked cells) of a region, coarsened by grouping the cells of
+    each level under their parents and merging while every group is full."""
+    from hforge.rays import MarkedRay, _cells_within_ray, cell_of_point
+
+    if not reg.rays:
+        return 0, ()
+    t = reg.threshold
+    current = {(m.copy, cell) for m in reg.rays for cell in _cells_within_ray(m.ray, t)}
+    while t > 0:
+        groups = {}
+        for copy, cell in current:
+            groups.setdefault((copy, cell_of_point(cell.base, t - 1)), set()).add(cell)
+        if any(len(found) != 2 ** len(parent.dirs) for (_, parent), found in groups.items()):
+            break
+        current = set(groups)
+        t -= 1
+    return t, tuple(sorted((MarkedRay(cell, copy) for copy, cell in current), key=MarkedRay.sort_key))

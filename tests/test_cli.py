@@ -162,6 +162,51 @@ def test_stdout_digests(capsys, tmp_path, verb, make_input, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _piece(copy, base, dirs, offset, target):
+    return {"copy": copy, "base": list(base), "dirs": list(dirs),
+            "offset": list(offset), "target_copy": target}
+
+
+def _map_json(k, pieces):
+    return {"k": k, "m": 1, "n": 1, "pieces": pieces}
+
+
+# sha256 of `element verify` stdout, pinned from the build whose validate
+# checked the domain as a RayPartition of the full region and tested
+# bijectivity on a canonicalised complement; the named gap or overlap, and
+# the exit code, must not change.
+VERIFY_DIGESTS = [
+    ("broken-fixture", lambda: json.loads((FIXTURES / "broken.json").read_text()), 2,
+     "7124b6b8265af8403b2d7361762bbc0bb47b07fe899ffa01cc440c47ca32685b"),
+    ("domain-gap",
+     lambda: _map_json(1, [_piece(1, (1,), (), (0,), 1), _piece(1, (3,), (1,), (0,), 1)]), 2,
+     "41384605bd450411ddb34d606e0075b87f91e519d62912ec0315b93930760d3d"),
+    ("image-overlap",
+     lambda: _map_json(1, [_piece(1, (1,), (), (1,), 1), _piece(1, (2,), (1,), (0,), 1)]), 2,
+     "11c8d08f7237a2b4294ac07093e1f9884f40ddbb114599f3cffe189c2af5608d"),
+    ("injective-not-onto", lambda: _map_json(1, [_piece(1, (1,), (1,), (1,), 1)]), 0,
+     "72f125f7c6e0e1463a079087d39de80e2f3d6bfd4ae115a69ce2649d21990172"),
+    # misses the cells at base (1,2) free in 2 and at (2,1) free in 1; the
+    # report names the first in base-point order, (1,2)
+    ("k2-two-gaps",
+     lambda: _map_json(2, [_piece(1, (1, 1), (), (0, 0), 1), _piece(1, (2, 2), (1, 2), (0, 0), 1)]),
+     2, "da75d353298acf604df97ef77fa8e170d452d009b2de43e0b1ecca2c2841c593"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_input, exit_code, digest",
+    [case[1:] for case in VERIFY_DIGESTS],
+    ids=[case[0] for case in VERIFY_DIGESTS],
+)
+def test_element_verify_digests(capsys, tmp_path, make_input, exit_code, digest):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(make_input()))
+    code, out, _ = run_cli(capsys, "element", "verify", str(path))
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_complex_homology_fixture(capsys):
     code, out, _ = run_cli(
         capsys, "complex", "homology", str(FIXTURES / "boundary_delta3.json")
@@ -282,6 +327,20 @@ def test_fimod_validate_rejects_bad(capsys, tmp_path):
     bad.write_text(json.dumps({"N": 0, "ring": "Z", "levels": [{"rank": 1, "iota": None, "transpositions": [[[2]]]}]}))
     code, out, _ = run_cli(capsys, "fimod", "validate", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("presentation", [[], [[1], [2]]], ids=["no-rows", "two-rows"])
+def test_fimod_gendeg_rejects_misshapen_presentation(capsys, tmp_path, presentation):
+    from hforge.fimodules import constant_module, module_to_json
+
+    data = module_to_json(constant_module(3))
+    data["levels"][2]["presentation"] = presentation
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "fimod", "gendeg", str(path))
+    assert code == 2
+    assert "presentation rows must number 1" in out + err
+    assert "Traceback" not in out + err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -79,6 +79,37 @@ def test_validate_reports_misshapen_matrices_without_multiplying():
     assert diag.problems == ("level 2: expected 1 transposition matrices",)
 
 
+@pytest.mark.parametrize(
+    "module, level, presentation, problem",
+    [
+        (constant_module(3), 2, [], "level 2: presentation rows must number 1 and have equal length"),
+        (constant_module(3), 2, [[1], [2]],
+         "level 2: presentation rows must number 1 and have equal length"),
+        (permutation_module(3), 2, [[1, 2], [3]],
+         "level 2: presentation rows must number 2 and have equal length"),
+    ],
+    ids=["no-rows", "two-rows-on-rank-1", "ragged"],
+)
+def test_validate_reports_misshapen_presentation(module, level, presentation, problem):
+    data = module_to_json(module)
+    data["levels"][level]["presentation"] = presentation
+    with pytest.raises(ValidationError, match=problem):
+        module_from_json(data)
+    lv = module.levels[level]
+    pres = tuple(tuple(row) for row in presentation)
+    bad = TruncatedFIModule(
+        module.N,
+        "Z",
+        module.levels[:level]
+        + (Level(lv.rank, lv.iota, lv.transpositions, pres),)
+        + module.levels[level + 1 :],
+    )
+    assert validate_fimodule(bad).problems == (problem,)
+    # the presentation is never stacked onto the differential
+    with pytest.raises(ValidationError, match=problem):
+        generation_degree(bad)
+
+
 def test_action_matrix_matches_permutation_matrices():
     v = permutation_module(4)
     for n in (2, 3, 4):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -38,7 +39,13 @@ from hforge.houghton import (
 )
 from hforge.rays import Region, canonicalize_region, ray_split, region_equal
 
-from _oracles import apply_raw, box_points, raw_pieces
+from _oracles import (
+    apply_raw,
+    box_points,
+    canonical_table_children_scan,
+    raw_pieces,
+    validate_reference,
+)
 
 
 def spec_generator():
@@ -498,3 +505,77 @@ def test_json_round_trip():
     bad["pieces"] = pieces + [dict(pieces[0])]
     with pytest.raises(ValidationError):
         map_from_json(bad)
+
+
+def _mutants(f, rng):
+    """Broken variants of a valid map: a duplicated piece, a dropped piece,
+    a piece sent onto another piece's image, and a tail pushed out along a
+    free direction (injective but not onto)."""
+    pieces = list(f.pieces)
+    i = rng.randrange(len(pieces))
+    out = [pieces + [pieces[i]]]
+    if len(pieces) > 1:
+        out.append(pieces[:i] + pieces[i + 1 :])
+    dom = pieces[i][0]
+    twins = [p for j, p in enumerate(pieces) if j != i and p[0].ray.dirs == dom.ray.dirs]
+    if twins:
+        img = f.image_ray(rng.choice(twins))
+        offset = tuple(b - a for a, b in zip(dom.ray.base, img.ray.base))
+        out.append(pieces[:i] + [(dom, Translation(offset, img.copy))] + pieces[i + 1 :])
+    j = rng.choice([j for j, (d, _) in enumerate(pieces) if d.ray.dirs])
+    dom, tr = pieces[j]
+    pushed = tuple(
+        x + 1 if idx == dom.ray.dirs[0] else x for idx, x in enumerate(tr.offset, start=1)
+    )
+    out.append(pieces[:j] + [(dom, Translation(pushed, tr.target_copy))] + pieces[j + 1 :])
+    return [HoughtonMap(f.k, f.m, f.n, tuple(p)) for p in out]
+
+
+def _differential_maps():
+    """Seeded elements and injections at k = 1, 2, 3, each with its mutants."""
+    rng = random.Random(23)
+    maps = []
+    for seed, (k, bound, _) in enumerate(itertools.product((1, 2, 3), (0, 1, 2), range(4))):
+        n = 1 + seed % 3
+        g = random_element(k, n, bound, seed)
+        f = random_injection(k, 1 + seed % 2, 2 + seed % 2, bound, seed)
+        maps += [g, f] + _mutants(g, rng) + _mutants(f, rng)
+    return maps
+
+
+def test_validate_matches_partition_oracle():
+    outcomes = ("cells overlap", "uncovered cell", "image rays overlap")
+    seen = set()
+    for f in _differential_maps():
+        diag = validate(f)
+        assert (diag.valid, diag.bijective, diag.problems) == validate_reference(f), f
+        seen.update(label for label in outcomes if any(label in p for p in diag.problems))
+        seen.add("bijective" if diag.bijective else "into" if diag.valid else "invalid")
+    assert seen == {"bijective", "into", "invalid", *outcomes}
+
+
+def test_canonical_table_matches_children_scan_oracle():
+    from hforge.houghton import _canonical_table
+
+    for f in _differential_maps():
+        try:
+            expected = canonical_table_children_scan(f)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                _canonical_table(f)
+            continue
+        t, table = _canonical_table(f)
+        assert (t, tuple(table.items())) == expected
+
+
+def test_canonical_table_is_read_only_and_bounded():
+    from hforge.houghton import _CANONICAL_CACHE_SIZE, _canonical_table
+
+    _, table = _canonical_table(spec_generator())
+    key = next(iter(table))
+    with pytest.raises(TypeError):
+        table[key] = Translation((0,), 1)
+    with pytest.raises(TypeError):
+        del table[key]
+    assert _canonical_table.cache_info().maxsize == _CANONICAL_CACHE_SIZE == 4096
+    assert list(table) == sorted(table, key=lambda kv: (kv[0], kv[1].sort_key()))

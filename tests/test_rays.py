@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from hforge.errors import ValidationError
 from hforge.rays import (
     MarkedRay,
+    _canonical_cells,
+    _cells_within_ray,
     Ray,
     RayPartition,
     Region,
@@ -15,6 +17,7 @@ from hforge.rays import (
     common_refinement,
     grid_cells,
     grid_partition,
+    marked_intersect,
     partition_validate,
     ray_from_json,
     ray_intersect,
@@ -26,7 +29,7 @@ from hforge.rays import (
     region_to_json,
 )
 
-from _oracles import ray_points_in_box
+from _oracles import canonical_cells_group_by_parent, ray_points_in_box
 
 
 def R(base, *dirs):
@@ -401,3 +404,52 @@ def test_ray_meets_matches_ray_intersect_exhaustively():
                 assert a.meets(b) == (ray_intersect(a, b) is not None), (a, b)
     with pytest.raises(ValidationError):
         Ray((1,), ()).meets(Ray((1, 1), ()))
+
+
+def test_marked_ray_meets_matches_marked_intersect():
+    for k in (1, 2):
+        rays = [
+            MarkedRay(Ray(base, dirs), copy)
+            for base in itertools.product(range(1, 4), repeat=k)
+            for size in range(k + 1)
+            for dirs in itertools.combinations(range(1, k + 1), size)
+            for copy in (1, 2)
+        ]
+        for a in rays:
+            for b in rays:
+                assert a.meets(b) == (marked_intersect(a, b) is not None), (a, b)
+
+
+def _refined_region(rng, k, n):
+    """A random union of coarse grid cells, each written as its finer cells.
+
+    Some coarse cells are written one level finer than the rest, and now
+    and then one fine cell is left out, so coarsening stops at every level.
+    """
+    coarse = rng.randint(0, 2)
+    fine = coarse + rng.randint(0, 2)
+    cells = []
+    for copy in range(1, n + 1):
+        for cell in grid_cells(k, coarse):
+            if rng.random() < 0.6:
+                t = fine + rng.randint(0, 1)
+                cells += [MarkedRay(sub, copy) for sub in _cells_within_ray(cell, t)]
+    if cells and rng.random() < 0.3:
+        cells.pop(rng.randrange(len(cells)))
+    return Region(k, n, tuple(cells))
+
+
+def test_canonical_cells_match_group_by_parent_oracle():
+    from hforge.houghton import image_region, random_element, random_injection
+
+    rng = random.Random(17)
+    regions = [_refined_region(rng, rng.choice((1, 2, 3)), rng.choice((1, 2))) for _ in range(150)]
+    for seed in range(30):
+        k, n = 1 + seed % 3, 2 + seed % 2
+        f = random_injection(k, n - 1, n, seed % 3, seed)
+        regions += [image_region(f), region_complement(image_region(f))]
+        regions.append(image_region(random_element(k, n, seed % 3, seed)))
+    for reg in regions:
+        t, cells = canonical_cells_group_by_parent(reg)
+        assert _canonical_cells(reg) == (t, cells)
+        assert canonicalize_region(reg) == Region(reg.k, reg.n, cells)
