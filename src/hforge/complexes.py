@@ -584,16 +584,14 @@ def verify_s_section(
     """
     if len(rho) != n:
         raise ValidationError(f"section must assign all {n} copies")
-    rho = [canonical_form(v) for v in rho]
-    svs = [canonical_form(v) for v in s_vertices]
-    for v in rho + svs:
+    all_maps = [*rho, *s_vertices]
+    for v in all_maps:
         diag = validate(v)
         if not diag.valid:
             raise ValidationError(f"invalid vertex: {diag.problems}")
     for p, f in enumerate(rho, start=1):
         if pi_projection(f) != p:
             raise ValidationError(f"not a section: assigned vertex for copy {p} projects to {pi_projection(f)}")
-    all_maps = rho + svs
     imgs = {id(v): _image_index(v) for v in all_maps}
     disjoint: dict[tuple[int, int], bool] = {}
 
@@ -611,7 +609,7 @@ def verify_s_section(
                 raise ValidationError("not a section: assigned vertices do not span simplices")
 
     distinct_s = []
-    for v in svs:
+    for v in s_vertices:
         if not any(equals(v, w) for w in distinct_s):
             distinct_s.append(v)
 
@@ -791,6 +789,9 @@ def complex_from_json(data: dict, size_limit: int | None = DEFAULT_SIZE_LIMIT) -
         maximal = [tuple(s) for s in data["maximal_simplices"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed complex object: {exc}") from exc
+    for s in maximal:
+        if any(not isinstance(i, int) or isinstance(i, bool) for i in s):
+            raise ValidationError(f"simplex entries must be integer vertex indices, got {list(s)!r}")
     labels = []
     for v in vertices:
         if isinstance(v, dict) and "pieces" in v:

@@ -29,6 +29,7 @@ __all__ = [
     "evaluate_injection",
     "sigma1",
     "generation_degree",
+    "degree_from_table",
     "surjectivity_table",
     "truncate",
     "essentially_fg_report",
@@ -161,6 +162,12 @@ def validate_fimodule(v: TruncatedFIModule) -> ModuleDiagnostics:
                         f"level {n}: inclusion does not intertwine s_{i}"
                     )
     return ModuleDiagnostics(not problems, tuple(problems))
+
+
+def _require_valid(v: TruncatedFIModule) -> None:
+    diag = validate_fimodule(v)
+    if not diag.valid:
+        raise ValidationError("; ".join(diag.problems))
 
 
 def _adjacent_word(perm: tuple[int, ...]) -> list[int]:
@@ -313,16 +320,18 @@ def surjectivity_table(v: TruncatedFIModule) -> dict[int, bool]:
     return {n: _surjective_at(v, n) for n in range(1, v.N + 1)}
 
 
+def degree_from_table(table: dict[int, bool]) -> int:
+    """Last level of a surjectivity table that is not covered; 0 when none is."""
+    return max((n for n, ok in table.items() if not ok), default=0)
+
+
 def generation_degree(v: TruncatedFIModule) -> int:
     """Last level where new generators appear (0 when every level is covered).
 
     Certified only up to the truncation: levels beyond N are not inspected.
     """
-    diag = validate_fimodule(v)
-    if not diag.valid:
-        raise ValidationError("; ".join(diag.problems))
-    table = surjectivity_table(v)
-    return max((n for n, ok in table.items() if not ok), default=0)
+    _require_valid(v)
+    return degree_from_table(surjectivity_table(v))
 
 
 def truncate(v: TruncatedFIModule, c: int) -> TruncatedFIModule:
@@ -352,14 +361,18 @@ def essentially_fg_report(v: TruncatedFIModule) -> dict:
 
     The cut is the smallest c with the differential surjective at every
     level in (c, N]; the verdict is evidence at truncation scale only and
-    says nothing about levels beyond N.
+    says nothing about levels beyond N.  The input is checked once, before
+    any table; the truncation of a valid module is valid, and a cut of 0
+    leaves every level covered.
     """
+    _require_valid(v)
     table = surjectivity_table(v)
-    cut = max((n for n, ok in table.items() if not ok), default=0)
-    truncated = truncate(v, cut) if cut > 0 else v
+    cut = degree_from_table(table)
     return {
         "cut_level": cut,
-        "truncation_generation_degree": generation_degree(truncated),
+        "truncation_generation_degree": (
+            degree_from_table(surjectivity_table(truncate(v, cut))) if cut > 0 else 0
+        ),
         "per_level_surjective": {n: table[n] for n in sorted(table)},
         "certified_within": v.N,
         "caveat": (
@@ -539,7 +552,5 @@ def module_from_json(data: dict) -> TruncatedFIModule:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed module object: {exc}") from exc
     v = TruncatedFIModule(n_top, ring, tuple(levels))
-    diag = validate_fimodule(v)
-    if not diag.valid:
-        raise ValidationError("; ".join(diag.problems))
+    _require_valid(v)
     return v

@@ -16,6 +16,9 @@ cell lands inside a single canonical cell of the second map.
 A map's canonical table, ``(t, {(copy, cell): translation})`` in sorted
 cell order, lives in one LRU cache of ``_CANONICAL_CACHE_SIZE`` maps, as a
 read-only mapping that callers share.  The grid work is done by ``rays``.
+Maps are validated where they enter (``map_from_json``, ``validate``);
+arithmetic relies on the table's own check, which rejects overlapping or
+missing domain pieces.
 
 Everything is immutable and pure; seeded generators are deterministic.
 """
@@ -32,15 +35,17 @@ from .rays import (
     Ray,
     RayPartition,
     Region,
+    _canonical_cells,
     _cells_within_ray,
     _coarsen_cells,
+    _json_int,
+    _json_ints,
     _overlapping_pair,
     _uncovered_cells,
     cell_of_point,
     grid_cells,
     marked_ray_from_json,
     ray_split,
-    region_complement,
     region_equal,
 )
 
@@ -303,17 +308,23 @@ def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
 
 
 def inverse(g: HoughtonMap) -> HoughtonMap:
-    """Invert a bijective element: image rays with negated translations."""
+    """Invert a bijective element: image cells with negated translations.
+
+    The inverse's own canonical table decides bijectivity: it rejects image
+    cells that overlap or leave a gap.  g is read through its table, as the
+    function it denotes, so a hand-built g that repeats a piece is inverted
+    like the map without the repeat, as ``compose`` and ``equals`` read it.
+    """
     if g.m != g.n:
         raise ValidationError("only m = n maps can be inverted")
-    diag = validate(g)
-    if not diag.bijective:
-        raise ValidationError(f"map is not bijective: {diag.problems or 'image has gaps'}")
-    pieces = tuple(
-        (g.image_ray((dom, tr)), Translation(tuple(-d for d in tr.offset), dom.copy))
-        for dom, tr in g.pieces
-    )
-    return canonical_form(HoughtonMap(g.k, g.n, g.m, pieces))
+    try:
+        pieces = []
+        for (copy, cell), tr in _canonical_table(g)[1].items():
+            image = MarkedRay(cell.translate(tr.offset), tr.target_copy)
+            pieces.append((image, Translation(tuple(-d for d in tr.offset), copy)))
+        return canonical_form(HoughtonMap(g.k, g.n, g.m, tuple(pieces)))
+    except ValidationError as exc:
+        raise ValidationError(f"map is not bijective: {exc}") from exc
 
 
 def _k_piece(f: HoughtonMap, copy: int) -> tuple[MarkedRay, Translation]:
@@ -430,7 +441,9 @@ def fi_map(f_images: tuple[int, ...], n: int, g: HoughtonMap) -> HoughtonMap:
 
 
 def image_complement(f: HoughtonMap) -> Region:
-    return region_complement(image_region(f))
+    """The codomain minus the image, canonical; the one ``Region`` built."""
+    _, cells = _canonical_cells(_uncovered_cells(f.k, f.n, (f.image_ray(p) for p in f.pieces)))
+    return Region(f.k, f.n, cells)
 
 
 def complement_subobject(f: HoughtonMap) -> RayPartition:
@@ -540,11 +553,7 @@ def extend_to_automorphism(f: HoughtonMap) -> HoughtonMap:
                 ),
             )
         )
-    out = HoughtonMap(k, f.n, f.n, f.pieces + tuple(new_pieces))
-    check = validate(out)
-    if not check.bijective:
-        raise AssertionError(f"extension failed to close up: {check.problems}")
-    return out
+    return HoughtonMap(k, f.n, f.n, f.pieces + tuple(new_pieces))
 
 
 # -- seeded generators -------------------------------------------------------
@@ -608,11 +617,11 @@ def map_to_json(f: HoughtonMap) -> dict:
 def map_from_json(data: dict) -> HoughtonMap:
     """Parse and fully validate an element/injection; invalid data is an error."""
     try:
-        k, m, n = int(data["k"]), int(data["m"]), int(data["n"])
+        k, m, n = (_json_int(data, field) for field in ("k", "m", "n"))
         pieces = tuple(
             (
                 marked_ray_from_json(p),
-                Translation(tuple(int(d) for d in p["offset"]), int(p["target_copy"])),
+                Translation(_json_ints(p, "offset"), _json_int(p, "target_copy")),
             )
             for p in data["pieces"]
         )

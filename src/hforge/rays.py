@@ -19,6 +19,13 @@ regions and the translation tables of maps alike, ``MarkedRay.meets`` is the
 overlap test and ``_uncovered_cells`` the cover test of the whole package.
 ``marked_intersect`` is for callers that need the intersection itself.
 
+Values are checked where they enter.  The JSON parsers take integers only,
+the constructors check coordinates, directions and copies, and ``Region``
+checks that its rays are disjoint.  The grid code takes rays as already
+checked: ``_uncovered_cells`` and ``_canonical_cells`` work on bare rays and
+build no ``Region``, so a complement or a canonical form builds one
+``Region``, its result.
+
 All values are immutable and all functions are pure; everything is safe to
 share between threads.
 """
@@ -282,9 +289,7 @@ def _coarsen_cells(table: dict[tuple[int, Ray], object], t: int) -> tuple[int, d
 
 
 def _cells_within_ray(ray: Ray, t: int) -> Iterator[Ray]:
-    """The t-grid cells whose union is ``ray``; requires t >= ray.threshold."""
-    if t < ray.threshold:
-        raise ValidationError(f"threshold {t} too small for {ray}")
+    """The t-grid cells whose union is ``ray``; callers pass t >= ray.threshold."""
     options = []
     free = set(ray.dirs)
     for j, b in enumerate(ray.base, start=1):
@@ -298,17 +303,6 @@ def _cells_within_ray(ray: Ray, t: int) -> Iterator[Ray]:
         base = tuple(v[0] for v, _ in combo)
         dirs = tuple(j for j, (_, f) in enumerate(combo, start=1) if f)
         yield Ray(base, dirs)
-
-
-def _ray_contains_cell(ray: Ray, cell: Ray, t: int) -> bool:
-    """Whether a t-grid cell lies inside ``ray`` (needs t >= ray.threshold).
-
-    At an adequate threshold a cell meeting the ray is contained in it, so
-    base-point membership decides containment.
-    """
-    if t < ray.threshold:
-        raise ValidationError("threshold too small for containment test")
-    return ray.contains(cell.base)
 
 
 def _overlapping_pair(rays: Iterable[MarkedRay]) -> tuple[MarkedRay, MarkedRay] | None:
@@ -414,7 +408,7 @@ def partition_validate(p: RayPartition) -> PartitionDiagnostics:
         hosts = region_rays[copy]
         for ray in rays:
             for sub in _cells_within_ray(ray, t):
-                if not any(_ray_contains_cell(h, sub, t) for h in hosts):
+                if not any(h.contains(sub.base) for h in hosts):
                     return PartitionDiagnostics(
                         False, f"cell {ray} on copy {copy} leaves the region near {sub.base}"
                     )
@@ -423,7 +417,7 @@ def partition_validate(p: RayPartition) -> PartitionDiagnostics:
         covers = cell_rays[copy]
         for host in hosts:
             for sub in _cells_within_ray(host, t):
-                if not any(_ray_contains_cell(c, sub, t) for c in covers):
+                if not any(c.contains(sub.base) for c in covers):
                     return PartitionDiagnostics(
                         False, f"uncovered cell {sub} on copy {copy}"
                     )
@@ -444,20 +438,19 @@ def common_refinement(p1: RayPartition, p2: RayPartition) -> RayPartition:
     return RayPartition(p1.region, tuple(cells))
 
 
-def _canonical_cells(reg: Region) -> tuple[int, tuple[MarkedRay, ...]]:
-    """Minimal grid threshold t* and the t*-cells whose union is ``reg``.
+def _canonical_cells(rays: Iterable[MarkedRay]) -> tuple[int, tuple[MarkedRay, ...]]:
+    """Minimal grid threshold t* and the t*-cells whose union is ``rays``.
 
     Starts from the grid adequate for the given representation and coarsens
     it with unlabelled cells, so a level merges when every parent cell is
     fully covered.  The search descends from the representation's own
-    threshold, so the result is independent of how the region was presented.
+    threshold, so the result is independent of how the union was presented.
     """
-    if reg.is_empty:
+    rays = tuple(rays)
+    if not rays:
         return 0, ()
-    t = reg.threshold
-    table = {
-        (m.copy, cell): None for m in reg.rays for cell in _cells_within_ray(m.ray, t)
-    }
+    t = max(m.ray.threshold for m in rays)
+    table = {(m.copy, cell): None for m in rays for cell in _cells_within_ray(m.ray, t)}
     t, table = _coarsen_cells(table, t)
     cells = sorted((MarkedRay(cell, copy) for copy, cell in table), key=MarkedRay.sort_key)
     return t, tuple(cells)
@@ -465,22 +458,24 @@ def _canonical_cells(reg: Region) -> tuple[int, tuple[MarkedRay, ...]]:
 
 def canonicalize_region(reg: Region) -> Region:
     """Representation-independent normal form: minimal-grid cells in order."""
-    _, cells = _canonical_cells(reg)
+    _, cells = _canonical_cells(reg.rays)
     return Region(reg.k, reg.n, cells)
 
 
 def region_equal(a: Region, b: Region) -> bool:
     if a.k != b.k or a.n != b.n:
         return False
-    return _canonical_cells(a)[1] == _canonical_cells(b)[1]
+    return _canonical_cells(a.rays)[1] == _canonical_cells(b.rays)[1]
 
 
 def _uncovered_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> Iterator[MarkedRay]:
     """Cells of N^k x [n] that no ray contains, on the grid of the largest threshold.
 
     Cells come copy by copy, each copy's in the order of their base points.
-    No ``Region`` is built, so callers that already know the rays to be
-    pairwise disjoint skip its pairwise overlap check.
+    At that threshold a cell meeting a ray lies inside it, so the cell's
+    base point decides containment.  No ``Region`` is built, so callers that
+    already know the rays to be pairwise disjoint skip its pairwise overlap
+    check.
     """
     per_copy: dict[int, list[Ray]] = {c: [] for c in range(1, n + 1)}
     t = 0
@@ -491,14 +486,14 @@ def _uncovered_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> Iterator[Mark
     for copy in range(1, n + 1):
         hosts = per_copy[copy]
         for cell in cells:
-            if not any(_ray_contains_cell(h, cell, t) for h in hosts):
+            if not any(h.contains(cell.base) for h in hosts):
                 yield MarkedRay(cell, copy)
 
 
 def region_complement(reg: Region) -> Region:
     """N^k x [n] minus the region, in canonical grid form."""
-    missing = tuple(_uncovered_cells(reg.k, reg.n, reg.rays))
-    return canonicalize_region(Region(reg.k, reg.n, missing))
+    _, cells = _canonical_cells(_uncovered_cells(reg.k, reg.n, reg.rays))
+    return Region(reg.k, reg.n, cells)
 
 
 # -- JSON encoding ----------------------------------------------------------
@@ -508,10 +503,26 @@ def ray_to_json(r: Ray) -> dict:
     return {"base": list(r.base), "dirs": list(r.dirs)}
 
 
+def _json_int(data: dict, field: str) -> int:
+    """``data[field]`` when it is a JSON integer; bools, floats and strings are rejected."""
+    value = data[field]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(data: dict, field: str) -> tuple[int, ...]:
+    """``data[field]`` as a tuple when every entry is a JSON integer."""
+    values = tuple(data[field])
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
+        raise ValidationError(f"field {field!r} must hold integers, got {data[field]!r}")
+    return values
+
+
 def ray_from_json(data: dict) -> Ray:
     try:
-        base = tuple(int(c) for c in data["base"])
-        dirs = tuple(sorted(int(j) for j in data["dirs"]))
+        base = _json_ints(data, "base")
+        dirs = tuple(sorted(_json_ints(data, "dirs")))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed ray object: {data!r}") from exc
     return Ray(base, dirs)
@@ -526,7 +537,7 @@ def marked_ray_to_json(m: MarkedRay) -> dict:
 def marked_ray_from_json(data: dict) -> MarkedRay:
     if "copy" not in data:
         raise ValidationError(f"marked ray needs a copy index: {data!r}")
-    return MarkedRay(ray_from_json(data), int(data["copy"]))
+    return MarkedRay(ray_from_json(data), _json_int(data, "copy"))
 
 
 def region_to_json(reg: Region) -> dict:
@@ -540,7 +551,7 @@ def region_to_json(reg: Region) -> dict:
 
 def region_from_json(data: dict) -> Region:
     try:
-        k, n = int(data["k"]), int(data["n"])
+        k, n = _json_int(data, "k"), _json_int(data, "n")
         rays = tuple(marked_ray_from_json(r) for r in data["rays"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed region object: {data!r}") from exc

@@ -405,3 +405,42 @@ def canonical_cells_group_by_parent(reg):
         current = set(groups)
         t -= 1
     return t, tuple(sorted((MarkedRay(cell, copy) for copy, cell in current), key=MarkedRay.sort_key))
+
+
+# -- map arithmetic as it was before the canonical table was its only check ---
+
+
+def inverse_via_validate(g):
+    """``houghton.inverse`` as it first was: a full ``validate``, then the
+    image rays of g's own pieces with negated translations, canonicalised."""
+    from hforge.errors import ValidationError
+    from hforge.houghton import HoughtonMap, Translation, canonical_form, validate
+
+    if g.m != g.n:
+        raise ValidationError("only m = n maps can be inverted")
+    diag = validate(g)
+    if not diag.bijective:
+        raise ValidationError(f"map is not bijective: {diag.problems or 'image has gaps'}")
+    pieces = tuple(
+        (g.image_ray((dom, tr)), Translation(tuple(-d for d in tr.offset), dom.copy))
+        for dom, tr in g.pieces
+    )
+    return canonical_form(HoughtonMap(g.k, g.n, g.m, pieces))
+
+
+def graph_on_box_filtered(f, hi):
+    """Pointwise graph of a map on [1..hi]^k, testing every point of every
+    piece against the box."""
+    graph = {}
+    for dom, tr in f.pieces:
+        free = set(dom.ray.dirs)
+        ranges = [
+            range(b, hi + 1) if j in free else range(b, b + 1)
+            for j, b in enumerate(dom.ray.base, start=1)
+        ]
+        for p in itertools.product(*ranges):
+            if all(x <= hi for x in p):
+                key = (p, dom.copy)
+                assert key not in graph
+                graph[key] = (tuple(x + d for x, d in zip(p, tr.offset)), tr.target_copy)
+    return graph

@@ -5,6 +5,7 @@ lines and timings.  Every tolerance is exact; the stated time budgets are
 asserted.
 """
 import itertools
+import operator
 import random
 import time
 from contextlib import contextmanager
@@ -65,6 +66,7 @@ from hforge.snf import smith_normal_form
 from _oracles import (
     boundary_matrices_from_facets,
     bounded_vertex_census,
+    graph_on_box_filtered,
     minor_gcd_diagonal,
     RP2_FACETS,
 )
@@ -85,22 +87,32 @@ def criterion(cid, description, budget_s):
 
 
 def graph_on_box(f, hi):
-    """Independent pointwise graph of a map on a box, straight off the pieces."""
+    """Independent pointwise graph of a map on a box, straight off the pieces.
+
+    Free ranges stop at ``hi``, so only a pinned coordinate above ``hi`` can
+    leave the box; such a piece has no point in it and is skipped whole.
+    """
     graph = {}
     for dom, tr in f.pieces:
         ranges = []
         free = set(dom.ray.dirs)
         for j, b in enumerate(dom.ray.base, start=1):
-            ranges.append(range(b, hi + 1) if j in free else range(b, b + 1))
+            ranges.append(range(b, hi + 1) if j in free else range(b, min(b, hi) + 1))
         for p in itertools.product(*ranges):
-            if all(x <= hi for x in p):
-                key = (p, dom.copy)
-                assert key not in graph
-                graph[key] = (
-                    tuple(x + d for x, d in zip(p, tr.offset)),
-                    tr.target_copy,
-                )
+            key = (p, dom.copy)
+            assert key not in graph
+            graph[key] = (tuple(map(operator.add, p, tr.offset)), tr.target_copy)
     return graph
+
+
+def test_graph_on_box_matches_filtering_oracle():
+    rng = random.Random(5)
+    for case in range(40):
+        k = rng.choice((1, 2))
+        n = rng.randint(1, 3)
+        f = random_element(k, n, rng.randint(0, 3), seed=60_000 + case)
+        for hi in (1, 2, 3, 7):
+            assert graph_on_box(f, hi) == graph_on_box_filtered(f, hi)
 
 
 def test_c01_group_axioms():

@@ -207,6 +207,99 @@ def test_element_verify_digests(capsys, tmp_path, make_input, exit_code, digest)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# A float, bool or string where the map format wants an integer.  Rounded
+# down, the first case would read as the identity of N x [1].
+NON_INTEGER_FIELDS = [
+    ("base", {"base": [1.7], "offset": [0.4]}),
+    ("k", {"k": True}),
+    ("m", {"m": "1"}),
+    ("n", {"n": 1.0}),
+    ("copy", {"copy": True}),
+    ("dirs", {"dirs": [1.0]}),
+    ("offset", {"offset": ["0"]}),
+    ("target_copy", {"target_copy": 1.5}),
+]
+
+
+@pytest.mark.parametrize("verb", ["verify", "invert"])
+@pytest.mark.parametrize(
+    "field, change", NON_INTEGER_FIELDS, ids=[c[0] for c in NON_INTEGER_FIELDS]
+)
+def test_map_parser_takes_integers_only(capsys, tmp_path, verb, field, change):
+    piece = _piece(1, (1,), (1,), (0,), 1)
+    data = _map_json(1, [piece])
+    for key, value in change.items():
+        (data if key in data else piece)[key] = value
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "element", verb, str(path))
+    assert code == 2
+    assert f"field '{field}' must" in out + err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("simplices", [[["a"]], [[0.5, 1]], [[False, 1]]])
+def test_complex_parser_takes_integer_indices_only(capsys, tmp_path, simplices):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps({"vertices": [1, 2], "maximal_simplices": simplices}))
+    code, out, err = run_cli(capsys, "complex", "homology", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation failure: simplex entries must be integer vertex indices")
+    assert "Traceback" not in err
+
+
+def _counting(monkeypatch, counts, target, name):
+    """Replace ``target.name`` by a wrapper that counts its calls under ``name``."""
+    real = getattr(target, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, wrapper)
+
+
+def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
+    """Checks run at the parser, and arithmetic does not repeat them."""
+    from collections import Counter
+
+    import hforge.cli
+    import hforge.complexes
+    import hforge.fimodules
+    import hforge.houghton
+    from hforge.houghton import image_region, random_injection
+    from hforge.rays import Region, region_complement
+
+    counts = Counter()
+    _counting(monkeypatch, counts, hforge.houghton, "validate")
+    _counting(monkeypatch, counts, hforge.complexes, "canonical_form")
+    _counting(monkeypatch, counts, Region, "__post_init__")
+    for name in ("validate_fimodule", "surjectivity_table"):
+        _counting(monkeypatch, counts, hforge.fimodules, name)
+        if hasattr(hforge.cli, name):  # the CLI's own binding, where it imports one
+            _counting(monkeypatch, counts, hforge.cli, name)
+
+    def run(*argv):
+        counts.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return dict(counts)
+
+    assert run("element", "invert", str(FIXTURES / "generator.json")) == {"validate": 1}
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(_h1_module_json(5, "Z")))
+    assert run("fimod", "gendeg", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 1}
+    assert run("fimod", "validate", str(module)) == {"validate_fimodule": 1}
+    section = ("complex", "section-check", "--k", "1", "--n", "3", "--trials", "1", "--set-size", "3")
+    assert "canonical_form" not in run(*section)
+
+    reg = image_region(random_injection(2, 2, 3, 2, 7))
+    counts.clear()
+    region_complement(reg)
+    assert counts["__post_init__"] == 1
+
+
 def test_complex_homology_fixture(capsys):
     code, out, _ = run_cli(
         capsys, "complex", "homology", str(FIXTURES / "boundary_delta3.json")

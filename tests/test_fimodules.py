@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,32 @@ def test_validate_reports_misshapen_presentation(module, level, presentation, pr
     # the presentation is never stacked onto the differential
     with pytest.raises(ValidationError, match=problem):
         generation_degree(bad)
+
+
+def _h1_level_replaced(level, **change):
+    """``houghton_h1_fimodule(4)`` with some fields of one level replaced."""
+    v = houghton_h1_fimodule(4)
+    lv = v.levels[level]
+    fields = dict(rank=lv.rank, iota=lv.iota, transpositions=lv.transpositions,
+                  presentation=lv.presentation)
+    fields.update(change)
+    return TruncatedFIModule(4, "Z", v.levels[:level] + (Level(**fields),) + v.levels[level + 1 :])
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _h1_level_replaced(3, iota=((1,),)),
+        _h1_level_replaced(4, transpositions=houghton_h1_fimodule(4).levels[4].transpositions[:2]),
+        _h1_level_replaced(4, presentation=((1,),)),
+    ],
+    ids=["iota-1x1-at-3", "missing-transposition-at-4", "presentation-one-row-at-4"],
+)
+def test_report_checks_its_input_before_any_table(bad):
+    problems = validate_fimodule(bad).problems
+    assert problems
+    with pytest.raises(ValidationError, match="^" + re.escape("; ".join(problems)) + "$"):
+        essentially_fg_report(bad)
 
 
 def test_action_matrix_matches_permutation_matrices():

@@ -43,6 +43,7 @@ from _oracles import (
     apply_raw,
     box_points,
     canonical_table_children_scan,
+    inverse_via_validate,
     raw_pieces,
     validate_reference,
 )
@@ -579,3 +580,41 @@ def test_canonical_table_is_read_only_and_bounded():
         del table[key]
     assert _canonical_table.cache_info().maxsize == _CANONICAL_CACHE_SIZE == 4096
     assert list(table) == sorted(table, key=lambda kv: (kv[0], kv[1].sort_key()))
+
+
+def test_inverse_matches_validate_oracle():
+    """The canonical-table inverse against the validate-first inverse.
+
+    Where the oracle inverts, the two canonical tables agree.  A map that
+    repeats a piece denotes the same function as the map without the repeat,
+    and is inverted like it, point by point.  Every other map the oracle
+    rejects is no bijection as a function, and both raise.
+    """
+    from hforge.houghton import _canonical_table
+
+    seen = set()
+    for f in _differential_maps():
+        if f.m != f.n:
+            continue
+        try:
+            expected = inverse_via_validate(f)
+        except ValidationError:
+            expected = None
+        if expected is not None:
+            assert _canonical_table(inverse(f)) == _canonical_table(expected), f
+            seen.add("bijective")
+            continue
+        deduplicated = tuple(dict.fromkeys(f.pieces))
+        if deduplicated == f.pieces:
+            with pytest.raises(ValidationError, match="^map is not bijective: "):
+                inverse(f)
+            seen.add("not a bijection")
+            continue
+        got = inverse(f)
+        want = inverse_via_validate(HoughtonMap(f.k, f.m, f.n, deduplicated))
+        hi = canonical_threshold(got) + 2
+        for p in box_points(f.k, hi):
+            for c in range(1, f.n + 1):
+                assert apply_map(got, p, c) == apply_map(want, p, c), (f, p, c)
+        seen.add("repeated piece")
+    assert seen == {"bijective", "not a bijection", "repeated piece"}

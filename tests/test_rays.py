@@ -451,5 +451,5 @@ def test_canonical_cells_match_group_by_parent_oracle():
         regions.append(image_region(random_element(k, n, seed % 3, seed)))
     for reg in regions:
         t, cells = canonical_cells_group_by_parent(reg)
-        assert _canonical_cells(reg) == (t, cells)
+        assert _canonical_cells(reg.rays) == (t, cells)
         assert canonicalize_region(reg) == Region(reg.k, reg.n, cells)
