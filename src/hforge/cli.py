@@ -26,13 +26,13 @@ from .complexes import (
     connectivity_probe,
     homology_to_json,
     reduced_homology,
-    verify_s_section,
+    _verify_s_section,
     wcm_check,
 )
 from .errors import SizeLimitError, ValidationError
 from .fimodules import (
+    _fg_report,
     degree_from_table,
-    essentially_fg_report,
     generation_degree,
     houghton_h1_fimodule,
     module_from_json,
@@ -40,6 +40,8 @@ from .fimodules import (
     surjectivity_table,
 )
 from .houghton import (
+    MapDiagnostics,
+    _parse_map,
     compose,
     decompose,
     map_from_json,
@@ -50,7 +52,7 @@ from .houghton import (
     translation_vector,
     validate,
 )
-from .houghton import HoughtonMap, inverse as invert_map
+from .houghton import inverse as invert_map
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,18 +130,14 @@ def _cmd_element(args) -> int:
     if verb == "verify":
         data = _load_json(args.files[0])
         try:
-            element = map_from_json(data)
+            diag = validate(_parse_map(data))
         except ValidationError as exc:
-            _emit({"valid": False, "problems": [str(exc)]}, args)
+            diag = MapDiagnostics(False, False, (str(exc),))
+        if not diag.valid:
+            _emit({"valid": False, "problems": ["; ".join(diag.problems)]}, args)
             return EXIT_VALIDATION
-        diag = validate(element)
-        report = {
-            "valid": diag.valid,
-            "bijective": diag.bijective,
-            "problems": list(diag.problems),
-        }
-        _emit(report, args)
-        return EXIT_OK if diag.valid else EXIT_VALIDATION
+        _emit({"valid": True, "bijective": diag.bijective, "problems": []}, args)
+        return EXIT_OK
     maps = [map_from_json(_load_json(path)) for path in args.files]
     if verb == "compose":
         first, second = maps
@@ -207,7 +205,7 @@ def _cmd_complex(args) -> int:
                 for i in range(args.set_size)
             ]
             section = build_s_section(args.k, args.n, members)
-            ok, _ = verify_s_section(args.k, args.n, members, section)
+            ok, _ = _verify_s_section(args.k, args.n, members, section)
             all_ok = all_ok and ok
             trials.append({"trial": t, "set_size": args.set_size, "ok": ok})
         _emit(
@@ -269,7 +267,7 @@ def _cmd_fimod(args) -> int:
             args,
         )
     elif verb == "report":
-        rep = essentially_fg_report(module)
+        rep = _fg_report(module)
         rep["per_level_surjective"] = {
             str(n): ok for n, ok in sorted(rep["per_level_surjective"].items())
         }

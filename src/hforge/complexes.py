@@ -580,15 +580,26 @@ def verify_s_section(
     For every simplex sigma spanned by S and every simplex tau of the
     codomain skeleton: tau lies in the link of the projected sigma iff the
     section's image of tau lies in the link of sigma.  Returns the first
-    failing pair, if any.
+    failing pair, if any.  Every vertex is validated first.
     """
-    if len(rho) != n:
-        raise ValidationError(f"section must assign all {n} copies")
-    all_maps = [*rho, *s_vertices]
-    for v in all_maps:
+    for v in [*rho, *s_vertices]:
         diag = validate(v)
         if not diag.valid:
             raise ValidationError(f"invalid vertex: {diag.problems}")
+    return _verify_s_section(k, n, s_vertices, rho)
+
+
+def _verify_s_section(
+    k: int,
+    n: int,
+    s_vertices: list[HoughtonMap],
+    rho: list[HoughtonMap],
+) -> tuple[bool, tuple | None]:
+    """``verify_s_section`` on vertices already checked, such as S after
+    ``build_s_section`` and the section that it built."""
+    if len(rho) != n:
+        raise ValidationError(f"section must assign all {n} copies")
+    all_maps = [*rho, *s_vertices]
     for p, f in enumerate(rho, start=1):
         if pi_projection(f) != p:
             raise ValidationError(f"not a section: assigned vertex for copy {p} projects to {pi_projection(f)}")

@@ -13,10 +13,12 @@ matrix arithmetic (products, ranks over Q, cokernels over Z) goes through
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
+from .rays import _json_int
 from .snf import identity_matrix, mat_mul, rank, snf_diagonal, zero_matrix
 
 __all__ = [
@@ -366,6 +368,11 @@ def essentially_fg_report(v: TruncatedFIModule) -> dict:
     leaves every level covered.
     """
     _require_valid(v)
+    return _fg_report(v)
+
+
+def _fg_report(v: TruncatedFIModule) -> dict:
+    """``essentially_fg_report`` on a module already checked, such as the parser's."""
     table = surjectivity_table(v)
     cut = degree_from_table(table)
     return {
@@ -484,17 +491,28 @@ def _entry_to_json(x):
     return x
 
 
-def _entry_from_json(x, ring: str):
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        value = Fraction(int(num), int(den or 1))
-    else:
-        value = Fraction(x)
+_FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _entry_from_json(x, ring: str, field: str, n: int):
+    """A matrix entry of ``field`` at level ``n``: a JSON integer or a ``"p/q"`` string."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    match = _FRACTION.fullmatch(x) if isinstance(x, str) else None
+    if match is None or int(match[2] or 1) == 0:
+        raise ValidationError(
+            f"field {field!r} must hold integers or 'p/q' strings, got {x!r} at level {n}"
+        )
+    value = Fraction(int(match[1]), int(match[2] or 1))
     if value.denominator == 1:
         return value.numerator
     if ring == "Z":
         raise ValidationError(f"non-integer entry {x!r} in a Z-module")
     return value
+
+
+def _mat_from_json(rows, ring: str, field: str, n: int) -> Mat:
+    return tuple(tuple(_entry_from_json(x, ring, field, n) for x in row) for row in rows)
 
 
 def _mat_to_json(mat: Mat | None):
@@ -524,31 +542,23 @@ def module_to_json(v: TruncatedFIModule) -> dict:
 
 
 def module_from_json(data: dict) -> TruncatedFIModule:
+    """Parse and validate a module; ``N`` and ``rank`` must be JSON integers."""
     try:
         ring = data["ring"]
-        n_top = int(data["N"])
+        n_top = _json_int(data, "N")
         levels = []
         for n, raw in enumerate(data["levels"]):
-            rank = int(raw["rank"])
-            iota = raw.get("iota")
-            parsed_iota = (
-                None
-                if n == 0
-                else tuple(
-                    tuple(_entry_from_json(x, ring) for x in row) for row in (iota or [])
-                )
-            )
+            rank = _json_int(raw, "rank")
+            iota = None if n == 0 else _mat_from_json(raw.get("iota") or [], ring, "iota", n)
             transpositions = tuple(
-                tuple(tuple(_entry_from_json(x, ring) for x in row) for row in s)
-                for s in raw["transpositions"]
+                _mat_from_json(s, ring, "transpositions", n) for s in raw["transpositions"]
             )
             pres = raw.get("presentation")
-            parsed_pres = (
-                tuple(tuple(_entry_from_json(x, ring) for x in row) for row in pres)
-                if pres is not None
-                else None
-            )
-            levels.append(Level(rank, parsed_iota, transpositions, parsed_pres))
+            if pres is not None:
+                pres = _mat_from_json(pres, ring, "presentation", n)
+            levels.append(Level(rank, iota, transpositions, pres))
+    except ValidationError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed module object: {exc}") from exc
     v = TruncatedFIModule(n_top, ring, tuple(levels))

@@ -9,9 +9,10 @@ element.
 
 Equality, composition and inversion are exact.  Every map has a canonical
 form: the coarsest grid of the domain on which it is a translation per cell.
-Pointwise equality of maps is equality of canonical forms, and compositions
-are computed by refining the first map's domain far enough that each image
-cell lands inside a single canonical cell of the second map.
+Pointwise equality of maps is equality of canonical forms.  A composition
+splits each canonical cell of the first map, once moved, only where the
+second map's grid cuts it, so each part lands inside a single canonical cell
+of the second map.
 
 A map's canonical table, ``(t, {(copy, cell): translation})`` in sorted
 cell order, lives in one LRU cache of ``_CANONICAL_CACHE_SIZE`` maps, as a
@@ -277,33 +278,26 @@ def apply_map(f: HoughtonMap, point: tuple[int, ...], copy: int) -> tuple[tuple[
 def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
     """g after f.  Shapes must chain: f: m -> n, g: n -> r.
 
-    f's domain is refined to a grid fine enough that each translated cell
-    lies inside a single canonical cell of g; the two translations then
-    combine cell by cell, and the result is re-canonicalised.
+    Each canonical cell of f is moved by its translation and split on a grid
+    at least as fine as g's, so each part lies in the canonical cell of g
+    that holds its base.  The part is pulled back into f's cell, the two
+    translations combine, and the result is re-canonicalised.
     """
     if f.k != g.k or f.n != g.m:
         raise ValidationError(
             f"shape mismatch: cannot compose {g.m}->{g.n} after {f.m}->{f.n}"
         )
-    tf, f_table = _canonical_table(f)
     tg, g_table = _canonical_table(g)
-    off = max((abs(d) for tr in f_table.values() for d in tr.offset), default=0)
-    t = tf + tg + off
     pieces = []
-    for copy in range(1, f.m + 1):
-        for cell in grid_cells(f.k, t):
-            tr1 = f_table[(copy, cell_of_point(cell.base, tf))]
-            moved = cell.translate(tr1.offset)
-            gcell = cell_of_point(moved.base, tg)
-            # the refinement threshold guarantees the image cell sits in one
-            # canonical cell of g; keep that explicit
-            if not set(moved.dirs) <= set(gcell.dirs) or not gcell.contains(moved.base):
-                raise AssertionError("composition refinement threshold too small")
-            tr2 = g_table[(tr1.target_copy, gcell)]
+    for (copy, cell), tr1 in _canonical_table(f)[1].items():
+        moved = cell.translate(tr1.offset)
+        back = tuple(-d for d in tr1.offset)
+        for part in _cells_within_ray(moved, max(tg, moved.threshold)):
+            tr2 = g_table[(tr1.target_copy, cell_of_point(part.base, tg))]
             combined = Translation(
                 tuple(a + b for a, b in zip(tr1.offset, tr2.offset)), tr2.target_copy
             )
-            pieces.append((MarkedRay(cell, copy), combined))
+            pieces.append((MarkedRay(part.translate(back), copy), combined))
     return canonical_form(HoughtonMap(f.k, f.m, g.n, tuple(pieces)))
 
 
@@ -596,26 +590,26 @@ def random_injection(k: int, m: int, n: int, bound: int, seed: int) -> HoughtonM
 
 
 def map_to_json(f: HoughtonMap) -> dict:
-    canon = canonical_form(f)
+    """The canonical form of ``f``, written straight from its canonical table."""
     return {
-        "k": canon.k,
-        "m": canon.m,
-        "n": canon.n,
+        "k": f.k,
+        "m": f.m,
+        "n": f.n,
         "pieces": [
             {
-                "copy": dom.copy,
-                "base": list(dom.ray.base),
-                "dirs": list(dom.ray.dirs),
+                "copy": copy,
+                "base": list(cell.base),
+                "dirs": list(cell.dirs),
                 "offset": list(tr.offset),
                 "target_copy": tr.target_copy,
             }
-            for dom, tr in canon.pieces
+            for (copy, cell), tr in _canonical_table(f)[1].items()
         ],
     }
 
 
-def map_from_json(data: dict) -> HoughtonMap:
-    """Parse and fully validate an element/injection; invalid data is an error."""
+def _parse_map(data: dict) -> HoughtonMap:
+    """The map a JSON object describes, with its fields checked but not ``validate``."""
     try:
         k, m, n = (_json_int(data, field) for field in ("k", "m", "n"))
         pieces = tuple(
@@ -627,7 +621,12 @@ def map_from_json(data: dict) -> HoughtonMap:
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed map object: {exc}") from exc
-    f = HoughtonMap(k, m, n, pieces)
+    return HoughtonMap(k, m, n, pieces)
+
+
+def map_from_json(data: dict) -> HoughtonMap:
+    """Parse and fully validate an element/injection; invalid data is an error."""
+    f = _parse_map(data)
     diag = validate(f)
     if not diag.valid:
         raise ValidationError("; ".join(diag.problems))

@@ -444,3 +444,41 @@ def graph_on_box_filtered(f, hi):
                 assert key not in graph
                 graph[key] = (tuple(x + d for x, d in zip(p, tr.offset)), tr.target_copy)
     return graph
+
+
+def compose_global_grid(g, f):
+    """``houghton.compose`` as it first was: f's domain is refined to the one
+    grid t = tf + tg + max |offset|, fine enough that each translated cell
+    lies in a single canonical cell of g, and the result is canonicalised."""
+    from hforge.errors import ValidationError
+    from hforge.houghton import (
+        HoughtonMap,
+        MarkedRay,
+        Translation,
+        _canonical_table,
+        canonical_form,
+    )
+    from hforge.rays import cell_of_point, grid_cells
+
+    if f.k != g.k or f.n != g.m:
+        raise ValidationError(
+            f"shape mismatch: cannot compose {g.m}->{g.n} after {f.m}->{f.n}"
+        )
+    tf, f_table = _canonical_table(f)
+    tg, g_table = _canonical_table(g)
+    off = max((abs(d) for tr in f_table.values() for d in tr.offset), default=0)
+    t = tf + tg + off
+    pieces = []
+    for copy in range(1, f.m + 1):
+        for cell in grid_cells(f.k, t):
+            tr1 = f_table[(copy, cell_of_point(cell.base, tf))]
+            moved = cell.translate(tr1.offset)
+            gcell = cell_of_point(moved.base, tg)
+            if not set(moved.dirs) <= set(gcell.dirs) or not gcell.contains(moved.base):
+                raise AssertionError("composition refinement threshold too small")
+            tr2 = g_table[(tr1.target_copy, gcell)]
+            combined = Translation(
+                tuple(a + b for a, b in zip(tr1.offset, tr2.offset)), tr2.target_copy
+            )
+            pieces.append((MarkedRay(cell, copy), combined))
+    return canonical_form(HoughtonMap(f.k, f.m, g.n, tuple(pieces)))

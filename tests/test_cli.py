@@ -238,6 +238,41 @@ def test_map_parser_takes_integers_only(capsys, tmp_path, verb, field, change):
     assert "Traceback" not in out + err
 
 
+# A float or bool where the module format wants an integer, or an entry
+# that is neither an integer nor a "p/q" string, in the rank-one module of
+# N = 3.  Read through int() or Fraction(), each float or bool would give a
+# valid module, and "1/0" would raise ZeroDivisionError.
+NON_INTEGER_MODULE_FIELDS = [
+    ("N", "Z", lambda d: d.update(N=3.9)),
+    ("rank", "Z", lambda d: d["levels"][1].update(rank=1.5)),
+    ("iota", "Z", lambda d: d["levels"][2].update(iota=[[True]])),
+    ("iota", "Z", lambda d: d["levels"][2].update(iota=[[1.0]])),
+    ("iota", "Q", lambda d: d["levels"][2].update(iota=[[0.1]])),
+    ("iota", "Q", lambda d: d["levels"][2].update(iota=[["1/0"]])),
+    ("transpositions", "Q", lambda d: d["levels"][2].update(transpositions=[[["1.0"]]])),
+    ("presentation", "Z", lambda d: d["levels"][2].update(presentation=[[False]])),
+]
+
+
+@pytest.mark.parametrize("verb", ["validate", "gendeg"])
+@pytest.mark.parametrize(
+    "field, ring, change",
+    NON_INTEGER_MODULE_FIELDS,
+    ids=["N", "rank", "iota-true", "iota-1.0", "iota-0.1", "iota-1/0", "transpositions", "presentation"],
+)
+def test_module_parser_takes_integers_only(capsys, tmp_path, verb, field, ring, change):
+    from hforge.fimodules import constant_module, module_to_json
+
+    data = module_to_json(constant_module(3, ring=ring))
+    change(data)
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "fimod", verb, str(path))
+    assert code == 2
+    assert f"field '{field}' must" in out + err
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("simplices", [[["a"]], [[0.5, 1]], [[False, 1]]])
 def test_complex_parser_takes_integer_indices_only(capsys, tmp_path, simplices):
     path = tmp_path / "complex.json"
@@ -272,7 +307,8 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
     from hforge.rays import Region, region_complement
 
     counts = Counter()
-    _counting(monkeypatch, counts, hforge.houghton, "validate")
+    for module in (hforge.houghton, hforge.complexes, hforge.cli):
+        _counting(monkeypatch, counts, module, "validate")
     _counting(monkeypatch, counts, hforge.complexes, "canonical_form")
     _counting(monkeypatch, counts, Region, "__post_init__")
     for name in ("validate_fimodule", "surjectivity_table"):
@@ -287,12 +323,16 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
         return dict(counts)
 
     assert run("element", "invert", str(FIXTURES / "generator.json")) == {"validate": 1}
+    assert run("element", "verify", str(FIXTURES / "generator.json")) == {"validate": 1}
     module = tmp_path / "module.json"
     module.write_text(json.dumps(_h1_module_json(5, "Z")))
     assert run("fimod", "gendeg", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 1}
     assert run("fimod", "validate", str(module)) == {"validate_fimodule": 1}
+    # one table for the module, one for its truncation at the cut
+    assert run("fimod", "report", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 2}
+    # the three S vertices, once each; not the section built from them
     section = ("complex", "section-check", "--k", "1", "--n", "3", "--trials", "1", "--set-size", "3")
-    assert "canonical_form" not in run(*section)
+    assert run(*section) == {"validate": 3}
 
     reg = image_region(random_injection(2, 2, 3, 2, 7))
     counts.clear()

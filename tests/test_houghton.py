@@ -43,6 +43,7 @@ from _oracles import (
     apply_raw,
     box_points,
     canonical_table_children_scan,
+    compose_global_grid,
     inverse_via_validate,
     raw_pieces,
     validate_reference,
@@ -172,6 +173,56 @@ def test_compose_pointwise_oracle():
                 q, cq = apply_raw(rf, p, c)
                 expected = apply_raw(rg, q, cq)
                 assert apply_map(h, p, c) == expected
+
+
+def test_compose_matches_global_grid_oracle():
+    """Local refinement against the one-global-grid composition.
+
+    Bijections and injections (m < n) at k = 1, 2, 3, with the two factors'
+    canonical thresholds in either order, and every m = n map of
+    ``_differential_maps()`` composed with a valid element on either side;
+    where the oracle raises, compose raises the same message.
+    """
+    from hforge.houghton import _canonical_table
+
+    def check(g, f):
+        try:
+            expected = compose_global_grid(g, f)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+                compose(g, f)
+            return "raises", False
+        assert _canonical_table(compose(g, f)) == _canonical_table(expected), (g, f)
+        tf, tg = canonical_threshold(f), canonical_threshold(g)
+        negative = any(d < 0 for tr in _canonical_table(f)[1].values() for d in tr.offset)
+        return ("tf > tg" if tf > tg else "tf < tg" if tf < tg else "tf = tg"), negative
+
+    rng = random.Random(31)
+    seen = set()
+    for trial in range(90):
+        k = 1 + trial % 3
+        n = rng.choice((2, 3))
+        m = rng.randrange(1, n)
+        seeds = [rng.randrange(10**6) for _ in range(4)]
+        bf, bg = rng.randint(0, 2), rng.randint(0, 2)
+        pairs = [
+            (random_element(k, n, bg, seeds[0]), random_element(k, n, bf, seeds[1])),
+            (random_element(k, n, bg, seeds[0]), random_injection(k, m, n, bf, seeds[2])),
+            (random_injection(k, n, n + 1, bg, seeds[3]), random_injection(k, m, n, bf, seeds[2])),
+        ]
+        for label, (g, f) in zip(("bijection", "injection", "injection"), pairs):
+            order, negative = check(g, f)
+            seen.update({(label, k), order})
+            if negative:
+                seen.add("negative offset")
+    for trial, f in enumerate(_differential_maps()):
+        if f.m != f.n:
+            continue
+        h = random_element(f.k, f.n, trial % 3, seed=4000 + trial)
+        for g, first in ((h, f), (f, h)):
+            seen.add(check(g, first)[0])
+    expected = {(label, k) for label in ("bijection", "injection") for k in (1, 2, 3)}
+    assert seen >= expected | {"tf > tg", "tf < tg", "negative offset", "raises"}
 
 
 def test_inverse_examples():
