@@ -82,7 +82,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; so is an integer literal past the
+        # interpreter's digit limit, and deep nesting exhausts the recursion
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 

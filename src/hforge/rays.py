@@ -238,22 +238,21 @@ def ray_split(r: Ray, j: int) -> tuple[Ray, Ray]:
 # -- grid machinery ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def grid_cells(k: int, t: int) -> tuple[Ray, ...]:
     """All cells of the threshold-t grid of N^k, in canonical order.
 
-    For each S subset of {1..k} the cells fix coordinates outside S to values
-    in [1, t] and free the coordinates of S starting at t+1; there are
-    (t+1)^k cells and they partition N^k.
+    Each base point in [1, t+1]^k gives one cell, whose free directions are
+    the coordinates equal to t+1; there are (t+1)^k cells and they
+    partition N^k.
     """
     if k < 1 or t < 0:
         raise ValidationError("need k >= 1 and t >= 0")
-    cells = []
-    for mask in itertools.product((False, True), repeat=k):
-        fixed_ranges = [range(1, t + 1) if not free else (t + 1,) for free in mask]
-        dirs = tuple(j for j, free in enumerate(mask, start=1) if free)
-        for base in itertools.product(*fixed_ranges):
-            cells.append(Ray(tuple(base), dirs))
+    top = t + 1
+    cells = [
+        Ray(base, tuple(j for j, b in enumerate(base, start=1) if b == top))
+        for base in itertools.product(range(1, top + 1), repeat=k)
+    ]
     cells.sort(key=Ray.sort_key)
     return tuple(cells)
 

@@ -2,16 +2,20 @@
 
 Every matrix computation in hforge goes through this module.  Matrices are
 tuples of row tuples of Python ints (or, for modules over Q, of ints and
-Fractions), so every computation is exact.  The elimination pivots on a
-minimal-absolute-value entry and repairs divisibility violations by folding
-offending rows into the pivot row, which yields the divisor chain
-d_1 | d_2 | ... directly.  Rank over Q reuses the integer path: scaling each
-row by the common denominator of its entries leaves the row space over Q
-unchanged, and the rank is then the count of nonzero Smith diagonal entries.
+Fractions), so every computation is exact; the Smith normal form takes
+ints only.  The elimination pivots on a minimal-absolute-value entry and
+repairs divisibility violations by folding offending rows into the pivot
+row, which yields the divisor chain d_1 | d_2 | ... directly; a unit pivot
+divides everything and needs no repair.  U and V ride in the working
+matrix, so one code path serves the diagonal alone and the full form.  Rank
+over Q reuses the integer path: scaling each row by the common denominator
+of its entries leaves the row space over Q unchanged, and the rank is then
+the count of nonzero Smith diagonal entries.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,10 +37,13 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    widths = {len(row) for row in out}
-    if len(widths) > 1:
+    out = tuple(map(tuple, rows))
+    if len({len(row) for row in out}) > 1:
         raise ValueError("ragged matrix")
+    bad = set().union(*(map(type, row) for row in out)) - {int}
+    if bad:
+        names = ", ".join(sorted(kind.__name__ for kind in bad))
+        raise ValueError(f"matrix entries must be integers, got {names}")
     return out
 
 
@@ -56,7 +63,7 @@ def mat_mul(a: Matrix, b: Matrix, cols: int) -> Matrix:
         return zero_matrix(len(a), cols)
     bt = list(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a
     )
 
 
@@ -86,98 +93,78 @@ def determinant(a: Matrix) -> int:
 
 
 def _snf_core(a: Matrix, want_transforms: bool):
-    d = [list(row) for row in a]
-    nrows = len(d)
-    ncols = len(d[0]) if d else 0
-    u = [list(row) for row in identity_matrix(nrows)] if want_transforms else None
-    v = [list(row) for row in identity_matrix(ncols)] if want_transforms else None
+    """Smith diagonal of a nonempty ``a``, with U and V when ``want_transforms``
+    (empty blocks otherwise).
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
+    The transforms ride in the working matrix: row i of A carries row i of
+    U to its right, and the rows of V hang below A, so every row operation
+    updates U and every column operation updates V.
+    """
+    nrows, ncols = len(a), len(a[0])
+    w = [list(row) for row in a]
+    if want_transforms:
+        for i, row in enumerate(w):
+            row.extend(int(i == j) for j in range(nrows))
+        w.extend([int(i == j) for j in range(ncols)] for i in range(ncols))
 
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+    def move_to(p, at):
+        i, j = at
+        w[p], w[i] = w[i], w[p]
+        for row in w:
+            row[p], row[j] = row[j], row[p]
 
     def add_row(src, dst, factor):
-        drow, srow = d[dst], d[src]
-        for c in range(ncols):
-            drow[c] += factor * srow[c]
-        if u is not None:
-            urow, usrc = u[dst], u[src]
-            for c in range(nrows):
-                urow[c] += factor * usrc[c]
+        w[dst] = [x + factor * y for x, y in zip(w[dst], w[src])]
 
     def add_col(src, dst, factor):
-        for row in d:
+        for row in w:
             row[dst] += factor * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += factor * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
 
     def find_pivot(p):
-        best = None
+        best, size = None, 0
         for i in range(p, nrows):
-            row = d[i]
+            row = w[i]
             for j in range(p, ncols):
                 x = row[j]
-                if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-                    if abs(x) == 1:
+                if x and (best is None or abs(x) < size):
+                    best, size = (i, j), abs(x)
+                    if size == 1:
                         return best
         return best
 
-    p = 0
-    while p < min(nrows, ncols):
+    for p in range(min(nrows, ncols)):
         best = find_pivot(p)
         if best is None:
             break
-        swap_rows(p, best[0])
-        swap_cols(p, best[1])
+        move_to(p, best)
         while True:
+            pivot = w[p][p]
             for i in range(p + 1, nrows):
-                if d[i][p]:
-                    add_row(p, i, -(d[i][p] // d[p][p]))
+                if w[i][p]:
+                    add_row(p, i, -(w[i][p] // pivot))
             for j in range(p + 1, ncols):
-                if d[p][j]:
-                    add_col(p, j, -(d[p][j] // d[p][p]))
-            dirty = [i for i in range(p + 1, nrows) if d[i][p]] or [
-                j for j in range(p + 1, ncols) if d[p][j]
-            ]
-            if dirty:
+                if w[p][j]:
+                    add_col(p, j, -(w[p][j] // pivot))
+            if any(w[i][p] for i in range(p + 1, nrows)) or any(w[p][p + 1:ncols]):
                 # remainders survived the division steps; re-pivot on a
                 # smaller entry and repeat
-                best = find_pivot(p)
-                swap_rows(p, best[0])
-                swap_cols(p, best[1])
+                move_to(p, find_pivot(p))
                 continue
-            offender = None
-            for i in range(p + 1, nrows):
-                for j in range(p + 1, ncols):
-                    if d[i][j] % d[p][p]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if abs(pivot) == 1:
+                # a unit divides every entry: nothing left to repair
+                break
+            offender = next(
+                (i for i in range(p + 1, nrows) if any(x % pivot for x in w[i][p + 1:ncols])),
+                None,
+            )
             if offender is None:
                 break
             add_row(offender, p, 1)
-        if d[p][p] < 0:
-            negate_row(p)
-        p += 1
+        if w[p][p] < 0:
+            w[p] = [-x for x in w[p]]
 
-    diag = [d[i][i] for i in range(min(nrows, ncols))]
-    return diag, d, u, v
+    diag = [w[i][i] for i in range(min(nrows, ncols))]
+    return diag, [row[ncols:] for row in w[:nrows]], w[nrows:]
 
 
 def snf_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
@@ -185,7 +172,7 @@ def snf_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
     mat = as_matrix(a)
     if not mat or not mat[0]:
         return []
-    diag, _, _, _ = _snf_core(mat, want_transforms=False)
+    diag, _, _ = _snf_core(mat, want_transforms=False)
     return diag
 
 
@@ -236,8 +223,8 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
         rows = len(mat)
         cols = len(mat[0]) if mat else 0
         return SnfResult(mat, identity_matrix(rows), identity_matrix(cols), ())
-    diag, _, u, v = _snf_core(mat, want_transforms=True)
-    return SnfResult(mat, as_matrix(u), as_matrix(v), tuple(diag))
+    diag, u, v = _snf_core(mat, want_transforms=True)
+    return SnfResult(mat, tuple(map(tuple, u)), tuple(map(tuple, v)), tuple(diag))
 
 
 def _clear_denominators(a: Sequence[Sequence[int | Fraction]]) -> Matrix:

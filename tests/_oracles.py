@@ -482,3 +482,119 @@ def compose_global_grid(g, f):
             )
             pieces.append((MarkedRay(cell, copy), combined))
     return canonical_form(HoughtonMap(f.k, f.m, g.n, tuple(pieces)))
+
+
+def snf_core_separate_transforms(a, want_transforms: bool):
+    """``snf._snf_core`` as it first was: U and V are kept as separate
+    matrices that every elementary operation updates by hand, and the
+    divisibility scan runs under every pivot, units included.  Returns
+    (diag, d, u, v)."""
+    d = [list(row) for row in a]
+    nrows = len(d)
+    ncols = len(d[0]) if d else 0
+
+    def identity(n):
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    u = identity(nrows) if want_transforms else None
+    v = identity(ncols) if want_transforms else None
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in d:
+            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, factor):
+        drow, srow = d[dst], d[src]
+        for c in range(ncols):
+            drow[c] += factor * srow[c]
+        if u is not None:
+            urow, usrc = u[dst], u[src]
+            for c in range(nrows):
+                urow[c] += factor * usrc[c]
+
+    def add_col(src, dst, factor):
+        for row in d:
+            row[dst] += factor * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] += factor * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
+
+    def find_pivot(p):
+        best = None
+        for i in range(p, nrows):
+            row = d[i]
+            for j in range(p, ncols):
+                x = row[j]
+                if x != 0 and (best is None or abs(x) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+                    if abs(x) == 1:
+                        return best
+        return best
+
+    p = 0
+    while p < min(nrows, ncols):
+        best = find_pivot(p)
+        if best is None:
+            break
+        swap_rows(p, best[0])
+        swap_cols(p, best[1])
+        while True:
+            for i in range(p + 1, nrows):
+                if d[i][p]:
+                    add_row(p, i, -(d[i][p] // d[p][p]))
+            for j in range(p + 1, ncols):
+                if d[p][j]:
+                    add_col(p, j, -(d[p][j] // d[p][p]))
+            dirty = [i for i in range(p + 1, nrows) if d[i][p]] or [
+                j for j in range(p + 1, ncols) if d[p][j]
+            ]
+            if dirty:
+                best = find_pivot(p)
+                swap_rows(p, best[0])
+                swap_cols(p, best[1])
+                continue
+            offender = None
+            for i in range(p + 1, nrows):
+                for j in range(p + 1, ncols):
+                    if d[i][j] % d[p][p]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, p, 1)
+        if d[p][p] < 0:
+            negate_row(p)
+        p += 1
+
+    diag = [d[i][i] for i in range(min(nrows, ncols))]
+    return diag, d, u, v
+
+
+def grid_cells_by_mask(k: int, t: int) -> tuple:
+    """``rays.grid_cells`` as it first was: one pass per subset S of free
+    directions (all 2^k of them), fixing the other coordinates in [1, t]."""
+    from hforge.rays import Ray
+
+    cells = []
+    for mask in itertools.product((False, True), repeat=k):
+        fixed_ranges = [range(1, t + 1) if not free else (t + 1,) for free in mask]
+        dirs = tuple(j for j, free in enumerate(mask, start=1) if free)
+        for base in itertools.product(*fixed_ranges):
+            cells.append(Ray(tuple(base), dirs))
+    cells.sort(key=Ray.sort_key)
+    return tuple(cells)

@@ -496,6 +496,39 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"k": ' + "9" * 5000 + ', "m": 1, "n": 1, "pieces": []}',
+        "[" * 100_000,
+    ],
+    ids=["integer-past-digit-limit", "deep-nesting"],
+)
+def test_unparsable_json_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "map.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "element", "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("validation failure:") and "not valid JSON" in err
+
+
+def test_element_verify_high_dimension(capsys, tmp_path):
+    # the threshold-0 grid of N^40 is one cell; nothing may walk 2^40 subsets
+    k = 40
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(_map_json(k, [])))
+    code, out, _ = run_cli(capsys, "element", "verify", str(path))
+    assert code == 2
+    (problem,) = json.loads(out)["problems"]
+    assert problem.startswith("domain is not a ray partition: uncovered cell")
+    identity = _piece(1, (1,) * k, range(1, k + 1), (0,) * k, 1)
+    path.write_text(json.dumps(_map_json(k, [identity])))
+    code, out, _ = run_cli(capsys, "element", "verify", str(path))
+    assert code == 0
+    assert json.loads(out) == {"bijective": True, "problems": [], "valid": True}
+
+
 def test_output_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

@@ -29,7 +29,7 @@ from hforge.rays import (
     region_to_json,
 )
 
-from _oracles import canonical_cells_group_by_parent, ray_points_in_box
+from _oracles import canonical_cells_group_by_parent, grid_cells_by_mask, ray_points_in_box
 
 
 def R(base, *dirs):
@@ -196,6 +196,11 @@ def test_grid_partition_examples():
 def test_grid_partition_validates(k, t, n):
     assert partition_validate(grid_partition(k, t, n)).ok
     assert len(grid_partition(k, t, n).cells) == n * (t + 1) ** k
+
+
+@pytest.mark.parametrize("k,t", [(k, t) for k in (1, 2, 3) for t in (0, 1, 2, 3)])
+def test_grid_cells_match_mask_oracle(k, t):
+    assert grid_cells(k, t) == grid_cells_by_mask(k, t)
 
 
 def test_containment_lemma_exhaustive():

@@ -15,7 +15,12 @@ from hforge.snf import (
     zero_matrix,
 )
 
-from _oracles import det_cofactor, minor_gcd_diagonal, rank_over_q
+from _oracles import (
+    det_cofactor,
+    minor_gcd_diagonal,
+    rank_over_q,
+    snf_core_separate_transforms,
+)
 
 
 def test_identity():
@@ -107,3 +112,51 @@ def test_verify_rejects_broken_result():
     good = smith_normal_form([[2, 0], [0, 3]])
     bad = SnfResult(good.matrix, good.u, good.v, (3, 2))
     assert not bad.verify()
+
+
+@pytest.mark.parametrize(
+    "rows", [[[0.5]], [[2.9, 0], [0, 3]], [[1, 0], [0, True]], [[Fraction(2)]]]
+)
+def test_non_integer_entries_are_rejected(rows):
+    # truncating them would read 0.5 as 0 and 2.9 as 2
+    with pytest.raises(ValueError, match="must be integers"):
+        snf_diagonal(rows)
+    with pytest.raises(ValueError, match="must be integers"):
+        smith_normal_form(rows)
+
+
+def _unit_pivot_then_planted_block(rng):
+    """A 0/+-1 block that yields unit pivots, a 0/+-1 coupling block to its
+    right, and below it a planted block with no unit entry, whose pivots
+    need the divisibility repair."""
+    r1, c1 = rng.randint(1, 4), rng.randint(1, 4)
+    r2, c2 = rng.randint(1, 4), rng.randint(1, 4)
+    top = [
+        [rng.choice((-1, 0, 1)) for _ in range(c1)]
+        + [rng.choice((-1, 0, 0, 1)) for _ in range(c2)]
+        for _ in range(r1)
+    ]
+    top[0][0] = rng.choice((-1, 1))
+    bottom = [[0] * c1 + [rng.choice((0, 2, -2, 3, 4, 6, -9)) for _ in range(c2)]
+              for _ in range(r2)]
+    return top + bottom
+
+
+def test_snf_matches_separate_transform_oracle():
+    rng = random.Random(23)
+    cases = [[[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[-1, 0], [0, -4]]]
+    for _ in range(300):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append([[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)])
+        cases.append([[rng.choice((-1, 0, 0, 1)) for _ in range(nc)] for _ in range(nr)])
+        cases.append(_unit_pivot_then_planted_block(rng))
+    for m in cases:
+        diag, _, u, v = snf_core_separate_transforms(m, want_transforms=True)
+        res = smith_normal_form(m)
+        assert list(res.diag) == diag, m
+        assert res.u == tuple(map(tuple, u)), m
+        assert res.v == tuple(map(tuple, v)), m
+        assert snf_diagonal(m) == diag, m
+        assert res.verify(), m
+    # the planted 2 and 3 need the repair after a unit pivot: 1, 1, 6
+    assert smith_normal_form(cases[0]).diag == (1, 1, 6)
