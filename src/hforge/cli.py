@@ -68,12 +68,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _size_limit(args) -> int:
     env = os.environ.get("HFORGE_SIZE_LIMIT")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"HFORGE_SIZE_LIMIT must be an integer, got {env!r}") from exc
-    return DEFAULT_SIZE_LIMIT
+    if env is None:
+        return DEFAULT_SIZE_LIMIT
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValidationError(f"HFORGE_SIZE_LIMIT must be an integer >= 0, got {env!r}")
+    return limit
 
 
 def _load_json(path: str):
@@ -86,6 +89,14 @@ def _load_json(path: str):
         # JSONDecodeError is a ValueError; so is an integer literal past the
         # interpreter's digit limit, and deep nesting exhausts the recursion
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _load_complex(path: str, limit: int):
+    """A complex file, or the ``complex`` member of a build-sn report."""
+    data = _load_json(path)
+    if isinstance(data, dict) and "complex" in data:
+        data = data["complex"]
+    return complex_from_json(data, size_limit=limit)
 
 
 def _render_text(data, indent=0) -> str:
@@ -180,7 +191,7 @@ def _cmd_complex(args) -> int:
         }
         _emit(report, args)
     elif verb == "homology":
-        k = complex_from_json(_load_json(args.files[0]), size_limit=limit)
+        k = _load_complex(args.files[0], limit)
         hom = reduced_homology(k)
         _emit(
             {
@@ -191,7 +202,7 @@ def _cmd_complex(args) -> int:
             args,
         )
     elif verb == "wcm":
-        k = complex_from_json(_load_json(args.files[0]), size_limit=limit)
+        k = _load_complex(args.files[0], limit)
         ok, why = wcm_check(k, args.target)
         _emit({"target": args.target, "wcm": ok, "violation": why}, args)
         return EXIT_OK
@@ -333,6 +344,8 @@ def main(argv=None) -> int:
         if args.group == "complex":
             if args.verb in ("homology", "wcm") and len(args.files) != 1:
                 parser.error(f"{args.verb} needs exactly one complex file")
+            if min(args.trials, args.set_size) < 0:
+                parser.error("--trials and --set-size must be >= 0")
             return _cmd_complex(args)
         if args.group == "fimod":
             if args.verb != "houghton-h1" and len(args.files) != 1:

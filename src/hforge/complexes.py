@@ -33,7 +33,7 @@ from .houghton import (
     map_to_json,
     validate,
 )
-from .rays import MarkedRay, Ray, _uncovered_cells, grid_cells
+from .rays import MarkedRay, Ray, _cell_bases, _cuts_for, grid_cells
 from .snf import snf_diagonal
 
 __all__ = [
@@ -383,34 +383,34 @@ def _image_rays(v: HoughtonMap) -> tuple[MarkedRay, ...]:
     return tuple(v.image_ray(p) for p in v.pieces)
 
 
-def _image_index(v: HoughtonMap) -> dict[int, list[Ray]]:
-    """The vertex's image rays, grouped by the copy they land in."""
-    by_copy: dict[int, list[Ray]] = {}
-    for m in _image_rays(v):
-        by_copy.setdefault(m.copy, []).append(m.ray)
-    return by_copy
+def _image_cells(vertices: list[HoughtonMap]) -> tuple[int, list[frozenset]]:
+    """Cell count of N^k x [n] and each image's ``(copy, base)`` cells.
+
+    The grid is the one ``_cuts_for`` fits to all the images.  Two images
+    meet exactly when their cell sets do, and pairwise disjoint images cover
+    N^k x [n] exactly when their cells number the count.
+    """
+    if not vertices:
+        return 0, []
+    k, n = vertices[0].k, vertices[0].n
+    images = [_image_rays(v) for v in vertices]
+    cuts = _cuts_for(k, (m.ray for image in images for m in image))
+    count = n * math.prod(len(c) for c in cuts)
+    return count, [
+        frozenset((m.copy, base) for m in image for base in _cell_bases(m.ray, cuts))
+        for image in images
+    ]
 
 
-def _images_meet(a: dict[int, list[Ray]], b: dict[int, list[Ray]]) -> bool:
-    """Whether two images, indexed by copy, intersect; only shared copies are read."""
-    for copy, rays in a.items():
-        other = b.get(copy)
-        if other:
-            for x in rays:
-                for y in other:
-                    if x.meets(y):
-                        return True
-    return False
-
-
-def _disjoint_pairs(vertices: list[HoughtonMap]) -> list[tuple[int, int]]:
-    """Index pairs i < j of vertices whose images are disjoint.
+def _disjoint_pairs(
+    vertices: list[HoughtonMap], cells: list[frozenset]
+) -> list[tuple[int, int]]:
+    """Index pairs i < j of vertices whose ``_image_cells`` sets are disjoint.
 
     Pairs with equal ``pi_projection`` are skipped untested: both images
     contain a translated orthant of N^k in that copy, and any two orthants
     meet (at the coordinatewise maximum of their bases).
     """
-    index = [_image_index(v) for v in vertices]
     buckets: dict[int, list[int]] = {}
     for i, v in enumerate(vertices):
         buckets.setdefault(pi_projection(v), []).append(i)
@@ -418,14 +418,9 @@ def _disjoint_pairs(vertices: list[HoughtonMap]) -> list[tuple[int, int]]:
     for p, q in itertools.combinations(sorted(buckets), 2):
         for i in buckets[p]:
             for j in buckets[q]:
-                if not _images_meet(index[i], index[j]):
+                if cells[i].isdisjoint(cells[j]):
                     pairs.append((i, j) if i < j else (j, i))
     return pairs
-
-
-def _jointly_surjective(k: int, n: int, image_rays: list[MarkedRay]) -> bool:
-    """Whether pairwise disjoint image rays cover N^k x [n]."""
-    return next(_uncovered_cells(k, n, image_rays), None) is None
 
 
 def pi_projection(vertex: HoughtonMap) -> int:
@@ -440,6 +435,8 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
 
     Full-size tuples (as many vertices as copies) must additionally cover
     the whole codomain, matching the top-dimensional automorphism condition.
+    Both are read off ``_image_cells``: the cell sets must be pairwise
+    disjoint, and a full-size tuple's cells must number the grid's count.
     """
     if not vertices:
         raise ValidationError("need at least one vertex")
@@ -454,12 +451,10 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
         diag = validate(v)
         if not diag.valid:
             raise ValidationError(f"invalid vertex: {diag.problems}")
-    index = [_image_index(v) for v in vertices]
-    if any(_images_meet(a, b) for a, b in itertools.combinations(index, 2)):
+    count, cells = _image_cells(vertices)
+    if any(not a.isdisjoint(b) for a, b in itertools.combinations(cells, 2)):
         return False
-    if len(vertices) == n:
-        return _jointly_surjective(k, n, [r for v in vertices for r in _image_rays(v)])
-    return True
+    return len(vertices) < n or sum(map(len, cells)) == count
 
 
 def build_sn_truncated(
@@ -476,8 +471,10 @@ def build_sn_truncated(
     are included as top simplices only with ``include_top``, and then also
     need jointly surjective images.
 
-    The disjointness graph is built only when some degree >= 1 is kept, and
-    it never tests two vertices with the same ``pi_projection``.  Each
+    Image cells are computed only when some degree >= 1 is kept, or when a
+    one-copy top layer keeps only the surjective vertices.  Pairs are tested
+    on them, a top simplex by its cell total, and the disjointness graph
+    never tests two vertices with the same ``pi_projection``.  Each
     vertex sends the full orthant N^k onto a translated orthant in copy
     ``pi_projection(v)``, and two orthants based at b and b' both contain the
     point max(b, b'), so such a pair always meets.  The simplices come out
@@ -485,28 +482,25 @@ def build_sn_truncated(
     ``size_limit``, so no second closure pass runs.
     """
     candidates = enumerate_bounded_vertices(k, n, bound, size_limit)
+    max_dim = n - 1 if include_top else n - 2
+    if max_dim >= 1 or include_top:
+        cells_total, cells = _image_cells(candidates)
     if include_top and n == 1:
-        candidates = [
-            v for v in candidates if _jointly_surjective(k, n, list(_image_rays(v)))
-        ]
+        candidates = [v for v, c in zip(candidates, cells) if len(c) == cells_total]
     count = len(candidates)
     layers = [[(i,) for i in range(count)]]
-    max_dim = n - 1 if include_top else n - 2
     if max_dim >= 1:
         # later[v]: the neighbours of v above it, enough to grow sorted cliques
         later: list[set[int]] = [set() for _ in range(count)]
-        for i, j in _disjoint_pairs(candidates):
+        for i, j in _disjoint_pairs(candidates, cells):
             later[i].add(j)
-        rays = [_image_rays(v) for v in candidates] if include_top else None
         total = count
         for dim in range(1, max_dim + 1):
             next_layer = []
             for s in layers[-1]:
                 for w in set.intersection(*(later[v] for v in s)):
                     t = s + (w,)
-                    if dim == n - 1 and not _jointly_surjective(
-                        k, n, [r for v in t for r in rays[v]]
-                    ):
+                    if dim == n - 1 and sum(len(cells[v]) for v in t) != cells_total:
                         continue
                     next_layer.append(t)
                     total += 1
@@ -596,36 +590,27 @@ def _verify_s_section(
     rho: list[HoughtonMap],
 ) -> tuple[bool, tuple | None]:
     """``verify_s_section`` on vertices already checked, such as S after
-    ``build_s_section`` and the section that it built."""
+    ``build_s_section`` and the section that it built; simplices are read
+    off ``_image_cells`` of all the maps at once."""
     if len(rho) != n:
         raise ValidationError(f"section must assign all {n} copies")
     all_maps = [*rho, *s_vertices]
     for p, f in enumerate(rho, start=1):
         if pi_projection(f) != p:
             raise ValidationError(f"not a section: assigned vertex for copy {p} projects to {pi_projection(f)}")
-    imgs = {id(v): _image_index(v) for v in all_maps}
-    disjoint: dict[tuple[int, int], bool] = {}
+    image = {id(v): c for v, c in zip(all_maps, _image_cells(all_maps)[1])}
 
-    def dis(a, b):
-        key = (id(a), id(b))
-        if key not in disjoint:
-            val = not _images_meet(imgs[id(a)], imgs[id(b)])
-            disjoint[key] = val
-            disjoint[(key[1], key[0])] = val
-        return disjoint[key]
+    def is_simplex(maps):
+        pairs = itertools.combinations(maps, 2)
+        return all(image[id(a)].isdisjoint(image[id(b)]) for a, b in pairs)
 
-    if n >= 3:
-        for a, b in itertools.combinations(rho, 2):
-            if not dis(a, b):
-                raise ValidationError("not a section: assigned vertices do not span simplices")
+    if n >= 3 and not is_simplex(rho):
+        raise ValidationError("not a section: assigned vertices do not span simplices")
 
     distinct_s = []
     for v in s_vertices:
         if not any(equals(v, w) for w in distinct_s):
             distinct_s.append(v)
-
-    def is_simplex(maps):
-        return all(dis(a, b) for a, b in itertools.combinations(maps, 2))
 
     sigmas = [
         combo
@@ -670,14 +655,15 @@ def simplexwise_injective_check(
     return True
 
 
-def _simplex_complex(n: int, max_dim: int) -> SimplicialComplex:
-    """The max_dim-skeleton of the (n-1)-simplex on labels 1..n."""
-    simplices = {
-        tuple(c)
-        for size in range(1, max_dim + 2)
-        for c in itertools.combinations(range(n), size)
-    }
-    return SimplicialComplex.build(tuple(range(1, n + 1)), simplices, size_limit=None)
+def _intermediate(k: int, n: int, u: HoughtonMap, w: HoughtonMap) -> HoughtonMap:
+    """The vertex sending N^k past every ray of u and w in a copy neither
+    full ray occupies, so that it misses both images."""
+    occupied = {pi_projection(u), pi_projection(w)}
+    copy = next(c for c in range(1, n + 1) if c not in occupied)
+    blockers = [m.ray for v in (u, w) for m in _image_rays(v) if m.copy == copy]
+    full = Ray((1,) * k, tuple(range(1, k + 1)))
+    offset = _avoidance_offset(k, blockers)
+    return HoughtonMap(k, 1, n, ((MarkedRay(full, 1), Translation((offset,) * k, copy)),))
 
 
 def connectivity_probe(
@@ -692,10 +678,13 @@ def connectivity_probe(
     """Path-connect sampled pairs of bounded vertices inside a larger truncation.
 
     Pairs of B-bounded vertices are joined either directly or through a far
-    translate into a copy that neither endpoint's full ray occupies; the
-    intermediate must stay (B+slack)-bounded.  A homology cross-check
+    translate into a copy that neither endpoint's full ray occupies.  That
+    intermediate misses both endpoints by construction, so it is not tested
+    against them; it must stay (B+slack)-bounded.  A homology cross-check
     recomputes connectedness of the touched component from boundary matrices.
     """
+    if trials < 0:
+        raise ValidationError(f"trials must be >= 0, got {trials}")
     report: dict = {"k": k, "n": n, "bound": bound, "slack": slack, "trials": trials}
     vertices = enumerate_bounded_vertices(k, n, bound, size_limit)
     report["bounded_vertices"] = len(vertices)
@@ -707,9 +696,8 @@ def connectivity_probe(
         return report
     report["claim"] = "sampled pairs connect within the enlarged truncation"
     rng = random.Random(seed)
-    index = {id(v): _image_index(v) for v in vertices}
+    image = {id(v): c for v, c in zip(vertices, _image_cells(vertices)[1])}
     intermediates: list[HoughtonMap] = []
-    full = Ray((1,) * k, tuple(range(1, k + 1)))
     connected = 0
     lengths = []
     failures = []
@@ -719,24 +707,13 @@ def connectivity_probe(
             connected += 1
             lengths.append(0)
             continue
-        if not _images_meet(index[id(u)], index[id(w)]):
+        if image[id(u)].isdisjoint(image[id(w)]):
             connected += 1
             lengths.append(1)
             continue
-        occupied = {pi_projection(u), pi_projection(w)}
-        copy = next(c for c in range(1, n + 1) if c not in occupied)
-        blockers = [*index[id(u)].get(copy, ()), *index[id(w)].get(copy, ())]
-        offset = _avoidance_offset(k, blockers)
-        z = HoughtonMap(
-            k, 1, n, ((MarkedRay(full, 1), Translation((offset,) * k, copy)),)
-        )
-        z_ok = canonical_threshold(z) <= bound + slack and offset <= bound + slack
-        z_index = _image_index(z)
-        if (
-            z_ok
-            and not _images_meet(z_index, index[id(u)])
-            and not _images_meet(z_index, index[id(w)])
-        ):
+        z = _intermediate(k, n, u, w)
+        offset = max(z.pieces[0][1].offset)
+        if canonical_threshold(z) <= bound + slack and offset <= bound + slack:
             connected += 1
             lengths.append(2)
             intermediates.append(z)
@@ -752,7 +729,7 @@ def connectivity_probe(
     for z in intermediates:
         if not any(equals(z, v) for v in pool):
             pool.append(z)
-    edges = _disjoint_pairs(pool)
+    edges = _disjoint_pairs(pool, _image_cells(pool)[1])
     parent = list(range(len(pool)))
 
     def find(x):

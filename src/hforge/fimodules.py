@@ -364,8 +364,9 @@ def essentially_fg_report(v: TruncatedFIModule) -> dict:
     The cut is the smallest c with the differential surjective at every
     level in (c, N]; the verdict is evidence at truncation scale only and
     says nothing about levels beyond N.  The input is checked once, before
-    any table; the truncation of a valid module is valid, and a cut of 0
-    leaves every level covered.
+    any table.  The truncation at the cut has the cut as its generation
+    degree: above the cut its levels are the module's, below they are zero,
+    and at the cut only presentation columns remain, too few to span.
     """
     _require_valid(v)
     return _fg_report(v)
@@ -377,9 +378,7 @@ def _fg_report(v: TruncatedFIModule) -> dict:
     cut = degree_from_table(table)
     return {
         "cut_level": cut,
-        "truncation_generation_degree": (
-            degree_from_table(surjectivity_table(truncate(v, cut))) if cut > 0 else 0
-        ),
+        "truncation_generation_degree": cut,
         "per_level_surjective": {n: table[n] for n in sorted(table)},
         "certified_within": v.N,
         "caveat": (

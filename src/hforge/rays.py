@@ -14,10 +14,13 @@ in [1, t] and all free coordinates starting at t+1 partition N^k into
 is small enough relative to t is a union of t-cells.  Canonicalising a
 region means writing it as the set of cells of the minimal adequate grid.
 
-This module is the one owner of the grid layer: ``_coarsen_cells`` coarsens
-regions and the translation tables of maps alike, ``MarkedRay.meets`` is the
-overlap test and ``_uncovered_cells`` the cover test of the whole package.
-``marked_intersect`` is for callers that need the intersection itself.
+This module is the one owner of the grid layer.  Overlap and cover are set
+operations on grid cells named by their least points: ``_cell_bases`` lists
+a ray's cells on a grid of per-coordinate cuts, either the threshold grid or
+the one ``_cuts_for`` fits to a set of rays, and ``_uncovered_cells`` lists
+the cells no ray holds.  ``_coarsen_cells`` coarsens regions and map tables
+alike; ``MarkedRay.meets`` serves callers that meet rays one at a time, and
+``marked_intersect`` callers that need the intersection itself.
 
 Values are checked where they enter.  The JSON parsers take integers only,
 the constructors check coordinates, directions and copies, and ``Region``
@@ -32,9 +35,10 @@ share between threads.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -248,13 +252,8 @@ def grid_cells(k: int, t: int) -> tuple[Ray, ...]:
     """
     if k < 1 or t < 0:
         raise ValidationError("need k >= 1 and t >= 0")
-    top = t + 1
-    cells = [
-        Ray(base, tuple(j for j, b in enumerate(base, start=1) if b == top))
-        for base in itertools.product(range(1, top + 1), repeat=k)
-    ]
-    cells.sort(key=Ray.sort_key)
-    return tuple(cells)
+    full = Ray((1,) * k, tuple(range(1, k + 1)))
+    return tuple(sorted(_cells_within_ray(full, t), key=Ray.sort_key))
 
 
 def cell_of_point(point: tuple[int, ...], t: int) -> Ray:
@@ -287,21 +286,35 @@ def _coarsen_cells(table: dict[tuple[int, Ray], object], t: int) -> tuple[int, d
     return t, table
 
 
+def _cell_bases(ray: Ray, cuts: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Least points, in lexicographic order, of the cells whose union is ``ray``.
+
+    Cells are products of the intervals between consecutive cuts of each
+    coordinate.  A free coordinate takes every cut from its base on, a
+    pinned one keeps its base; the cuts must hold b for every base and b+1
+    for every pinned one.
+    """
+    return itertools.product(*(
+        cut[bisect_left(cut, b):] if j in ray.dirs else (b,)
+        for j, (b, cut) in enumerate(zip(ray.base, cuts), start=1)
+    ))
+
+
+def _cuts_for(k: int, rays: Iterable[Ray]) -> tuple[list[int], ...]:
+    """Cuts at 1, every base value and one past every pinned base, per coordinate."""
+    cuts = [{1} for _ in range(k)]
+    for ray in rays:
+        for j, b in enumerate(ray.base, start=1):
+            cuts[j - 1].add(b)
+            if j not in ray.dirs:
+                cuts[j - 1].add(b + 1)
+    return tuple(sorted(c) for c in cuts)
+
+
 def _cells_within_ray(ray: Ray, t: int) -> Iterator[Ray]:
     """The t-grid cells whose union is ``ray``; callers pass t >= ray.threshold."""
-    options = []
-    free = set(ray.dirs)
-    for j, b in enumerate(ray.base, start=1):
-        if j in free:
-            opts = [((v,), False) for v in range(b, t + 1)]
-            opts.append(((t + 1,), True))
-            options.append(opts)
-        else:
-            options.append([((b,), False)])
-    for combo in itertools.product(*options):
-        base = tuple(v[0] for v, _ in combo)
-        dirs = tuple(j for j, (_, f) in enumerate(combo, start=1) if f)
-        yield Ray(base, dirs)
+    for base in _cell_bases(ray, (range(1, t + 2),) * ray.k):
+        yield Ray(base, tuple(j for j, b in enumerate(base, start=1) if b > t))
 
 
 def _overlapping_pair(rays: Iterable[MarkedRay]) -> tuple[MarkedRay, MarkedRay] | None:
@@ -391,35 +404,26 @@ def partition_validate(p: RayPartition) -> PartitionDiagnostics:
     """Check disjointness and exact coverage of the region by the cells.
 
     Coverage is decided on the grid whose threshold dominates every ray in
-    sight, where cell containment reduces to a base-point test.
+    sight, where each ray is a set of ``(copy, cell base)`` keys.
     """
     pair = _overlapping_pair(p.cells)
     if pair is not None:
         return PartitionDiagnostics(False, f"cells overlap: {pair[0]} and {pair[1]}")
-    t = max(
-        p.region.threshold,
-        max((m.ray.threshold for m in p.cells), default=0),
-    )
-    region_rays = {c: [m.ray for m in p.region.rays if m.copy == c] for c in range(1, p.region.n + 1)}
-    cell_rays = {c: [m.ray for m in p.cells if m.copy == c] for c in range(1, p.region.n + 1)}
-    # every cell must sit inside the region
-    for copy, rays in cell_rays.items():
-        hosts = region_rays[copy]
-        for ray in rays:
-            for sub in _cells_within_ray(ray, t):
-                if not any(h.contains(sub.base) for h in hosts):
-                    return PartitionDiagnostics(
-                        False, f"cell {ray} on copy {copy} leaves the region near {sub.base}"
-                    )
-    # every grid cell of the region must be covered
-    for copy, hosts in region_rays.items():
-        covers = cell_rays[copy]
-        for host in hosts:
-            for sub in _cells_within_ray(host, t):
-                if not any(c.contains(sub.base) for c in covers):
-                    return PartitionDiagnostics(
-                        False, f"uncovered cell {sub} on copy {copy}"
-                    )
+    t = max((m.ray.threshold for m in (*p.region.rays, *p.cells)), default=0)
+    cuts = (range(1, t + 2),) * p.region.k
+    region = {(m.copy, base) for m in p.region.rays for base in _cell_bases(m.ray, cuts)}
+    covered = set()
+    for m in sorted(p.cells, key=lambda m: m.copy):
+        for base in _cell_bases(m.ray, cuts):
+            if (m.copy, base) not in region:
+                return PartitionDiagnostics(
+                    False, f"cell {m.ray} on copy {m.copy} leaves the region near {base}"
+                )
+            covered.add((m.copy, base))
+    for m in sorted(p.region.rays, key=lambda m: m.copy):
+        for sub in _cells_within_ray(m.ray, t):
+            if (m.copy, sub.base) not in covered:
+                return PartitionDiagnostics(False, f"uncovered cell {sub} on copy {m.copy}")
     return PartitionDiagnostics(True)
 
 
@@ -471,22 +475,19 @@ def _uncovered_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> Iterator[Mark
     """Cells of N^k x [n] that no ray contains, on the grid of the largest threshold.
 
     Cells come copy by copy, each copy's in the order of their base points.
-    At that threshold a cell meeting a ray lies inside it, so the cell's
-    base point decides containment.  No ``Region`` is built, so callers that
-    already know the rays to be pairwise disjoint skip its pairwise overlap
-    check.
+    The rays' own cells form one set of ``(copy, base)`` keys, and a grid
+    cell is uncovered when its key is missing.  No ``Region`` is built, so
+    callers that already know the rays to be pairwise disjoint skip its
+    pairwise overlap check.
     """
-    per_copy: dict[int, list[Ray]] = {c: [] for c in range(1, n + 1)}
-    t = 0
-    for m in rays:
-        per_copy[m.copy].append(m.ray)
-        t = max(t, m.ray.threshold)
-    cells = sorted(grid_cells(k, t), key=lambda cell: cell.base)
+    rays = tuple(rays)
+    t = max((m.ray.threshold for m in rays), default=0)
+    cuts = (range(1, t + 2),) * k
+    covered = {(m.copy, base) for m in rays for base in _cell_bases(m.ray, cuts)}
     for copy in range(1, n + 1):
-        hosts = per_copy[copy]
-        for cell in cells:
-            if not any(h.contains(cell.base) for h in hosts):
-                yield MarkedRay(cell, copy)
+        for base in itertools.product(cuts[0], repeat=k):
+            if (copy, base) not in covered:
+                yield MarkedRay(cell_of_point(base, t), copy)
 
 
 def region_complement(reg: Region) -> Region:

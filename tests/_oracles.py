@@ -598,3 +598,59 @@ def grid_cells_by_mask(k: int, t: int) -> tuple:
             cells.append(Ray(tuple(base), dirs))
     cells.sort(key=Ray.sort_key)
     return tuple(cells)
+
+
+# -- overlap and cover before the cell-set tests ------------------------------
+
+
+def uncovered_cells_by_containment(k: int, n: int, rays):
+    """``rays._uncovered_cells`` as a containment scan: each threshold-grid
+    cell is tested against every ray of its copy through its base point."""
+    from hforge.rays import MarkedRay, grid_cells
+
+    per_copy = {c: [] for c in range(1, n + 1)}
+    t = 0
+    for m in rays:
+        per_copy[m.copy].append(m.ray)
+        t = max(t, m.ray.threshold)
+    cells = sorted(grid_cells(k, t), key=lambda cell: cell.base)
+    for copy in range(1, n + 1):
+        hosts = per_copy[copy]
+        for cell in cells:
+            if not any(h.contains(cell.base) for h in hosts):
+                yield MarkedRay(cell, copy)
+
+
+def s_section_holds_by_pairs(s_vertices, rho) -> bool:
+    """The link biconditional of ``verify_s_section``, with every simplex
+    decided by ``images_disjoint_all_pairs`` on the vertices' image rays."""
+    from hforge.complexes import pi_projection
+    from hforge.houghton import equals
+
+    n = len(rho)
+
+    def image(v):
+        return tuple(v.image_ray(p) for p in v.pieces)
+
+    def is_simplex(maps):
+        return all(
+            images_disjoint_all_pairs(image(a), image(b))
+            for a, b in itertools.combinations(maps, 2)
+        )
+
+    distinct = []
+    for v in s_vertices:
+        if not any(equals(v, w) for w in distinct):
+            distinct.append(v)
+    for size in range(1, min(len(distinct), n - 1) + 1):
+        for sigma in itertools.combinations(distinct, size):
+            if not is_simplex(sigma):
+                continue
+            projected = {pi_projection(v) for v in sigma}
+            for tau_size in range(1, n):
+                for tau in itertools.combinations(range(1, n + 1), tau_size):
+                    lhs = not (set(tau) & projected) and len(set(tau) | projected) <= n - 1
+                    joint = list(sigma) + [rho[i - 1] for i in tau]
+                    if lhs != (len(joint) <= n - 1 and is_simplex(joint)):
+                        return False
+    return True

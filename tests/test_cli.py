@@ -328,8 +328,8 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
     module.write_text(json.dumps(_h1_module_json(5, "Z")))
     assert run("fimod", "gendeg", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 1}
     assert run("fimod", "validate", str(module)) == {"validate_fimodule": 1}
-    # one table for the module, one for its truncation at the cut
-    assert run("fimod", "report", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 2}
+    # one table: the truncation at the cut has the cut as its degree
+    assert run("fimod", "report", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 1}
     # the three S vertices, once each; not the section built from them
     section = ("complex", "section-check", "--k", "1", "--n", "3", "--trials", "1", "--set-size", "3")
     assert run(*section) == {"validate": 3}
@@ -361,6 +361,18 @@ def test_complex_wcm_fixture(capsys):
         capsys, "complex", "wcm", str(FIXTURES / "boundary_delta3.json"), "--target", "3"
     )
     assert json.loads(out)["wcm"] is False
+
+
+@pytest.mark.parametrize("verb, extra", [("homology", ()), ("wcm", ("--target", "1"))])
+def test_complex_reads_the_build_sn_report(capsys, tmp_path, verb, extra):
+    report = tmp_path / "sn131.json"
+    build = ("complex", "build-sn", "--k", "1", "--n", "3", "--bound", "1", "-o", str(report))
+    assert run_cli(capsys, *build)[0] == 0
+    bare = tmp_path / "complex.json"
+    bare.write_text(json.dumps(json.loads(report.read_text())["complex"]))
+    code, from_report, _ = run_cli(capsys, "complex", verb, str(report), *extra)
+    assert code == 0
+    assert (code, from_report) == run_cli(capsys, "complex", verb, str(bare), *extra)[:2]
 
 
 def test_complex_section_check(capsys):
@@ -489,6 +501,27 @@ def test_size_limit_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "size limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("complex", "probe", "--k", "1", "--n", "3", "--bound", "1", "--trials", "-3"),
+        ("complex", "section-check", "--k", "1", "--n", "3", "--trials", "1", "--set-size", "-2"),
+        ("complex", "section-check", "--k", "1", "--n", "3", "--trials", "-1"),
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv):
+    assert run_cli(capsys, *argv)[:2] == (1, "")
+
+
+def test_negative_size_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("HFORGE_SIZE_LIMIT", "-1")
+    code, out, err = run_cli(
+        capsys, "complex", "build-sn", "--k", "1", "--n", "2", "--bound", "1"
+    )
+    assert (code, out) == (2, "")
+    assert "HFORGE_SIZE_LIMIT must be an integer >= 0" in err
 
 
 def test_missing_file_exit_2(capsys):

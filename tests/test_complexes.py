@@ -52,7 +52,9 @@ from _oracles import (
     images_disjoint_all_pairs,
     maximal_simplices_quadratic,
     minor_gcd_diagonal,
+    s_section_holds_by_pairs,
     sn_simplices_brute_force,
+    uncovered_cells_by_containment,
     RP2_FACETS,
 )
 
@@ -593,3 +595,151 @@ def test_pair_test_matches_all_pairs_oracle():
         for i, j in itertools.combinations(range(len(vertices)), 2):
             expected = images_disjoint_all_pairs(images[i], images[j])
             assert simplex_test([vertices[i], vertices[j]]) == expected
+
+
+def _copy_vertex(g, copy):
+    """The vertex that ``g`` restricts to on one copy of its domain."""
+    pieces = tuple((MarkedRay(dom.ray, 1), tr) for dom, tr in g.pieces if dom.copy == copy)
+    return HoughtonMap(g.k, 1, g.n, pieces)
+
+
+def _shifted(v, d):
+    """``v`` followed by the translation by d in every coordinate."""
+    pieces = tuple(
+        (dom, Translation(tuple(x + d for x in tr.offset), tr.target_copy))
+        for dom, tr in v.pieces
+    )
+    return HoughtonMap(v.k, v.m, v.n, pieces)
+
+
+def _images(v):
+    return tuple(v.image_ray(p) for p in v.pieces)
+
+
+def _random_vertices(rng, k, n, count):
+    """Vertices from random elements of mixed thresholds, some of them shifted."""
+    out = []
+    for _ in range(count):
+        g = random_element(k, n, rng.randint(0, 3 if k < 3 else 2), seed=rng.randrange(10**6))
+        v = _copy_vertex(g, rng.randint(1, n))
+        out.append(_shifted(v, rng.randint(1, 3)) if rng.random() < 0.3 else v)
+    return out
+
+
+def test_image_cells_match_all_pairs_oracle():
+    rng = random.Random(29)
+    outcomes = set()
+    for k in (1, 2, 3):
+        for n in (2, 3):
+            vertices = _random_vertices(rng, k, n, 14)
+            _, cells = complexes_module._image_cells(vertices)
+            images = [_images(v) for v in vertices]
+            for i, j in itertools.combinations(range(len(vertices)), 2):
+                expected = images_disjoint_all_pairs(images[i], images[j])
+                assert cells[i].isdisjoint(cells[j]) == expected
+                outcomes.add((k, expected))
+    assert outcomes == {(k, b) for k in (1, 2, 3) for b in (False, True)}
+
+
+def _covers_by_containment(vertices):
+    k, n = vertices[0].k, vertices[0].n
+    rays = [r for v in vertices for r in _images(v)]
+    return next(uncovered_cells_by_containment(k, n, rays), None) is None
+
+
+def test_top_simplex_cover_matches_containment_oracle():
+    """n vertices: the cell count decides cover exactly when the containment scan does."""
+    rng = random.Random(31)
+    outcomes = set()
+    for trial in range(60):
+        k, n = 1 + trial % 3, rng.choice((1, 2, 3))
+        g = random_element(k, n, rng.randint(0, 2), seed=trial)
+        vertices = [_copy_vertex(g, c) for c in range(1, n + 1)]
+        if trial % 2:
+            i = rng.randrange(n)
+            vertices[i] = _shifted(vertices[i], 1)
+        disjoint = all(
+            images_disjoint_all_pairs(_images(a), _images(b))
+            for a, b in itertools.combinations(vertices, 2)
+        )
+        expected = disjoint and _covers_by_containment(vertices)
+        assert simplex_test(vertices) == expected
+        outcomes.add(expected)
+    assert outcomes == {False, True}
+
+
+def test_cover_counts_the_cell_just_past_a_pinned_base():
+    # the image {1} u [3, oo) of copy 1 misses the point 2 and nothing else
+    gap = vertex_map(
+        1,
+        2,
+        (
+            (MarkedRay(Ray((1,), ()), 1), Translation((0,), 1)),
+            (MarkedRay(Ray((2,), (1,)), 1), Translation((1,), 1)),
+        ),
+    )
+    assert simplex_test([gap, inclusion(1, 2, 2)]) is False
+    assert not _covers_by_containment([gap, inclusion(1, 2, 2)])
+    one_copy = vertex_map(1, 1, gap.pieces)
+    assert simplex_test([one_copy]) is False
+    assert build_sn_truncated(1, 1, 1, include_top=True).vertices == (
+        vertex_map(1, 1, ((MarkedRay(Ray((1,), (1,)), 1), Translation((0,), 1)),)),
+    )
+
+
+FAR = 10**5
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_far_offset_vertices_match_oracles(k):
+    """Vertices translated by 10^5 cost a few cuts, not a grid of that size."""
+    rng = random.Random(37 + k)
+    n = 3
+    near = _random_vertices(rng, k, n, 6)
+    far = [_shifted(v, FAR + rng.randint(0, 2)) for v in near]
+    outcomes = set()
+    for a, b in itertools.product(near + far, far):
+        if a is b:
+            continue
+        expected = images_disjoint_all_pairs(_images(a), _images(b))
+        assert simplex_test([a, b]) == expected
+        outcomes.add(expected)
+    assert outcomes == {False, True}
+    # n disjoint far images miss the point (1, ..., 1) of every copy
+    g = random_element(k, n, 1, seed=k)
+    top = [_shifted(_copy_vertex(g, c), FAR) for c in range(1, n + 1)]
+    assert not any(m.contains((1,) * k, 1) for v in top for m in _images(v))
+    assert simplex_test(top) is False
+
+    verdicts = set()
+    for trial in range(4):
+        S = rng.sample(near, 2) + rng.sample(far, 2)
+        near_section = [inclusion(k, n, p) for p in range(1, n + 1)]
+        for rho in (build_s_section(k, n, S), near_section):
+            ok, _ = verify_s_section(k, n, S, rho)
+            assert ok == s_section_holds_by_pairs(S, rho)
+            verdicts.add(ok)
+    assert verdicts == {False, True}
+
+
+def test_probe_rejects_negative_trials():
+    with pytest.raises(ValidationError, match="trials must be >= 0"):
+        connectivity_probe(1, 3, 1, 3, trials=-3, seed=0)
+
+
+def test_probe_intermediates_miss_both_endpoints(monkeypatch):
+    built = []
+    intermediate = complexes_module._intermediate
+
+    def recording(k, n, u, w):
+        z = intermediate(k, n, u, w)
+        built.append((u, w, z))
+        return z
+
+    monkeypatch.setattr(complexes_module, "_intermediate", recording)
+    for seed in range(50):
+        connectivity_probe(1, 3, 1, 3, trials=20, seed=seed)
+    assert len(built) > 300
+    for u, w, z in built:
+        assert images_disjoint_all_pairs(_images(z), _images(u))
+        assert images_disjoint_all_pairs(_images(z), _images(w))

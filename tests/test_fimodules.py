@@ -297,6 +297,42 @@ def test_essentially_fg_report():
     assert rep2["cut_level"] == 5 > rep["cut_level"]
 
 
+def _rank_one_module(N, ring, factor, relation=None):
+    """Rank one at every level, inclusions multiplying by ``factor``, one relation column."""
+    pres = None if relation is None else ((relation,),)
+    levels = [Level(1, None, (), presentation=pres)]
+    for n in range(1, N + 1):
+        levels.append(
+            Level(1, ((factor,),), tuple(((1,),) for _ in range(n - 1)), presentation=pres)
+        )
+    return TruncatedFIModule(N, ring, tuple(levels))
+
+
+def test_report_cut_is_the_generation_degree_of_the_truncation_at_the_cut():
+    modules = [
+        constant_module(5),
+        constant_module(4, ring="Q"),
+        permutation_module(5),
+        permutation_module(4, zero_level0=False),
+        permutation_module(4, ring="Q"),
+        *(houghton_h1_fimodule(N, ring=ring) for ring in ("Z", "Q") for N in (2, 3, 5, 6)),
+        *(_rank_one_module(4, "Q", factor) for factor in (0, 1, 3)),
+        *(
+            _rank_one_module(4, "Z", factor, relation)
+            for factor in (0, 1, 2, 3)
+            for relation in (None, 2, 3, 4)
+        ),
+    ]
+    cuts = set()
+    for v in modules:
+        rep = essentially_fg_report(v)
+        cut = rep["cut_level"]
+        assert rep["truncation_generation_degree"] == cut
+        assert generation_degree(truncate(v, cut)) == cut
+        cuts.add(cut)
+    assert cuts == {0, 1, 2, 4}
+
+
 def test_presentation_cokernel_surjectivity():
     # Z/2 at every level with identity maps: the differential hits the free
     # cover only up to the relation, which the presentation absorbs

@@ -1,5 +1,6 @@
 import itertools
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +9,10 @@ from hforge.errors import ValidationError
 from hforge.rays import (
     MarkedRay,
     _canonical_cells,
+    _cell_bases,
     _cells_within_ray,
+    _cuts_for,
+    _uncovered_cells,
     Ray,
     RayPartition,
     Region,
@@ -29,7 +33,13 @@ from hforge.rays import (
     region_to_json,
 )
 
-from _oracles import canonical_cells_group_by_parent, grid_cells_by_mask, ray_points_in_box
+from _oracles import (
+    canonical_cells_group_by_parent,
+    grid_cells_by_mask,
+    partition_validate_pairwise,
+    ray_points_in_box,
+    uncovered_cells_by_containment,
+)
 
 
 def R(base, *dirs):
@@ -458,3 +468,81 @@ def test_canonical_cells_match_group_by_parent_oracle():
         t, cells = canonical_cells_group_by_parent(reg)
         assert _canonical_cells(reg.rays) == (t, cells)
         assert canonicalize_region(reg) == Region(reg.k, reg.n, cells)
+
+
+def _random_ray(rng, k, hi):
+    base = tuple(rng.randint(1, hi) for _ in range(k))
+    return Ray(base, tuple(j for j in range(1, k + 1) if rng.random() < 0.5))
+
+
+def test_cell_bases_on_fitted_cuts_match_points():
+    """On the cuts fitted to some rays, a point lies in a ray exactly when its cell does."""
+    rng = random.Random(5)
+    for _ in range(100):
+        k = rng.choice((1, 2, 3))
+        rays = [_random_ray(rng, k, 5) for _ in range(rng.randint(1, 4))]
+        cuts = _cuts_for(k, rays)
+        cells = [set(_cell_bases(ray, cuts)) for ray in rays]
+        for point in itertools.product(range(1, 8), repeat=k):
+            cell = tuple(c[bisect_right(c, x) - 1] for c, x in zip(cuts, point))
+            for ray, held in zip(rays, cells):
+                assert ray.contains(point) == (cell in held), (ray, point, cuts)
+
+
+def test_cells_within_ray_is_the_threshold_grid_of_cell_bases():
+    rng = random.Random(6)
+    for _ in range(100):
+        k = rng.choice((1, 2, 3))
+        ray = _random_ray(rng, k, 4)
+        t = ray.threshold + rng.randint(0, 2)
+        expected = [cell for cell in grid_cells(k, t) if ray.contains(cell.base)]
+        assert sorted(_cells_within_ray(ray, t), key=Ray.sort_key) == expected
+
+
+def test_uncovered_cells_match_containment_oracle():
+    from hforge.houghton import image_region, random_injection
+
+    rng = random.Random(23)
+    cases = []
+    for _ in range(150):
+        k, n = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+        rays = [
+            MarkedRay(_random_ray(rng, k, 4), rng.randint(1, n))
+            for _ in range(rng.randint(0, 5))
+        ]
+        cases.append((k, n, rays))
+    for _ in range(60):
+        k, n = rng.choice((1, 2, 3)), rng.choice((1, 2))
+        cases.append((k, n, list(_refined_region(rng, k, n).rays)))
+    for seed in range(30):
+        k, n = 1 + seed % 3, 2 + seed % 2
+        f = random_injection(k, n - 1, n, seed % 3, seed)
+        cases.append((k, n, list(image_region(f).rays)))
+    found = 0
+    for k, n, rays in cases:
+        got = list(_uncovered_cells(k, n, iter(rays)))
+        assert got == list(uncovered_cells_by_containment(k, n, rays))
+        found += bool(got)
+    assert 0 < found < len(cases)
+
+
+def test_partition_validate_matches_containment_oracle():
+    """Same verdict and same first reason as the pairwise and containment scans."""
+    rng = random.Random(41)
+    reasons = set()
+    for trial in range(160):
+        k, n = rng.choice((1, 2, 3)), rng.choice((1, 2))
+        cells = list(_random_split_partition(rng, k, n, splits=rng.randint(0, 8)).cells)
+        region = Region.full(k, n)
+        if trial % 4 == 1:  # a gap
+            cells.pop(rng.randrange(len(cells)))
+        elif trial % 4 == 2:  # one cell leaves a smaller region
+            rng.shuffle(cells)
+            region = Region(k, n, tuple(cells[1:]))
+        elif trial % 4 == 3:  # most likely an overlap
+            cells.append(MarkedRay(_random_ray(rng, k, 3), rng.randint(1, n)))
+        part = RayPartition(region, tuple(cells))
+        diag = partition_validate(part)
+        assert (diag.ok, diag.reason) == partition_validate_pairwise(part)
+        reasons.add(diag.reason.split()[0] if diag.reason else None)
+    assert reasons == {None, "uncovered", "cell", "cells"}
