@@ -34,7 +34,7 @@ from .houghton import (
     validate,
 )
 from .rays import MarkedRay, Ray, _cell_bases, _cuts_for, grid_cells
-from .snf import snf_diagonal
+from .snf import _sparse_diagonal
 
 __all__ = [
     "SimplicialComplex",
@@ -214,21 +214,32 @@ class ChainComplexZ:
     boundaries: tuple[tuple[tuple[int, ...], ...], ...]
 
 
+def _boundary_rows(bases, d: int) -> list[dict[int, int]]:
+    """The rows of the degree-``d`` boundary, one per face in ``bases[d - 1]``,
+    as ``{simplex index: +-1}``; degree 0 has the one augmentation row."""
+    if d == 0:
+        return [dict.fromkeys(range(len(bases[0])), 1)]
+    index = {s: i for i, s in enumerate(bases[d - 1])}
+    rows = [{} for _ in bases[d - 1]]
+    for col, s in enumerate(bases[d]):
+        for omit in range(len(s)):
+            rows[index[s[:omit] + s[omit + 1 :]]][col] = -1 if omit % 2 else 1
+    return rows
+
+
 def boundary_matrices(k: SimplicialComplex) -> ChainComplexZ:
     if k.is_empty:
         return ChainComplexZ((), ())
     bases = tuple(tuple(k.simplices_of_dim(d)) for d in range(k.dim + 1))
     boundaries = []
-    # augmentation row
-    boundaries.append(((1,) * len(bases[0]),))
-    for d in range(1, k.dim + 1):
-        index = {s: i for i, s in enumerate(bases[d - 1])}
-        rows = [[0] * len(bases[d]) for _ in bases[d - 1]]
-        for col, s in enumerate(bases[d]):
-            for omit in range(len(s)):
-                face = s[:omit] + s[omit + 1 :]
-                rows[index[face]][col] = -1 if omit % 2 else 1
-        boundaries.append(tuple(tuple(r) for r in rows))
+    for d in range(k.dim + 1):
+        dense = []
+        for row in _boundary_rows(bases, d):
+            out = [0] * len(bases[d])
+            for col, x in row.items():
+                out[col] = x
+            dense.append(tuple(out))
+        boundaries.append(tuple(dense))
     return ChainComplexZ(bases, tuple(boundaries))
 
 
@@ -256,26 +267,28 @@ class HomologyResult:
 
 
 def reduced_homology(k: SimplicialComplex, max_degree: int | None = None) -> HomologyResult:
-    """Betti numbers and torsion from Smith normal forms of the boundaries."""
+    """Betti numbers and torsion from Smith diagonals of the boundaries.
+
+    Degrees through ``max_degree`` need the boundaries d_0 .. d_{max_degree+1}
+    only, and no higher one is assembled.
+    """
     if k.is_empty:
         return HomologyResult(True, ())
-    chain = boundary_matrices(k)
     top = k.dim if max_degree is None else min(max_degree, k.dim)
-    diags = {}
-    for d in range(0, top + 2):
-        if d <= k.dim:
-            diags[d] = snf_diagonal(chain.boundaries[d])
-        else:
-            diags[d] = []
-    entries = []
-    for d in range(0, top + 1):
-        ncols = len(chain.bases[d])
-        rank_d = sum(1 for x in diags[d] if x)
-        rank_up = sum(1 for x in diags[d + 1] if x)
-        betti = ncols - rank_d - rank_up
-        torsion = tuple(x for x in diags[d + 1] if x > 1)
-        entries.append((d, betti, torsion))
-    return HomologyResult(False, tuple(entries))
+    bases = [k.simplices_of_dim(d) for d in range(min(top + 1, k.dim) + 1)]
+    ranks, torsion = [], []
+    for d in range(len(bases)):
+        rows = dict(enumerate(_boundary_rows(bases, d)))
+        diag = _sparse_diagonal(rows, len(bases[d - 1]) if d else 1, len(bases[d]))
+        ranks.append(sum(1 for x in diag if x))
+        torsion.append(tuple(x for x in diag if x > 1))
+    # above the dimension the boundary is zero
+    ranks.append(0)
+    torsion.append(())
+    entries = tuple(
+        (d, len(bases[d]) - ranks[d] - ranks[d + 1], torsion[d + 1]) for d in range(top + 1)
+    )
+    return HomologyResult(False, entries)
 
 
 def is_q_acyclic(k: SimplicialComplex, q: int) -> bool:

@@ -3,19 +3,32 @@
 Every matrix computation in hforge goes through this module.  Matrices are
 tuples of row tuples of Python ints (or, for modules over Q, of ints and
 Fractions), so every computation is exact; the Smith normal form takes
-ints only.  The elimination pivots on a minimal-absolute-value entry and
-repairs divisibility violations by folding offending rows into the pivot
-row, which yields the divisor chain d_1 | d_2 | ... directly; a unit pivot
-divides everything and needs no repair.  U and V ride in the working
-matrix, so one code path serves the diagonal alone and the full form.  Rank
-over Q reuses the integer path: scaling each row by the common denominator
-of its entries leaves the row space over Q unchanged, and the rank is then
-the count of nonzero Smith diagonal entries.
+ints only.  A product skips the zero entries of its left factor, so the
+permutation-like matrices of FI-modules cost one row copy per entry.
+
+A Smith diagonal starts sparse.  The matrix is held as rows of non-zero
+entries, and +-1 pivots are eliminated in place while some row holds one:
+the shortest such row is taken, and in it the unit whose column has the
+fewest entries.  A row left without units waits until fill-in touches it
+again.
+The diagonal is unchanged by this phase: it is unique, and clearing a
+unit pivot's column by row operations and then its row by column
+operations turns A into diag(1, S), whose diagonal is 1 followed by that
+of S.  So the pivot order changes no value, and only the residue S that
+holds no unit reaches the dense elimination.
+
+The dense elimination pivots on a minimal-absolute-value entry and repairs
+divisibility violations by folding offending rows into the pivot row, which
+yields the divisor chain d_1 | d_2 | ... directly; a unit pivot divides
+everything and needs no repair.  U and V ride in the working matrix, so one
+code path serves the residue and the full form.  Rank over Q reuses the
+integer path: scaling each row by the common denominator of its entries
+leaves the row space over Q unchanged, and the rank is then the count of
+nonzero Smith diagonal entries.
 """
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,12 +72,15 @@ def mat_mul(a: Matrix, b: Matrix, cols: int) -> Matrix:
     """a @ b, where b has ``cols`` columns: a 0-row b cannot carry its width."""
     if a and len(a[0]) != len(b):
         raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{cols}")
-    if not b:
-        return zero_matrix(len(a), cols)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a
-    )
+    zero = (0,) * (len(b[0]) if b else cols)
+    out = []
+    for row in a:
+        acc = zero
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def determinant(a: Matrix) -> int:
@@ -167,13 +183,72 @@ def _snf_core(a: Matrix, want_transforms: bool):
     return diag, [row[ncols:] for row in w[:nrows]], w[nrows:]
 
 
+def _has_unit(row: dict[int, int]) -> bool:
+    values = row.values()
+    return 1 in values or -1 in values
+
+
+def _sparse_diagonal(rows: dict[int, dict[int, int]], nrows: int, ncols: int) -> list[int]:
+    """Smith diagonal of the ``nrows`` x ``ncols`` matrix with non-zero entries
+    ``rows[i][j]``; ``rows`` is consumed.
+
+    Unit pivots are eliminated here, and the rows left, restricted to the
+    columns that still hold entries, go to ``_snf_core``.
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    # rows that held a unit when filed, by length; a row is checked again when taken
+    waiting: dict[int, list[int]] = {}
+    for i, row in rows.items():
+        if _has_unit(row):
+            waiting.setdefault(len(row), []).append(i)
+    units = 0
+    while waiting:
+        size = min(waiting)
+        p = waiting[size].pop()
+        if not waiting[size]:
+            del waiting[size]
+        prow = rows.get(p)
+        if prow is None or len(prow) != size or not _has_unit(prow):
+            continue
+        c = min((j for j, x in prow.items() if x in (1, -1)), key=lambda j: (len(cols[j]), j))
+        pivot = prow[c]
+        for r in cols[c] - {p}:
+            row = rows[r]
+            factor = row[c] * pivot  # pivot is its own inverse
+            for j, x in prow.items():
+                y = row.get(j, 0) - factor * x
+                if y:
+                    if j not in row:
+                        cols[j].add(r)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(r)
+            if not row:
+                del rows[r]
+            elif _has_unit(row):
+                waiting.setdefault(len(row), []).append(r)
+        for j in prow:
+            cols[j].discard(p)
+        del rows[p]
+        units += 1
+    diag = [1] * units
+    left = sorted(i for i, row in rows.items() if row)
+    if left:
+        live = sorted(j for j, members in cols.items() if members)
+        residue = tuple(tuple(rows[i].get(j, 0) for j in live) for i in left)
+        diag += _snf_core(residue, want_transforms=False)[0]
+    return diag + [0] * (min(nrows, ncols) - len(diag))
+
+
 def snf_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
     """Just the Smith diagonal (with divisor chain), no transform tracking."""
     mat = as_matrix(a)
-    if not mat or not mat[0]:
-        return []
-    diag, _, _ = _snf_core(mat, want_transforms=False)
-    return diag
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(mat)}
+    return _sparse_diagonal(rows, len(mat), len(mat[0]) if mat else 0)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ through the code paths under test.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -179,6 +180,17 @@ def rank_over_q(rows, ncols: int) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def mat_mul_dense(a, b, cols: int):
+    """``snf.mat_mul`` as it first was: every row of ``a`` against every
+    column of ``b`` by transpose and zip, zero entries included."""
+    if a and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} @ {len(b)}x{cols}")
+    if not b:
+        return tuple((0,) * cols for _ in a)
+    bt = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a)
 
 
 # Minimal 6-vertex triangulation of the real projective plane: antipodal

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -375,6 +376,19 @@ def test_complex_reads_the_build_sn_report(capsys, tmp_path, verb, extra):
     assert (code, from_report) == run_cli(capsys, "complex", verb, str(bare), *extra)[:2]
 
 
+def test_complex_homology_of_the_141_truncation(capsys, tmp_path):
+    report = tmp_path / "sn141.json"
+    build = ("complex", "build-sn", "--k", "1", "--n", "4", "--bound", "1", "-o", str(report))
+    assert run_cli(capsys, *build)[0] == 0
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "complex", "homology", str(report))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out)["betti"] == [0, 0, 7463]
+    assert all(e["torsion"] == [] for e in json.loads(out)["reduced_homology"])
+    assert elapsed < 30, f"(1,4,1) homology took {elapsed:.1f} s"
+
+
 def test_complex_section_check(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -492,6 +506,24 @@ def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "element", "compose", "only-one.json")[0] == 1
     assert run_cli(capsys, "nonsense")[0] == 1
     assert run_cli(capsys, "complex", "homology")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("complex", "section-check", "--set-size", "-2"),
+            "--trials and --set-size must be >= 0",
+        ),
+        (("element", "compose", "one.json"), "compose needs exactly two element files"),
+    ],
+    ids=["section-check", "compose"],
+)
+def test_usage_errors_name_the_problem(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: hforge ")
+    assert err.endswith(f"\nhforge: error: {message}\n")
 
 
 def test_size_limit_exit_3(capsys, monkeypatch):

@@ -180,7 +180,26 @@ def test_random_boundaries_square_to_zero(triangles, extra):
     chain = assert_squares_to_zero(K)
     d1, d2 = boundary_matrices_from_facets(facets)
     assert chain.boundaries[1:] == (as_matrix(d1), as_matrix(d2))
+    assert [dense_boundary(chain.bases, d) for d in (1, 2)] == [d1, d2]
     assert_squares_to_zero(SimplicialComplex.build(tuple(range(7)), facets + extra))
+
+
+def dense_boundary(bases, d):
+    """The face rows of the degree-d boundary, written out with their zeros."""
+    rows = complexes_module._boundary_rows(bases, d)
+    return [[row.get(j, 0) for j in range(len(bases[d]))] for row in rows]
+
+
+def test_boundary_rows_match_hand_built_matrices():
+    facets = sorted(RP2_FACETS)
+    bases = [
+        [(v - 1,) for v in range(1, 7)],
+        sorted({(f[i] - 1, f[j] - 1) for f in facets for i, j in ((0, 1), (0, 2), (1, 2))}),
+        [tuple(v - 1 for v in f) for f in facets],
+    ]
+    d1, d2 = boundary_matrices_from_facets(facets)
+    assert dense_boundary(bases, 0) == [[1] * 6]
+    assert [dense_boundary(bases, d) for d in (1, 2)] == [d1, d2]
 
 
 def test_homology_point_and_spheres():
@@ -213,6 +232,34 @@ def test_homology_projective_plane_vs_hand_built_matrices():
     assert len(d1[0]) - rank1 - rank2 == 0  # betti_1
     assert [x for x in diag2 if x > 1] == [2]  # torsion Z/2
     assert snf_diagonal(d2) == diag2
+
+
+def test_max_degree_assembles_no_higher_boundary(monkeypatch):
+    assembled = []
+    rows = complexes_module._boundary_rows
+
+    def counting(bases, d):
+        assembled.append(d)
+        return rows(bases, d)
+
+    monkeypatch.setattr(complexes_module, "_boundary_rows", counting)
+    rp2 = SimplicialComplex.from_maximal(
+        tuple(range(6)), [tuple(v - 1 for v in f) for f in RP2_FACETS]
+    )
+    delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
+    cases = [delta3, rp2, boundary_simplex(5)] + [
+        build_sn_truncated(*params, include_top=top)
+        for params, top in (((1, 2, 1), True), ((1, 3, 1), False), ((1, 3, 1), True))
+    ]
+    for K in cases:
+        assembled.clear()
+        full = reduced_homology(K)
+        assert assembled == list(range(K.dim + 1))
+        for q in range(K.dim + 1):
+            assembled.clear()
+            assert reduced_homology(K, max_degree=q).entries == full.entries[: q + 1]
+            assert assembled == list(range(min(q + 1, K.dim) + 1)), (q, K.dim)
+    assert reduced_homology(rp2, max_degree=1).torsion(1) == (2,)
 
 
 def test_homology_cones_are_acyclic():

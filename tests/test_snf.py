@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hforge.snf as snf_module
 from hforge.snf import (
     SnfResult,
     as_matrix,
@@ -16,7 +18,10 @@ from hforge.snf import (
 )
 
 from _oracles import (
+    RP2_FACETS,
+    boundary_matrices_from_facets,
     det_cofactor,
+    mat_mul_dense,
     minor_gcd_diagonal,
     rank_over_q,
     snf_core_separate_transforms,
@@ -160,3 +165,89 @@ def test_snf_matches_separate_transform_oracle():
         assert res.verify(), m
     # the planted 2 and 3 need the repair after a unit pivot: 1, 1, 6
     assert smith_normal_form(cases[0]).diag == (1, 1, 6)
+
+
+def _sparse_cases(rng):
+    """Seeded inputs for the unit-pivot phase: sparse 0/+-1 matrices, planted
+    blocks with no unit, zero rows and columns, and 1 x n and n x 1 shapes."""
+    cases = [
+        [[2, 3], [1, 1]],  # fill-in from the unit row gives the other a unit
+        [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[0, 2, 0, 4]],
+        [[0], [3], [-6]],
+        [[1, -1, 0, 0, 1]],
+        [[-1], [0], [1]],
+        [[0, 0], [0, 0]],
+    ]
+    for _ in range(150):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append([[rng.choice((-1, 0, 0, 0, 1)) for _ in range(nc)] for _ in range(nr)])
+        cases.append(_unit_pivot_then_planted_block(rng))
+        m = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(nc)] for _ in range(nr)]
+        m[rng.randrange(nr)] = [0] * nc
+        for row in m:
+            row[rng.randrange(nc)] = 0
+        cases.append(m)
+    return cases
+
+
+def test_sparse_diagonal_matches_dense_and_minor_gcd():
+    d1, d2 = boundary_matrices_from_facets(RP2_FACETS)
+    for m in _sparse_cases(random.Random(31)) + [d1]:
+        want = minor_gcd_diagonal(m, len(m[0]))
+        assert snf_diagonal(m) == want, m
+        assert list(smith_normal_form(m).diag) == want, m
+    # RP^2: its Z/2 survives the unit phase
+    assert snf_diagonal(d2) == list(smith_normal_form(d2).diag) == [1] * 9 + [2]
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda nc: st.lists(
+            st.lists(st.sampled_from((-1, 0, 0, 0, 1, 2, -3, 4)), min_size=nc, max_size=nc),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_sparse_diagonal_hypothesis(m):
+    want = minor_gcd_diagonal(m, len(m[0]))
+    assert snf_diagonal(m) == list(smith_normal_form(m).diag) == want
+
+
+def test_unit_phase_hands_only_the_residue_to_the_core(monkeypatch):
+    seen = []
+    core = snf_module._snf_core
+
+    def recording(a, want_transforms):
+        seen.append(a)
+        return core(a, want_transforms)
+
+    monkeypatch.setattr(snf_module, "_snf_core", recording)
+    # row 0 has no unit until the pivot on row 1 turns it into (0, 1)
+    assert snf_diagonal([[2, 3], [1, 1]]) == [1, 1]
+    assert seen == []
+    # the planted 2 and 4 hold no unit, so they reach the core with the torsion
+    assert snf_diagonal([[1, 5, 0, 7], [0, 2, 0, 0], [0, 0, 0, 4]]) == [1, 2, 4]
+    assert seen == [((2, 0), (0, 4))]
+    # the transforms of the full form stay on the dense core
+    seen.clear()
+    smith_normal_form([[1, 0], [0, 1]])
+    assert len(seen) == 1
+
+
+def test_mat_mul_matches_dense_product():
+    rng = random.Random(5)
+    for _ in range(200):
+        n, m, p = rng.randint(1, 5), rng.randint(0, 5), rng.randint(1, 5)
+        entry = rng.choice(
+            (
+                lambda: rng.choice((0, 0, 0, 1, -1, 7)),
+                lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+            )
+        )
+        a = tuple(tuple(entry() for _ in range(m)) for _ in range(n))
+        b = tuple(tuple(entry() for _ in range(p)) for _ in range(m))
+        # a 0-row b leaves only the width argument to size the product
+        assert mat_mul(a, b, p) == mat_mul_dense(a, b, p), (a, b)
