@@ -346,6 +346,8 @@ def main(argv=None) -> int:
                 parser.error(f"{args.verb} needs exactly one complex file")
             if min(args.trials, args.set_size) < 0:
                 parser.error("--trials and --set-size must be >= 0")
+            if args.slack < 0:
+                parser.error("--slack must be >= 0")
             return _cmd_complex(args)
         if args.group == "fimod":
             if args.verb != "houghton-h1" and len(args.files) != 1:

@@ -38,10 +38,8 @@ from .snf import _sparse_diagonal
 
 __all__ = [
     "SimplicialComplex",
-    "ChainComplexZ",
     "HomologyResult",
     "DEFAULT_SIZE_LIMIT",
-    "boundary_matrices",
     "reduced_homology",
     "homological_connectivity",
     "is_q_acyclic",
@@ -166,52 +164,40 @@ class SimplicialComplex:
         return sorted(out, key=lambda s: (len(s), s))
 
 
-def link(k: SimplicialComplex, simplex) -> SimplicialComplex:
-    """Lk(s) = { t : t disjoint from s, t u s in K }, over the same labels."""
+def _cofaces(k: SimplicialComplex, simplex) -> tuple[set, list[tuple[int, ...]]]:
+    """The vertex set of ``simplex`` and the simplices of ``k`` containing it."""
     s = tuple(sorted(simplex))
     if s not in k:
         raise ValidationError(f"{simplex!r} is not a simplex of the complex")
     sset = set(s)
-    found = set()
-    for d, simplices in k.simplices.items():
-        if d < len(s):
-            continue
-        for rho in simplices:
-            if sset <= set(rho):
-                t = tuple(v for v in rho if v not in sset)
-                if t:
-                    found.add(t)
-    return SimplicialComplex.build(k.vertices, found, size_limit=None)
+    layers = (layer for d, layer in k.simplices.items() if d >= len(s) - 1)
+    return sset, [rho for layer in layers for rho in layer if sset.issubset(rho)]
+
+
+def link(k: SimplicialComplex, simplex) -> SimplicialComplex:
+    """Lk(s) = { t : t disjoint from s, t u s in K }, over the same labels;
+    face-closed as found, since a face of such a t again joins s in K."""
+    sset, cofaces = _cofaces(k, simplex)
+    by_dim: dict[int, set[tuple[int, ...]]] = {}
+    for rho in cofaces:
+        if len(rho) > len(sset):
+            t = tuple(v for v in rho if v not in sset)
+            by_dim.setdefault(len(t) - 1, set()).add(t)
+    return SimplicialComplex(k.vertices, {d: frozenset(by_dim[d]) for d in sorted(by_dim)})
 
 
 def star(k: SimplicialComplex, simplex) -> SimplicialComplex:
     """Closed star: all simplices joining with ``simplex``, plus faces."""
-    s = tuple(sorted(simplex))
-    if s not in k:
-        raise ValidationError(f"{simplex!r} is not a simplex of the complex")
-    sset = set(s)
-    found = {rho for simplices in k.simplices.values() for rho in simplices if sset <= set(rho)}
-    return SimplicialComplex.build(k.vertices, found, size_limit=None)
+    return SimplicialComplex.build(k.vertices, _cofaces(k, simplex)[1], size_limit=None)
 
 
 def skeleton(k: SimplicialComplex, d: int) -> SimplicialComplex:
-    kept = {s for dd, ss in k.simplices.items() if dd <= d for s in ss}
-    return SimplicialComplex.build(k.vertices, kept, size_limit=None)
+    """The simplices of dimension at most d, face-closed as they stand."""
+    kept = {dd: k.simplices[dd] for dd in sorted(k.simplices) if dd <= d}
+    return SimplicialComplex(k.vertices, kept)
 
 
 # -- homology ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ChainComplexZ:
-    """Reduced simplicial chain complex: bases by degree plus boundary matrices.
-
-    ``boundaries[d]`` maps degree-d chains down; degree 0 carries the
-    augmentation to Z, so homology computed from this complex is reduced.
-    """
-
-    bases: tuple[tuple[tuple[int, ...], ...], ...]
-    boundaries: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _boundary_rows(bases, d: int) -> list[dict[int, int]]:
@@ -225,22 +211,6 @@ def _boundary_rows(bases, d: int) -> list[dict[int, int]]:
         for omit in range(len(s)):
             rows[index[s[:omit] + s[omit + 1 :]]][col] = -1 if omit % 2 else 1
     return rows
-
-
-def boundary_matrices(k: SimplicialComplex) -> ChainComplexZ:
-    if k.is_empty:
-        return ChainComplexZ((), ())
-    bases = tuple(tuple(k.simplices_of_dim(d)) for d in range(k.dim + 1))
-    boundaries = []
-    for d in range(k.dim + 1):
-        dense = []
-        for row in _boundary_rows(bases, d):
-            out = [0] * len(bases[d])
-            for col, x in row.items():
-                out[col] = x
-            dense.append(tuple(out))
-        boundaries.append(tuple(dense))
-    return ChainComplexZ(bases, tuple(boundaries))
 
 
 @dataclass(frozen=True)
@@ -320,6 +290,9 @@ def wcm_check(k: SimplicialComplex, n: int) -> tuple[bool, str | None]:
 
     Requires (n-1)-acyclicity of the complex and (n-p-2)-acyclicity of every
     p-simplex link; thresholds at or below -2 are vacuous, -1 means nonempty.
+    The threshold falls as p grows, so the scan stops at the first vacuous
+    one; at -1 the link of s is empty exactly when s is maximal, so links
+    are built only at thresholds 0 and up.
     """
     def meets(complex_, target, what):
         if target <= -2:
@@ -334,8 +307,15 @@ def wcm_check(k: SimplicialComplex, n: int) -> tuple[bool, str | None]:
     if problem:
         return False, problem
     for d in sorted(k.simplices):
+        target = n - d - 2
+        if target <= -2:
+            break
+        maximal = set(k.maximal_simplices()) if target == -1 else ()
         for s in sorted(k.simplices[d]):
-            problem = meets(link(k, s), n - d - 2, f"link of {s}")
+            if target >= 0:
+                problem = meets(link(k, s), target, f"link of {s}")
+            elif s in maximal:
+                problem = f"link of {s} is empty but must be -1-connected"
             if problem:
                 return False, problem
     return True, None
@@ -698,6 +678,8 @@ def connectivity_probe(
     """
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
+    if slack < 0:
+        raise ValidationError(f"slack must be >= 0, got {slack}")
     report: dict = {"k": k, "n": n, "bound": bound, "slack": slack, "trials": trials}
     vertices = enumerate_bounded_vertices(k, n, bound, size_limit)
     report["bounded_vertices"] = len(vertices)
@@ -786,10 +768,16 @@ def complex_to_json(k: SimplicialComplex) -> dict:
 
 def complex_from_json(data: dict, size_limit: int | None = DEFAULT_SIZE_LIMIT) -> SimplicialComplex:
     try:
-        vertices = list(data["vertices"])
-        maximal = [tuple(s) for s in data["maximal_simplices"]]
+        vertices, maximal = data["vertices"], data["maximal_simplices"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed complex object: {exc}") from exc
+    # a string or an object would otherwise be read as its characters or keys
+    for field, value in (("vertices", vertices), ("maximal_simplices", maximal)):
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{field} must be a JSON array, got {type(value).__name__}")
+    if not all(isinstance(s, (list, tuple)) for s in maximal):
+        raise ValidationError("every entry of maximal_simplices must be a JSON array")
+    maximal = [tuple(s) for s in maximal]
     for s in maximal:
         if any(not isinstance(i, int) or isinstance(i, bool) for i in s):
             raise ValidationError(f"simplex entries must be integer vertex indices, got {list(s)!r}")

@@ -666,3 +666,74 @@ def s_section_holds_by_pairs(s_vertices, rho) -> bool:
                     if lhs != (len(joint) <= n - 1 and is_simplex(joint)):
                         return False
     return True
+
+
+def link_by_closure(k, simplex):
+    """Lk(s) found by one scan over every simplex and then face-closed again."""
+    from hforge.complexes import SimplicialComplex
+    from hforge.errors import ValidationError
+
+    s = tuple(sorted(simplex))
+    if s not in k:
+        raise ValidationError(f"{simplex!r} is not a simplex of the complex")
+    sset = set(s)
+    found = set()
+    for d, simplices in k.simplices.items():
+        if d < len(s):
+            continue
+        for rho in simplices:
+            if sset <= set(rho):
+                t = tuple(v for v in rho if v not in sset)
+                if t:
+                    found.add(t)
+    return SimplicialComplex.build(k.vertices, found, size_limit=None)
+
+
+def star_by_closure(k, simplex):
+    """The closed star from a scan over every simplex, face-closed."""
+    from hforge.complexes import SimplicialComplex
+    from hforge.errors import ValidationError
+
+    s = tuple(sorted(simplex))
+    if s not in k:
+        raise ValidationError(f"{simplex!r} is not a simplex of the complex")
+    sset = set(s)
+    found = {rho for simplices in k.simplices.values() for rho in simplices if sset <= set(rho)}
+    return SimplicialComplex.build(k.vertices, found, size_limit=None)
+
+
+def skeleton_by_closure(k, d):
+    """The d-skeleton, face-closed again."""
+    from hforge.complexes import SimplicialComplex
+
+    kept = {s for dd, ss in k.simplices.items() if dd <= d for s in ss}
+    return SimplicialComplex.build(k.vertices, kept, size_limit=None)
+
+
+def wcm_check_every_link(k, n, link=link_by_closure):
+    """``wcm_check`` that builds the link of every simplex, whatever its
+    threshold, and reads each threshold off the link it built.
+
+    ``link(k, s)`` may be a memoised ``link_by_closure``, so that checks of
+    one complex at several targets build each link once.
+    """
+    from hforge.complexes import is_q_acyclic
+
+    def meets(complex_, target, what):
+        if target <= -2:
+            return None
+        if complex_.is_empty:
+            return f"{what} is empty but must be {target}-connected"
+        if target >= 0 and not is_q_acyclic(complex_, target):
+            return f"{what} is not {target}-acyclic"
+        return None
+
+    problem = meets(k, n - 1, "complex")
+    if problem:
+        return False, problem
+    for d in sorted(k.simplices):
+        for s in sorted(k.simplices[d]):
+            problem = meets(link(k, s), n - d - 2, f"link of {s}")
+            if problem:
+                return False, problem
+    return True, None

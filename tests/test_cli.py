@@ -285,6 +285,26 @@ def test_complex_parser_takes_integer_indices_only(capsys, tmp_path, simplices):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"vertices": "abc", "maximal_simplices": [[0, 1, 2]]}, "vertices"),
+        ({"vertices": {"a": 0, "b": 1, "c": 2}, "maximal_simplices": [[0, 1, 2]]}, "vertices"),
+        ({"vertices": [0, 1, 2], "maximal_simplices": "012"}, "maximal_simplices"),
+        ({"vertices": [0, 1, 2], "maximal_simplices": [{"0": 1}]}, "maximal_simplices"),
+        ({"vertices": [0, 1], "maximal_simplices": [[0, 1], 1]}, "maximal_simplices"),
+    ],
+    ids=["vertices-string", "vertices-object", "simplices-string", "simplex-object", "simplex-int"],
+)
+def test_complex_parser_takes_arrays_only(capsys, tmp_path, data, field):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "complex", "homology", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("validation failure: ")
+    assert field in err and "must be a JSON array" in err
+
+
 def _counting(monkeypatch, counts, target, name):
     """Replace ``target.name`` by a wrapper that counts its calls under ``name``."""
     real = getattr(target, name)
@@ -387,6 +407,18 @@ def test_complex_homology_of_the_141_truncation(capsys, tmp_path):
     assert json.loads(out)["betti"] == [0, 0, 7463]
     assert all(e["torsion"] == [] for e in json.loads(out)["reduced_homology"])
     assert elapsed < 30, f"(1,4,1) homology took {elapsed:.1f} s"
+
+
+def test_complex_wcm_of_the_132_truncation(capsys, tmp_path):
+    report = tmp_path / "sn132.json"
+    build = ("complex", "build-sn", "--k", "1", "--n", "3", "--bound", "2", "-o", str(report))
+    assert run_cli(capsys, *build)[0] == 0
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "complex", "wcm", str(report), "--target", "1")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(out) == {"target": 1, "wcm": True, "violation": None}
+    assert elapsed < 30, f"(1,3,2) wcm took {elapsed:.1f} s"
 
 
 def test_complex_section_check(capsys):
@@ -516,8 +548,13 @@ def test_usage_errors_exit_1(capsys):
             "--trials and --set-size must be >= 0",
         ),
         (("element", "compose", "one.json"), "compose needs exactly two element files"),
+        (
+            ("complex", "probe", "--k", "1", "--n", "3", "--bound", "1", "--slack", "-9",
+             "--trials", "3"),
+            "--slack must be >= 0",
+        ),
     ],
-    ids=["section-check", "compose"],
+    ids=["section-check", "compose", "probe-slack"],
 )
 def test_usage_errors_name_the_problem(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

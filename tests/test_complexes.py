@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import hforge.complexes as complexes_module
 from hforge.complexes import (
     SimplicialComplex,
-    boundary_matrices,
     build_s_section,
     build_sn_truncated,
     complex_from_json,
@@ -44,17 +43,21 @@ from hforge.houghton import (
     validate,
 )
 from hforge.rays import MarkedRay, Ray
-from hforge.snf import as_matrix, mat_mul, snf_diagonal, zero_matrix
+from hforge.snf import mat_mul, snf_diagonal, zero_matrix
 
 from _oracles import (
     boundary_matrices_from_facets,
     bounded_vertex_census,
     images_disjoint_all_pairs,
+    link_by_closure,
     maximal_simplices_quadratic,
     minor_gcd_diagonal,
     s_section_holds_by_pairs,
+    skeleton_by_closure,
     sn_simplices_brute_force,
+    star_by_closure,
     uncovered_cells_by_containment,
+    wcm_check_every_link,
     RP2_FACETS,
 )
 
@@ -132,31 +135,29 @@ def test_link_star_skeleton_examples():
 
 def assert_squares_to_zero(K):
     """Shapes chain up, and d_i @ d_{i+1} == 0 for every consecutive pair."""
-    chain = boundary_matrices(K)
-    assert len(chain.boundaries) == len(chain.bases) == K.dim + 1
-    for d, (basis, mat) in enumerate(zip(chain.bases, chain.boundaries)):
+    bases = [K.simplices_of_dim(d) for d in range(K.dim + 1)]
+    boundaries = [dense_boundary(bases, d) for d in range(K.dim + 1)]
+    for d, (basis, mat) in enumerate(zip(bases, boundaries)):
         assert all(len(row) == len(basis) for row in mat)
-        assert len(mat) == (1 if d == 0 else len(chain.bases[d - 1]))
-    for lower, upper in zip(chain.boundaries, chain.boundaries[1:]):
+        assert len(mat) == (1 if d == 0 else len(bases[d - 1]))
+    for lower, upper in zip(boundaries, boundaries[1:]):
         cols = len(upper[0])
         assert mat_mul(lower, upper, cols) == zero_matrix(len(lower), cols)
-    return chain
+    return boundaries
 
 
 def test_boundary_matrices_shape_and_squares_to_zero():
-    chain = assert_squares_to_zero(boundary_simplex(4))
-    assert chain.boundaries[0] == ((1, 1, 1, 1),)
-    assert len(chain.boundaries[1]) == 4 and len(chain.boundaries[1][0]) == 6
-    assert len(chain.boundaries[2]) == 6 and len(chain.boundaries[2][0]) == 4
+    boundaries = assert_squares_to_zero(boundary_simplex(4))
+    assert boundaries[0] == [[1, 1, 1, 1]]
+    assert len(boundaries[1]) == 4 and len(boundaries[1][0]) == 6
+    assert len(boundaries[2]) == 6 and len(boundaries[2][0]) == 4
 
     # RP^2 against the hand-rolled boundary matrices of the oracle
     facets = sorted(RP2_FACETS)
     rp2 = SimplicialComplex.from_maximal(
         tuple(range(6)), [tuple(v - 1 for v in f) for f in facets]
     )
-    chain = assert_squares_to_zero(rp2)
-    d1, d2 = boundary_matrices_from_facets(facets)
-    assert chain.boundaries[1:] == (as_matrix(d1), as_matrix(d2))
+    assert assert_squares_to_zero(rp2)[1:] == list(boundary_matrices_from_facets(facets))
 
     delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
     assert_squares_to_zero(delta3)
@@ -177,10 +178,7 @@ def test_random_boundaries_square_to_zero(triangles, extra):
     """Pure 2-complexes also match the oracle; extra simplices reach dimension 4."""
     facets = sorted({tuple(sorted(t)) for t in triangles})
     K = SimplicialComplex.build(tuple(range(7)), facets)
-    chain = assert_squares_to_zero(K)
-    d1, d2 = boundary_matrices_from_facets(facets)
-    assert chain.boundaries[1:] == (as_matrix(d1), as_matrix(d2))
-    assert [dense_boundary(chain.bases, d) for d in (1, 2)] == [d1, d2]
+    assert assert_squares_to_zero(K)[1:] == list(boundary_matrices_from_facets(facets))
     assert_squares_to_zero(SimplicialComplex.build(tuple(range(7)), facets + extra))
 
 
@@ -311,6 +309,110 @@ def test_wcm_examples():
     for n in (4, 5, 6):
         ok, why = wcm_check(simplex_skeleton(n, n - 2), n - 2)
         assert ok, why
+
+
+def memoised_link():
+    """``link_by_closure`` built once per (complex, simplex); complexes hash
+    by identity, and the cache keeps each one alive."""
+    cache = {}
+
+    def get(k, s):
+        if (k, s) not in cache:
+            cache[k, s] = link_by_closure(k, s)
+        return cache[k, s]
+
+    return get
+
+
+def wcm_fixtures():
+    """Small complexes for the differential wcm and link tests."""
+    rp2 = SimplicialComplex.from_maximal(
+        tuple(range(6)), [tuple(v - 1 for v in f) for f in RP2_FACETS]
+    )
+    delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
+    bowtie = SimplicialComplex.from_maximal(tuple(range(5)), [(0, 1, 2), (0, 3, 4)])
+    return [
+        rp2,
+        delta3,
+        bowtie,
+        *(full_simplex(n) for n in (1, 2, 3, 4)),
+        *(boundary_simplex(n) for n in (2, 3, 4, 5)),
+        *(simplex_skeleton(n, d) for n in (4, 5, 6) for d in range(n - 1)),
+    ]
+
+
+def wcm_message_kind(ok, why):
+    """``ok``, or which of the complex or a link fails, and whether it is empty."""
+    if ok:
+        return "ok"
+    subject = "complex" if why.startswith("complex ") else "link"
+    return f"{subject} {'empty' if ' is empty but ' in why else 'not acyclic'}"
+
+
+def test_wcm_matches_every_link_oracle_on_fixtures():
+    link_of = memoised_link()
+    empty = SimplicialComplex.build((), [])
+    cases = [(empty, n) for n in (-1, 0)]
+    cases += [(K, n) for K in wcm_fixtures() for n in range(-3, 6)]
+    truncations = [
+        build_sn_truncated(1, 3, 1),
+        build_sn_truncated(1, 3, 1, include_top=True),
+        build_sn_truncated(1, 4, 1),
+    ]
+    cases += [(K, n) for K in truncations for n in range(-3, 5)]
+    kinds = set()
+    for K, n in cases:
+        got = wcm_check(K, n)
+        assert got == wcm_check_every_link(K, n, link_of), (K.simplices.keys(), n)
+        kinds.add(wcm_message_kind(*got))
+    assert kinds == {
+        "ok", "complex empty", "complex not acyclic", "link empty", "link not acyclic"
+    }
+    assert wcm_check(empty, 0) == (False, "complex is empty but must be -1-connected")
+    assert wcm_check(empty, -1) == (True, None)
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True), max_size=8),
+    st.integers(-3, 5),
+)
+@settings(max_examples=150, deadline=None)
+def test_wcm_matches_every_link_oracle_hypothesis(simplices, n):
+    K = SimplicialComplex.build(tuple(range(8)), simplices)
+    assert wcm_check(K, n) == wcm_check_every_link(K, n)
+
+
+def assert_same_complex(got, want):
+    assert got.vertices == want.vertices
+    assert list(got.simplices.items()) == list(want.simplices.items())
+
+
+def test_link_star_skeleton_match_closure_oracles():
+    for K in [*wcm_fixtures(), build_sn_truncated(1, 3, 1)]:
+        for s in K.all_simplices():
+            assert_same_complex(link(K, s), link_by_closure(K, s))
+            assert_same_complex(star(K, s), star_by_closure(K, s))
+        for d in range(-1, K.dim + 2):
+            assert_same_complex(skeleton(K, d), skeleton_by_closure(K, d))
+    with pytest.raises(ValidationError, match="is not a simplex of the complex"):
+        star(boundary_simplex(4), (0, 1, 2, 3))
+
+
+def test_wcm_builds_links_only_at_thresholds_zero_and_up(monkeypatch):
+    built = []
+    real_link = complexes_module.link
+
+    def counting(k, s):
+        built.append(s)
+        return real_link(k, s)
+
+    monkeypatch.setattr(complexes_module, "link", counting)
+    K = build_sn_truncated(1, 4, 1)
+    assert wcm_check(K, 2) == (True, None)
+    assert len(built) == len(K.simplices[0]) == 84
+    built.clear()
+    assert wcm_check(K, 1) == (True, None)
+    assert built == []
 
 
 def test_bounded_vertex_census():
@@ -772,6 +874,11 @@ def test_far_offset_vertices_match_oracles(k):
 def test_probe_rejects_negative_trials():
     with pytest.raises(ValidationError, match="trials must be >= 0"):
         connectivity_probe(1, 3, 1, 3, trials=-3, seed=0)
+
+
+def test_probe_rejects_negative_slack():
+    with pytest.raises(ValidationError, match="slack must be >= 0"):
+        connectivity_probe(1, 3, 1, -9, trials=3, seed=0)
 
 
 def test_probe_intermediates_miss_both_endpoints(monkeypatch):
