@@ -46,8 +46,7 @@ from .houghton import (
     decompose,
     map_from_json,
     map_to_json,
-    restrict,
-    random_element,
+    random_injection,
     sigma_projection,
     translation_vector,
     validate,
@@ -211,10 +210,7 @@ def _cmd_complex(args) -> int:
         all_ok = True
         for t in range(args.trials):
             members = [
-                restrict(
-                    random_element(args.k, args.n, args.bound, seed=args.seed + 7 * t + i + 1),
-                    1,
-                )
+                random_injection(args.k, 1, args.n, args.bound, seed=args.seed + 7 * t + i + 1)
                 for i in range(args.set_size)
             ]
             section = build_s_section(args.k, args.n, members)

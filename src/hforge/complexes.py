@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import SizeLimitError, ValidationError
@@ -261,12 +262,35 @@ def reduced_homology(k: SimplicialComplex, max_degree: int | None = None) -> Hom
     return HomologyResult(False, entries)
 
 
+def _component_roots(nodes, edges) -> dict:
+    """Union-find over ``edges``: the representative of each node's component."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return {v: find(v) for v in parent}
+
+
 def is_q_acyclic(k: SimplicialComplex, q: int) -> bool:
-    """Reduced homology vanishes in degrees <= q (vacuous above the dimension)."""
+    """Reduced homology vanishes in degrees <= q (vacuous above the dimension).
+
+    Through degree 0 alone this asks for a connected 1-skeleton, since
+    H~_0 is free of rank (components - 1); union-find answers that without
+    assembling a boundary.
+    """
     if k.is_empty:
         return False
     if q < 0:
         return True
+    if min(q, k.dim) == 0:
+        roots = _component_roots((s[0] for s in k.simplices[0]), k.simplices.get(1, ()))
+        return len(set(roots.values())) == 1
     hom = reduced_homology(k, max_degree=min(q, k.dim))
     return all(hom.is_trivial(d) for d in range(0, min(q, k.dim) + 1))
 
@@ -395,25 +419,34 @@ def _image_cells(vertices: list[HoughtonMap]) -> tuple[int, list[frozenset]]:
     ]
 
 
-def _disjoint_pairs(
-    vertices: list[HoughtonMap], cells: list[frozenset]
-) -> list[tuple[int, int]]:
-    """Index pairs i < j of vertices whose ``_image_cells`` sets are disjoint.
+def _disjoint_masks(cells: list[frozenset]) -> Iterator[int]:
+    """One neighbour bitmask per ``_image_cells`` set, in order.
 
-    Pairs with equal ``pi_projection`` are skipped untested: both images
-    contain a translated orthant of N^k in that copy, and any two orthants
-    meet (at the coordinatewise maximum of their bases).
+    Each grid cell gets an owner mask whose bit i is set when image i holds
+    the cell.  Bit j of image i's mask is set exactly when the two images
+    share no cell: it lies outside the OR of the owner masks of i's cells,
+    which holds bit i itself.  Masks are formed one image at a time, so a
+    caller can stop before the rest are built.
     """
-    buckets: dict[int, list[int]] = {}
-    for i, v in enumerate(vertices):
-        buckets.setdefault(pi_projection(v), []).append(i)
-    pairs = []
-    for p, q in itertools.combinations(sorted(buckets), 2):
-        for i in buckets[p]:
-            for j in buckets[q]:
-                if cells[i].isdisjoint(cells[j]):
-                    pairs.append((i, j) if i < j else (j, i))
-    return pairs
+    owners: dict = {}
+    for i, image in enumerate(cells):
+        bit = 1 << i
+        for cell in image:
+            owners[cell] = owners.get(cell, 0) | bit
+    everyone = (1 << len(cells)) - 1
+    for image in cells:
+        met = 0
+        for cell in image:
+            met |= owners[cell]
+        yield everyone ^ met
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def pi_projection(vertex: HoughtonMap) -> int:
@@ -445,7 +478,8 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
         if not diag.valid:
             raise ValidationError(f"invalid vertex: {diag.problems}")
     count, cells = _image_cells(vertices)
-    if any(not a.isdisjoint(b) for a, b in itertools.combinations(cells, 2)):
+    everyone = (1 << len(vertices)) - 1
+    if any((mask | 1 << i) != everyone for i, mask in enumerate(_disjoint_masks(cells))):
         return False
     return len(vertices) < n or sum(map(len, cells)) == count
 
@@ -465,14 +499,16 @@ def build_sn_truncated(
     need jointly surjective images.
 
     Image cells are computed only when some degree >= 1 is kept, or when a
-    one-copy top layer keeps only the surjective vertices.  Pairs are tested
-    on them, a top simplex by its cell total, and the disjointness graph
-    never tests two vertices with the same ``pi_projection``.  Each
-    vertex sends the full orthant N^k onto a translated orthant in copy
-    ``pi_projection(v)``, and two orthants based at b and b' both contain the
-    point max(b, b'), so such a pair always meets.  The simplices come out
-    layer by layer as cliques, already face-closed and counted against
-    ``size_limit``, so no second closure pass runs.
+    one-copy top layer keeps only the surjective vertices.  The disjointness
+    graph is one ``_disjoint_masks`` bitmask per vertex, cut to the
+    neighbours above it; for n >= 3 its vertices and edges are counted
+    against ``size_limit`` as each mask is formed, before any layer is
+    listed.  (For n = 2 the only edge layer is the top one, which keeps just
+    the covering pairs, so there the layer count guards it.)  A clique grows
+    by the set bits, ascending, of the AND of its vertices' masks, and a top
+    simplex is kept by its cell total.  The simplices come out layer by
+    layer, already face-closed and counted against ``size_limit``, so no
+    second closure pass runs.
     """
     candidates = enumerate_bounded_vertices(k, n, bound, size_limit)
     max_dim = n - 1 if include_top else n - 2
@@ -481,23 +517,35 @@ def build_sn_truncated(
     if include_top and n == 1:
         candidates = [v for v, c in zip(candidates, cells) if len(c) == cells_total]
     count = len(candidates)
+    limit = math.inf if size_limit is None else size_limit
     layers = [[(i,) for i in range(count)]]
     if max_dim >= 1:
         # later[v]: the neighbours of v above it, enough to grow sorted cliques
-        later: list[set[int]] = [set() for _ in range(count)]
-        for i, j in _disjoint_pairs(candidates, cells):
-            later[i].add(j)
+        later: list[int] = []
+        total = count
+        for v, mask in enumerate(_disjoint_masks(cells)):
+            later.append(mask >> (v + 1) << (v + 1))
+            if n >= 3:
+                total += later[v].bit_count()
+                if total > limit:
+                    raise SizeLimitError(
+                        f"disjointness graph exceeds the size limit {size_limit}: "
+                        f"{total} vertices and edges"
+                    )
         total = count
         for dim in range(1, max_dim + 1):
             next_layer = []
             for s in layers[-1]:
-                for w in set.intersection(*(later[v] for v in s)):
+                common = later[s[0]]
+                for v in s[1:]:
+                    common &= later[v]
+                for w in _bits(common):
                     t = s + (w,)
                     if dim == n - 1 and sum(len(cells[v]) for v in t) != cells_total:
                         continue
                     next_layer.append(t)
                     total += 1
-                    if size_limit is not None and total > size_limit:
+                    if total > limit:
                         raise SizeLimitError(
                             f"simplex layers exceed the size limit {size_limit}: "
                             f"{total} simplices at dimension {dim}"
@@ -539,21 +587,17 @@ def build_s_section(k: int, n: int, s_vertices: list[HoughtonMap]) -> list[Hough
         diag = validate(v)
         if not diag.valid:
             raise ValidationError(f"invalid vertex in S: {diag.problems}")
-    full = Ray((1,) * k, tuple(range(1, k + 1)))
-    out: list[HoughtonMap] = []
-    for p in range(1, n + 1):
-        avoid: list[Ray] = []
-        for v in s_vertices:
-            if pi_projection(v) == p:
-                continue
-            avoid.extend(m.ray for m in _image_rays(v) if m.copy == p)
-        offset = _avoidance_offset(k, avoid)
-        out.append(
-            HoughtonMap(
-                k, 1, n, ((MarkedRay(full, 1), Translation((offset,) * k, p)),)
-            )
-        )
-    return out
+    avoid: dict[int, list[Ray]] = {p: [] for p in range(1, n + 1)}
+    for v in s_vertices:
+        own = pi_projection(v)
+        for m in _image_rays(v):
+            if m.copy != own:
+                avoid[m.copy].append(m.ray)
+    full = MarkedRay(Ray((1,) * k, tuple(range(1, k + 1))), 1)
+    return [
+        HoughtonMap(k, 1, n, ((full, Translation((_avoidance_offset(k, avoid[p]),) * k, p)),))
+        for p in range(1, n + 1)
+    ]
 
 
 def verify_s_section(
@@ -583,49 +627,61 @@ def _verify_s_section(
     rho: list[HoughtonMap],
 ) -> tuple[bool, tuple | None]:
     """``verify_s_section`` on vertices already checked, such as S after
-    ``build_s_section`` and the section that it built; simplices are read
-    off ``_image_cells`` of all the maps at once."""
+    ``build_s_section`` and the section that it built.
+
+    Simplices are read off one ``_disjoint_masks`` bitmask per map, taken
+    over the section (bit p-1 for copy p) and the distinct vertices of S.
+    S is deduplicated within groups of equal ``_image_cells`` sets, since
+    equal maps have equal images.  The section spans a simplex (checked for
+    n >= 3; for smaller n a tau has one vertex), so sigma + rho(tau) spans
+    one exactly when it has at most n - 1 vertices and tau lies in the AND
+    of sigma's masks.  A vertex of sigma equal to a section vertex shares
+    its nonempty image, so that AND already rejects the repeat.
+    """
     if len(rho) != n:
         raise ValidationError(f"section must assign all {n} copies")
-    all_maps = [*rho, *s_vertices]
     for p, f in enumerate(rho, start=1):
         if pi_projection(f) != p:
             raise ValidationError(f"not a section: assigned vertex for copy {p} projects to {pi_projection(f)}")
-    image = {id(v): c for v, c in zip(all_maps, _image_cells(all_maps)[1])}
+    cells = _image_cells([*rho, *s_vertices])[1]
+    maps, kept = list(rho), cells[:n]
+    groups: dict[frozenset, list[HoughtonMap]] = {}
+    for v, c in zip(s_vertices, cells[n:]):
+        group = groups.setdefault(c, [])
+        if not any(equals(v, w) for w in group):
+            group.append(v)
+            maps.append(v)
+            kept.append(c)
+    masks = list(_disjoint_masks(kept))
 
-    def is_simplex(maps):
-        pairs = itertools.combinations(maps, 2)
-        return all(image[id(a)].isdisjoint(image[id(b)]) for a, b in pairs)
+    def is_simplex(members):
+        return all(masks[a] >> b & 1 for a, b in itertools.combinations(members, 2))
 
-    if n >= 3 and not is_simplex(rho):
+    if n >= 3 and not is_simplex(range(n)):
         raise ValidationError("not a section: assigned vertices do not span simplices")
-
-    distinct_s = []
-    for v in s_vertices:
-        if not any(equals(v, w) for w in distinct_s):
-            distinct_s.append(v)
 
     sigmas = [
         combo
-        for size in range(1, min(len(distinct_s), n - 1) + 1)
-        for combo in itertools.combinations(distinct_s, size)
+        for size in range(1, min(len(maps) - n, n - 1) + 1)
+        for combo in itertools.combinations(range(n, len(maps)), size)
         if is_simplex(combo)
     ]
     taus = [
-        set(t)
+        (t, sum(1 << (i - 1) for i in t))
         for size in range(1, n)
         for t in itertools.combinations(range(1, n + 1), size)
     ]
+    copy_bit = [1 << (pi_projection(v) - 1) for v in maps]
     for sigma in sigmas:
-        pi_sigma = {pi_projection(v) for v in sigma}
-        for tau in taus:
-            lhs = not (tau & pi_sigma) and len(tau | pi_sigma) <= n - 1
-            # a vertex of sigma equal to a section vertex has the same
-            # nonempty image, so is_simplex already rejects the repeat
-            joint = list(sigma) + [rho[i - 1] for i in sorted(tau)]
-            rhs = len(joint) <= n - 1 and is_simplex(joint)
+        pi_sigma, common = 0, -1
+        for j in sigma:
+            pi_sigma |= copy_bit[j]
+            common &= masks[j]
+        for tau, tau_bits in taus:
+            lhs = not (tau_bits & pi_sigma) and (tau_bits | pi_sigma).bit_count() <= n - 1
+            rhs = len(sigma) + len(tau) <= n - 1 and tau_bits & common == tau_bits
             if lhs != rhs:
-                return False, (tuple(map_to_json(v) for v in sigma), tuple(sorted(tau)))
+                return False, (tuple(map_to_json(maps[j]) for j in sigma), tau)
     return True, None
 
 
@@ -673,8 +729,10 @@ def connectivity_probe(
     Pairs of B-bounded vertices are joined either directly or through a far
     translate into a copy that neither endpoint's full ray occupies.  That
     intermediate misses both endpoints by construction, so it is not tested
-    against them; it must stay (B+slack)-bounded.  A homology cross-check
-    recomputes connectedness of the touched component from boundary matrices.
+    against them; it must stay (B+slack)-bounded.  As a cross-check, the
+    vertices and intermediates are joined by the edges of their
+    ``_disjoint_masks`` graph, and the reduced H_0 of the component of the
+    first vertex is computed by exact elimination.
     """
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
@@ -691,18 +749,20 @@ def connectivity_probe(
         return report
     report["claim"] = "sampled pairs connect within the enlarged truncation"
     rng = random.Random(seed)
-    image = {id(v): c for v, c in zip(vertices, _image_cells(vertices)[1])}
+    neighbours = list(_disjoint_masks(_image_cells(vertices)[1]))
+    indices = range(len(vertices))  # the same draws as choosing from the list
     intermediates: list[HoughtonMap] = []
     connected = 0
     lengths = []
     failures = []
     for _ in range(trials):
-        u, w = rng.choice(vertices), rng.choice(vertices)
+        i, j = rng.choice(indices), rng.choice(indices)
+        u, w = vertices[i], vertices[j]
         if equals(u, w):
             connected += 1
             lengths.append(0)
             continue
-        if image[id(u)].isdisjoint(image[id(w)]):
+        if neighbours[i] >> j & 1:
             connected += 1
             lengths.append(1)
             continue
@@ -724,18 +784,13 @@ def connectivity_probe(
     for z in intermediates:
         if not any(equals(z, v) for v in pool):
             pool.append(z)
-    edges = _disjoint_pairs(pool, _image_cells(pool)[1])
-    parent = list(range(len(pool)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        parent[find(i)] = find(j)
-    component = {i for i in range(len(pool)) if find(i) == find(0)}
+    edges = [
+        (i, j)
+        for i, mask in enumerate(_disjoint_masks(_image_cells(pool)[1]))
+        for j in _bits(mask >> (i + 1) << (i + 1))
+    ]
+    roots = _component_roots(range(len(pool)), edges)
+    component = {i for i in range(len(pool)) if roots[i] == roots[0]}
     idx = sorted(component)
     remap = {v: i for i, v in enumerate(idx)}
     comp_simplices = {(remap[i],) for i in idx} | {

@@ -560,30 +560,40 @@ def random_element(k: int, n: int, bound: int, seed: int) -> HoughtonMap:
     direction class across copies; translations between same-shaped cells
     stay within the bound by construction.
     """
+    return _random_map(k, n, n, bound, seed)
+
+
+def random_injection(k: int, m: int, n: int, bound: int, seed: int) -> HoughtonMap:
+    """Deterministic random ray injection N^k x [m] -> N^k x [n]: the
+    restriction of ``random_element(k, n, bound, seed)`` to m copies."""
+    if not 1 <= m <= n:
+        raise ValidationError("need 1 <= m <= n")
+    return _random_map(k, m, n, bound, seed)
+
+
+def _random_map(k: int, m: int, n: int, bound: int, seed: int) -> HoughtonMap:
+    """The first m domain copies of ``random_element(k, n, bound, seed)``.
+
+    The random draws are those of the whole element, so every m gives the
+    same pieces on the copies it keeps; pieces are built only for those.
+    """
     if bound < 0:
         raise ValidationError("bound must be >= 0")
     rng = random.Random(seed)
     t = rng.randint(0, bound)
-    by_dirs: dict[tuple[int, ...], list[MarkedRay]] = {}
-    for copy in range(1, n + 1):
-        for cell in grid_cells(k, t):
-            by_dirs.setdefault(cell.dirs, []).append(MarkedRay(cell, copy))
+    by_dirs: dict[tuple[int, ...], list[Ray]] = {}
+    for cell in grid_cells(k, t):
+        by_dirs.setdefault(cell.dirs, []).append(cell)
     pieces = []
     for dirs in sorted(by_dirs):
         cells = by_dirs[dirs]
-        targets = cells[:]
+        slots = [(copy, cell) for copy in range(1, n + 1) for cell in cells]
+        targets = slots[:]
         rng.shuffle(targets)
-        for src, dst in zip(cells, targets):
-            offset = tuple(b - a for a, b in zip(src.ray.base, dst.ray.base))
-            pieces.append((src, Translation(offset, dst.copy)))
-    return HoughtonMap(k, n, n, tuple(pieces))
-
-
-def random_injection(k: int, m: int, n: int, bound: int, seed: int) -> HoughtonMap:
-    """Deterministic random ray injection N^k x [m] -> N^k x [n], via restriction."""
-    if not 1 <= m <= n:
-        raise ValidationError("need 1 <= m <= n")
-    return restrict(random_element(k, n, bound, seed), m)
+        for (copy, src), (dst_copy, dst) in zip(slots[: m * len(cells)], targets):
+            offset = tuple(b - a for a, b in zip(src.base, dst.base))
+            pieces.append((MarkedRay(src, copy), Translation(offset, dst_copy)))
+    return HoughtonMap(k, m, n, tuple(pieces))
 
 
 # -- JSON --------------------------------------------------------------------

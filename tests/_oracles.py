@@ -737,3 +737,103 @@ def wcm_check_every_link(k, n, link=link_by_closure):
             if problem:
                 return False, problem
     return True, None
+
+
+# -- disjointness, sections and random draws as they were before bitmasks ----
+
+
+def disjoint_pairs_by_buckets(vertices, cells) -> list:
+    """Index pairs i < j of vertices whose ``_image_cells`` sets are disjoint.
+
+    Pairs with equal ``pi_projection`` are skipped untested: both images
+    contain a translated orthant of N^k in that copy, and any two orthants
+    meet (at the coordinatewise maximum of their bases).
+    """
+    from hforge.complexes import pi_projection
+
+    buckets: dict = {}
+    for i, v in enumerate(vertices):
+        buckets.setdefault(pi_projection(v), []).append(i)
+    pairs = []
+    for p, q in itertools.combinations(sorted(buckets), 2):
+        for i in buckets[p]:
+            for j in buckets[q]:
+                if cells[i].isdisjoint(cells[j]):
+                    pairs.append((i, j) if i < j else (j, i))
+    return pairs
+
+
+def verify_s_section_by_pairs(k, n, s_vertices, rho):
+    """``_verify_s_section`` testing every pair of image-cell sets again for
+    each sigma + rho(tau), with S deduplicated by ``equals`` alone."""
+    from hforge.complexes import _image_cells, pi_projection
+    from hforge.errors import ValidationError
+    from hforge.houghton import equals, map_to_json
+
+    if len(rho) != n:
+        raise ValidationError(f"section must assign all {n} copies")
+    all_maps = [*rho, *s_vertices]
+    for p, f in enumerate(rho, start=1):
+        if pi_projection(f) != p:
+            raise ValidationError(
+                f"not a section: assigned vertex for copy {p} projects to {pi_projection(f)}"
+            )
+    image = {id(v): c for v, c in zip(all_maps, _image_cells(all_maps)[1])}
+
+    def is_simplex(maps):
+        pairs = itertools.combinations(maps, 2)
+        return all(image[id(a)].isdisjoint(image[id(b)]) for a, b in pairs)
+
+    if n >= 3 and not is_simplex(rho):
+        raise ValidationError("not a section: assigned vertices do not span simplices")
+
+    distinct_s = []
+    for v in s_vertices:
+        if not any(equals(v, w) for w in distinct_s):
+            distinct_s.append(v)
+
+    sigmas = [
+        combo
+        for size in range(1, min(len(distinct_s), n - 1) + 1)
+        for combo in itertools.combinations(distinct_s, size)
+        if is_simplex(combo)
+    ]
+    taus = [
+        set(t)
+        for size in range(1, n)
+        for t in itertools.combinations(range(1, n + 1), size)
+    ]
+    for sigma in sigmas:
+        pi_sigma = {pi_projection(v) for v in sigma}
+        for tau in taus:
+            lhs = not (tau & pi_sigma) and len(tau | pi_sigma) <= n - 1
+            joint = list(sigma) + [rho[i - 1] for i in sorted(tau)]
+            rhs = len(joint) <= n - 1 and is_simplex(joint)
+            if lhs != rhs:
+                return False, (tuple(map_to_json(v) for v in sigma), tuple(sorted(tau)))
+    return True, None
+
+
+def random_injection_by_restriction(k, m, n, bound, seed):
+    """The whole random element on n copies, drawn as it was before draws
+    were shared with injections, then restricted to the first m copies."""
+    import random
+
+    from hforge.houghton import HoughtonMap, Translation, restrict
+    from hforge.rays import MarkedRay, grid_cells
+
+    rng = random.Random(seed)
+    t = rng.randint(0, bound)
+    by_dirs: dict = {}
+    for copy in range(1, n + 1):
+        for cell in grid_cells(k, t):
+            by_dirs.setdefault(cell.dirs, []).append(MarkedRay(cell, copy))
+    pieces = []
+    for dirs in sorted(by_dirs):
+        cells = by_dirs[dirs]
+        targets = cells[:]
+        rng.shuffle(targets)
+        for src, dst in zip(cells, targets):
+            offset = tuple(b - a for a, b in zip(src.ray.base, dst.ray.base))
+            pieces.append((src, Translation(offset, dst.copy)))
+    return restrict(HoughtonMap(k, n, n, tuple(pieces)), m)

@@ -112,6 +112,32 @@ def test_build_sn_stdout_digests(capsys, params, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of `complex section-check` stdout, pinned from the build that drew
+# each member as a restricted random element and tested every pair of
+# image-cell sets for each simplex.
+SECTION_CHECK_DIGESTS = [
+    (("--k", "1", "--n", "2", "--set-size", "0", "--trials", "5", "--seed", "1"),
+     "98a63cd7380510856d93ee6f4dcc41a67bfdcb225c9a4a355ae61ab0c3b7c298"),
+    (("--k", "1", "--n", "3", "--set-size", "3", "--trials", "10", "--seed", "2"),
+     "befc4bbec6eae694ba0a9926b70673a078797a1f55e3754523b239176e08d63b"),
+    (("--k", "2", "--n", "4", "--set-size", "6", "--trials", "5", "--seed", "3"),
+     "6697b02a6ebdff2f6ed4dce24826458c13f2468d68d037a41c87978b7dc414cf"),
+    (("--k", "2", "--n", "3", "--set-size", "3", "--trials", "8", "--seed", "4", "--bound", "1"),
+     "851ae668070c1d8bd74c9bade6934077893d63f38b084b509817ca5ee2f96067"),
+    (("--k", "1", "--n", "4", "--set-size", "6", "--trials", "6", "--seed", "5"),
+     "5c8cabd5a0dced54aeee287bb050d2f09635ab913698ce6a1a8ef60a7eab4982"),
+]
+
+
+@pytest.mark.parametrize(
+    "params, digest", SECTION_CHECK_DIGESTS, ids=["1-2-0", "1-3-3", "2-4-6", "2-3-3", "1-4-6"]
+)
+def test_section_check_stdout_digests(capsys, params, digest):
+    code, out, _ = run_cli(capsys, "complex", "section-check", *params)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def _rp2_json():
     return {
         "vertices": list(range(6)),

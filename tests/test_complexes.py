@@ -40,6 +40,7 @@ from hforge.houghton import (
     equals,
     map_to_json,
     random_element,
+    random_injection,
     validate,
 )
 from hforge.rays import MarkedRay, Ray
@@ -48,6 +49,7 @@ from hforge.snf import mat_mul, snf_diagonal, zero_matrix
 from _oracles import (
     boundary_matrices_from_facets,
     bounded_vertex_census,
+    disjoint_pairs_by_buckets,
     images_disjoint_all_pairs,
     link_by_closure,
     maximal_simplices_quadratic,
@@ -57,6 +59,7 @@ from _oracles import (
     sn_simplices_brute_force,
     star_by_closure,
     uncovered_cells_by_containment,
+    verify_s_section_by_pairs,
     wcm_check_every_link,
     RP2_FACETS,
 )
@@ -597,7 +600,8 @@ def test_verify_s_section_rejects_bad_sections():
         verify_s_section(1, 2, [], [inclusion(1, 2, 2), inclusion(1, 2, 2)])
 
 
-def test_s_section_property_seeded():
+def seeded_s_sets():
+    """The 100 seeded (k, n, S) of ``test_s_section_property_seeded``."""
     rng = random.Random(77)
     for trial in range(100):
         k = rng.choice((1, 2))
@@ -607,6 +611,11 @@ def test_s_section_property_seeded():
         for i in range(size):
             g = random_element(k, n, rng.randint(0, 2), seed=trial * 31 + i)
             S.append(canonical_form(restrict_vertex(g)))
+        yield k, n, S
+
+
+def test_s_section_property_seeded():
+    for k, n, S in seeded_s_sets():
         fs = build_s_section(k, n, S)
         for subset_size in range(1, n):
             for combo in itertools.combinations(fs, subset_size):
@@ -619,6 +628,72 @@ def restrict_vertex(g):
     from hforge.houghton import restrict
 
     return restrict(g, 1)
+
+
+def test_section_masks_match_pairwise_oracle_on_seeded_sets():
+    for k, n, S in seeded_s_sets():
+        fs = build_s_section(k, n, S)
+        assert complexes_module._verify_s_section(k, n, S, fs) == verify_s_section_by_pairs(
+            k, n, S, fs
+        )
+
+
+def test_section_masks_match_pairwise_oracle_on_shallow_first_slots():
+    """A first slot swapped for the inclusion into copy 1 meets S's debris
+    there, so the witness path runs; both checks must name the same pair."""
+    rng = random.Random(91)
+    outcomes = set()
+    for k, n in itertools.product((1, 2), range(1, 5)):
+        for trial in range(6):
+            S = [
+                random_injection(k, 1, n, rng.randint(0, 2), seed=500 * k + 50 * n + 7 * trial + i)
+                for i in range(rng.randint(1, 5))
+            ]
+            S.append(S[0])  # a repeat, which both must drop
+            rho = build_s_section(k, n, S)
+            rho[0] = inclusion(k, n, 1)
+            got = complexes_module._verify_s_section(k, n, S, rho)
+            assert got == verify_s_section_by_pairs(k, n, S, rho)
+            outcomes.add(got[0])
+    assert outcomes == {False, True}
+
+
+BOUNDED_TRUNCATIONS = [
+    (1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 2, 2), (1, 3, 2), (2, 1, 1), (2, 2, 1)
+]
+
+
+def mask_pairs(cells):
+    """The index pairs i < j that ``_disjoint_masks`` marks as disjoint."""
+    masks = complexes_module._disjoint_masks(cells)
+    return [(i, j) for i, mask in enumerate(masks) for j in complexes_module._bits(mask) if i < j]
+
+
+@pytest.mark.parametrize(
+    "params", BOUNDED_TRUNCATIONS, ids=["".join(map(str, p)) for p in BOUNDED_TRUNCATIONS]
+)
+def test_disjoint_masks_match_bucket_oracle(params):
+    vertices = enumerate_bounded_vertices(*params)
+    cells = complexes_module._image_cells(vertices)[1]
+    assert mask_pairs(cells) == sorted(disjoint_pairs_by_buckets(vertices, cells))
+
+
+def test_disjoint_masks_match_bucket_oracle_on_probe_pools(monkeypatch):
+    lists = []
+    image_cells = complexes_module._image_cells
+
+    def recording(maps):
+        lists.append(list(maps))
+        return image_cells(maps)
+
+    monkeypatch.setattr(complexes_module, "_image_cells", recording)
+    for seed in (3, 4, 5):
+        lists.clear()
+        connectivity_probe(1, 3, 1, 3, trials=30, seed=seed)
+        vertices, pool = lists[0], lists[-1]
+        assert len(pool) > len(vertices)  # intermediates joined the pool
+        cells = image_cells(pool)[1]
+        assert mask_pairs(cells) == sorted(disjoint_pairs_by_buckets(pool, cells))
 
 
 def test_connectivity_probe_n3():
@@ -659,11 +734,46 @@ def test_complex_json_round_trip():
 def test_size_guard_messages_name_stage_and_count():
     with pytest.raises(SizeLimitError, match=r"size limit 3: 5 simplices listed"):
         SimplicialComplex.build(tuple(range(5)), [(i,) for i in range(5)], size_limit=3)
-    # 45 vertices fit; the first edge over 50 trips the layer guard.
+    # 45 vertices fit, but 45 + 360 edges do not: the graph guard trips on
+    # the first vertex whose neighbours above it pass 50, before any layer.
     with pytest.raises(
-        SizeLimitError, match=r"simplex layers exceed the size limit 50: 51 simplices"
+        SizeLimitError,
+        match=r"disjointness graph exceeds the size limit 50: 63 vertices and edges",
     ):
         build_sn_truncated(1, 3, 1, size_limit=50)
+    # 84 + 1,692 fit; the first triangle over 2,000 trips the layer guard.
+    with pytest.raises(
+        SizeLimitError,
+        match=r"simplex layers exceed the size limit 2000: 2001 simplices at dimension 2",
+    ):
+        build_sn_truncated(1, 4, 1, size_limit=2000)
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True), max_size=10
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_q_acyclic_matches_reduced_homology(raw):
+    """Degree 0 is decided by union-find, higher degrees by elimination;
+    single-vertex lists put isolated vertices in many of the complexes."""
+    K = SimplicialComplex.build(tuple(range(8)), raw)
+    if K.is_empty:
+        assert not any(is_q_acyclic(K, q) for q in range(-1, 3))
+        return
+    hom = reduced_homology(K, max_degree=0)
+    assert is_q_acyclic(K, 0) == hom.is_trivial(0)
+    full = reduced_homology(K)
+    for q in range(1, 4):
+        assert is_q_acyclic(K, q) == all(full.is_trivial(d) for d in range(min(q, K.dim) + 1))
+
+
+def test_q_acyclic_degree_zero_examples():
+    assert is_q_acyclic(SimplicialComplex.build((0, 1), [(0,)]), 0)
+    assert not is_q_acyclic(SimplicialComplex.build((0, 1), [(0,), (1,)]), 0)
+    assert not is_q_acyclic(SimplicialComplex.build(tuple(range(3)), [(0, 1), (2,)]), 3)
+    assert is_q_acyclic(SimplicialComplex.build(tuple(range(3)), [(0, 1), (1, 2)]), 0)
 
 
 @given(
@@ -895,5 +1005,7 @@ def test_probe_intermediates_miss_both_endpoints(monkeypatch):
         connectivity_probe(1, 3, 1, 3, trials=20, seed=seed)
     assert len(built) > 300
     for u, w, z in built:
+        # only a pair whose images meet needs one
+        assert not images_disjoint_all_pairs(_images(u), _images(w))
         assert images_disjoint_all_pairs(_images(z), _images(u))
         assert images_disjoint_all_pairs(_images(z), _images(w))

@@ -45,6 +45,7 @@ from _oracles import (
     canonical_table_children_scan,
     compose_global_grid,
     inverse_via_validate,
+    random_injection_by_restriction,
     raw_pieces,
     validate_reference,
 )
@@ -669,3 +670,14 @@ def test_inverse_matches_validate_oracle():
                 assert apply_map(got, p, c) == apply_map(want, p, c), (f, p, c)
         seen.add("repeated piece")
     assert seen == {"bijective", "not a bijection", "repeated piece"}
+
+
+def test_random_injection_draws_match_restricted_element():
+    """Injections build only their kept copies but draw as the whole element."""
+    for k, n, bound in itertools.product((1, 2, 3), range(1, 5), range(3)):
+        for m, seed in itertools.product(range(1, n + 1), range(200)):
+            got = random_injection(k, m, n, bound, seed)
+            want = random_injection_by_restriction(k, m, n, bound, seed)
+            assert (got.k, got.m, got.n, got.pieces) == (want.k, want.m, want.n, want.pieces)
+        got = random_element(k, n, bound, seed)
+        assert got.pieces == random_injection_by_restriction(k, n, n, bound, seed).pieces
