@@ -34,7 +34,7 @@ from .houghton import (
     map_to_json,
     validate,
 )
-from .rays import MarkedRay, Ray, _cell_bases, _cuts_for, grid_cells
+from .rays import MarkedRay, Ray, _cell_sets, _disjoint_masks, _overlapping_pair, grid_cells
 from .snf import _sparse_diagonal
 
 __all__ = [
@@ -401,44 +401,12 @@ def _image_rays(v: HoughtonMap) -> tuple[MarkedRay, ...]:
 
 
 def _image_cells(vertices: list[HoughtonMap]) -> tuple[int, list[frozenset]]:
-    """Cell count of N^k x [n] and each image's ``(copy, base)`` cells.
-
-    The grid is the one ``_cuts_for`` fits to all the images.  Two images
-    meet exactly when their cell sets do, and pairwise disjoint images cover
-    N^k x [n] exactly when their cells number the count.
-    """
+    """Cell count of N^k x [n] and the images' ``rays._cell_sets``; pairwise
+    disjoint images cover N^k x [n] exactly when their cells number the count."""
     if not vertices:
         return 0, []
-    k, n = vertices[0].k, vertices[0].n
-    images = [_image_rays(v) for v in vertices]
-    cuts = _cuts_for(k, (m.ray for image in images for m in image))
-    count = n * math.prod(len(c) for c in cuts)
-    return count, [
-        frozenset((m.copy, base) for m in image for base in _cell_bases(m.ray, cuts))
-        for image in images
-    ]
-
-
-def _disjoint_masks(cells: list[frozenset]) -> Iterator[int]:
-    """One neighbour bitmask per ``_image_cells`` set, in order.
-
-    Each grid cell gets an owner mask whose bit i is set when image i holds
-    the cell.  Bit j of image i's mask is set exactly when the two images
-    share no cell: it lies outside the OR of the owner masks of i's cells,
-    which holds bit i itself.  Masks are formed one image at a time, so a
-    caller can stop before the rest are built.
-    """
-    owners: dict = {}
-    for i, image in enumerate(cells):
-        bit = 1 << i
-        for cell in image:
-            owners[cell] = owners.get(cell, 0) | bit
-    everyone = (1 << len(cells)) - 1
-    for image in cells:
-        met = 0
-        for cell in image:
-            met |= owners[cell]
-        yield everyone ^ met
+    cuts, cells = _cell_sets(vertices[0].k, [_image_rays(v) for v in vertices])
+    return vertices[0].n * math.prod(len(c) for c in cuts), cells
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -461,8 +429,8 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
 
     Full-size tuples (as many vertices as copies) must additionally cover
     the whole codomain, matching the top-dimensional automorphism condition.
-    Both are read off ``_image_cells``: the cell sets must be pairwise
-    disjoint, and a full-size tuple's cells must number the grid's count.
+    Both are read off ``_image_cells``: no two cell sets may meet, and a
+    full-size tuple's cells must number the grid's count.
     """
     if not vertices:
         raise ValidationError("need at least one vertex")
@@ -478,10 +446,8 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
         if not diag.valid:
             raise ValidationError(f"invalid vertex: {diag.problems}")
     count, cells = _image_cells(vertices)
-    everyone = (1 << len(vertices)) - 1
-    if any((mask | 1 << i) != everyone for i, mask in enumerate(_disjoint_masks(cells))):
-        return False
-    return len(vertices) < n or sum(map(len, cells)) == count
+    disjoint = _overlapping_pair(vertices, cells) is None
+    return disjoint and (len(vertices) < n or sum(map(len, cells)) == count)
 
 
 def build_sn_truncated(

@@ -37,8 +37,10 @@ from .rays import (
     RayPartition,
     Region,
     _canonical_cells,
+    _cell_sets,
     _cells_within_ray,
     _coarsen_cells,
+    _first_gap,
     _json_int,
     _json_ints,
     _overlapping_pair,
@@ -189,27 +191,22 @@ def image_region(f: HoughtonMap) -> Region:
 
 
 def validate(f: HoughtonMap) -> MapDiagnostics:
-    """Domain partition, positivity, injectivity; bijectivity when m = n."""
+    """Domain partition, positivity, injectivity; bijectivity when m = n.  Domain and images
+    take one ``_cell_sets`` pass each; ``_overlapping_pair`` and ``_first_gap`` name the fault."""
     problems: list[str] = []
     domain = [dom for dom, _ in f.pieces]
-    pair = _overlapping_pair(domain)
-    if pair is not None:
-        problems.append(
-            f"domain is not a ray partition: cells overlap: {pair[0]} and {pair[1]}"
-        )
-    elif (gap := next(_uncovered_cells(f.k, f.m, domain), None)) is not None:
+    cuts, cells = _cell_sets(f.k, [(m,) for m in domain])
+    if (pair := _overlapping_pair(domain, cells)) is not None:
+        problems.append(f"domain is not a ray partition: cells overlap: {pair[0]} and {pair[1]}")
+    elif (gap := _first_gap(f.m, cuts, cells)) is not None:
         problems.append(
             f"domain is not a ray partition: uncovered cell {gap.ray} on copy {gap.copy}"
         )
     images = [f.image_ray(p) for p in f.pieces]
-    pair = _overlapping_pair(images)
-    if pair is not None:
+    cuts, cells = _cell_sets(f.k, [(m,) for m in images])
+    if (pair := _overlapping_pair(images, cells)) is not None:
         problems.append(f"image rays overlap: {pair[0]} and {pair[1]}")
-    bijective = (
-        not problems
-        and f.m == f.n
-        and next(_uncovered_cells(f.k, f.n, images), None) is None
-    )
+    bijective = not problems and f.m == f.n and _first_gap(f.n, cuts, cells) is None
     return MapDiagnostics(not problems, bijective, tuple(problems))
 
 

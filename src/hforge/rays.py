@@ -17,10 +17,11 @@ region means writing it as the set of cells of the minimal adequate grid.
 This module is the one owner of the grid layer.  Overlap and cover are set
 operations on grid cells named by their least points: ``_cell_bases`` lists
 a ray's cells on a grid of per-coordinate cuts, either the threshold grid or
-the one ``_cuts_for`` fits to a set of rays, and ``_uncovered_cells`` lists
-the cells no ray holds.  ``_coarsen_cells`` coarsens regions and map tables
-alike; ``MarkedRay.meets`` serves callers that meet rays one at a time, and
-``marked_intersect`` callers that need the intersection itself.
+the one ``_cuts_for`` fits to a set of rays.  Overlap and cover of a batch of
+rays are read off their ``_cell_sets`` on the fitted grid, whose size does not
+grow with the bases; ``_uncovered_cells`` lists a complement's threshold cells.
+``_coarsen_cells`` coarsens regions and map tables alike; ``MarkedRay.meets``
+serves callers that meet rays one at a time, such as vertex enumeration.
 
 Values are checked where they enter.  The JSON parsers take integers only,
 the constructors check coordinates, directions and copies, and ``Region``
@@ -35,6 +36,7 @@ share between threads.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -301,7 +303,8 @@ def _cell_bases(ray: Ray, cuts: Sequence[Sequence[int]]) -> Iterator[tuple[int, 
 
 
 def _cuts_for(k: int, rays: Iterable[Ray]) -> tuple[list[int], ...]:
-    """Cuts at 1, every base value and one past every pinned base, per coordinate."""
+    """Cuts at 1, every base value and one past every pinned base, per coordinate; the
+    largest is t+1 for the largest threshold t of the rays (t = 0 for none)."""
     cuts = [{1} for _ in range(k)]
     for ray in rays:
         for j, b in enumerate(ray.base, start=1):
@@ -317,9 +320,54 @@ def _cells_within_ray(ray: Ray, t: int) -> Iterator[Ray]:
         yield Ray(base, tuple(j for j, b in enumerate(base, start=1) if b > t))
 
 
-def _overlapping_pair(rays: Iterable[MarkedRay]) -> tuple[MarkedRay, MarkedRay] | None:
-    """The first pair of rays, in input order, that meet; None when disjoint."""
-    return next(((a, b) for a, b in itertools.combinations(rays, 2) if a.meets(b)), None)
+def _cell_sets(k: int, groups: Sequence[Sequence[MarkedRay]]) -> tuple[tuple, list[frozenset]]:
+    """The cuts ``_cuts_for`` fits to all rays of ``groups``, and each group's
+    ``(copy, base)`` cells on them; two groups meet exactly when their sets do."""
+    cuts = _cuts_for(k, (m.ray for group in groups for m in group))
+    return cuts, [
+        frozenset((m.copy, base) for m in group for base in _cell_bases(m.ray, cuts))
+        for group in groups
+    ]
+
+
+def _disjoint_masks(cells: list[frozenset]) -> Iterator[int]:
+    """One neighbour bitmask per ``_cell_sets`` set, in order, formed lazily.  A cell's owner
+    mask has bit i set when group i holds it; bit j of group i's mask is set when the OR of
+    the owner masks of i's cells misses bit j, that is when groups i and j share no cell."""
+    owners: dict = {}
+    for i, group in enumerate(cells):
+        bit = 1 << i
+        for cell in group:
+            owners[cell] = owners.get(cell, 0) | bit
+    everyone = (1 << len(cells)) - 1
+    for group in cells:
+        met = 0
+        for cell in group:
+            met |= owners[cell]
+        yield everyone ^ met
+
+
+def _overlapping_pair(rays: Sequence, cells: list[frozenset]) -> tuple | None:
+    """The first pair of ``rays`` (or groups) in ``combinations`` order whose ``cells`` meet: the
+    lowest i whose mask misses a bit above i, and the lowest such j, so (0, 3) before (1, 2)."""
+    everyone = (1 << len(cells)) - 1
+    if sum(map(len, cells)) > len(frozenset().union(*cells)):
+        for i, mask in enumerate(_disjoint_masks(cells)):
+            if above := (everyone ^ mask) >> (i + 1):
+                return rays[i], rays[i + (above & -above).bit_length()]
+    return None
+
+
+def _first_gap(n: int, cuts: tuple, cells: list[frozenset]) -> MarkedRay | None:
+    """The first cell of N^k x [n] that disjoint rays with these ``_cell_sets`` miss, or None:
+    the t-cell at the least uncovered base, copy by copy, for t+1 the largest cut.  All cuts
+    lie in [1, t+1], so a walk over every threshold cell would find this same cell first."""
+    if sum(map(len, cells)) == n * math.prod(map(len, cuts)):
+        return None
+    covered = frozenset().union(*cells)
+    keys = ((copy, base) for copy in range(1, n + 1) for base in itertools.product(*cuts))
+    copy, base = next(key for key in keys if key not in covered)
+    return MarkedRay(cell_of_point(base, max(cut[-1] for cut in cuts) - 1), copy)
 
 
 # -- regions ----------------------------------------------------------------
@@ -341,7 +389,7 @@ class Region:
                 raise ValidationError(f"ray {m} does not live in N^{self.k}")
             if m.copy > self.n:
                 raise ValidationError(f"copy {m.copy} exceeds ambient copy count {self.n}")
-        pair = _overlapping_pair(self.rays)
+        pair = _overlapping_pair(self.rays, _cell_sets(self.k, [(m,) for m in self.rays])[1])
         if pair is not None:
             raise ValidationError(f"region rays overlap: {pair[0]} and {pair[1]}")
 
@@ -349,10 +397,6 @@ class Region:
     def full(cls, k: int, n: int) -> "Region":
         full_ray = Ray((1,) * k, tuple(range(1, k + 1)))
         return cls(k, n, tuple(MarkedRay(full_ray, c) for c in range(1, n + 1)))
-
-    @classmethod
-    def empty(cls, k: int, n: int) -> "Region":
-        return cls(k, n, ())
 
     @property
     def is_empty(self) -> bool:
@@ -403,27 +447,22 @@ def grid_partition(k: int, t: int, n: int) -> RayPartition:
 def partition_validate(p: RayPartition) -> PartitionDiagnostics:
     """Check disjointness and exact coverage of the region by the cells.
 
-    Coverage is decided on the grid whose threshold dominates every ray in
-    sight, where each ray is a set of ``(copy, cell base)`` keys.
+    Cells and region rays are ``_cell_sets`` on one grid.  A cell leaving the region is named
+    at its least base outside it, a gap as in ``_first_gap`` but region ray by region ray.
     """
-    pair = _overlapping_pair(p.cells)
-    if pair is not None:
+    cuts, sets = _cell_sets(p.region.k, [(m,) for m in (*p.cells, *p.region.rays)])
+    own, held = sets[: len(p.cells)], sets[len(p.cells):]
+    if (pair := _overlapping_pair(p.cells, own)) is not None:
         return PartitionDiagnostics(False, f"cells overlap: {pair[0]} and {pair[1]}")
-    t = max((m.ray.threshold for m in (*p.region.rays, *p.cells)), default=0)
-    cuts = (range(1, t + 2),) * p.region.k
-    region = {(m.copy, base) for m in p.region.rays for base in _cell_bases(m.ray, cuts)}
-    covered = set()
-    for m in sorted(p.cells, key=lambda m: m.copy):
-        for base in _cell_bases(m.ray, cuts):
-            if (m.copy, base) not in region:
-                return PartitionDiagnostics(
-                    False, f"cell {m.ray} on copy {m.copy} leaves the region near {base}"
-                )
-            covered.add((m.copy, base))
-    for m in sorted(p.region.rays, key=lambda m: m.copy):
-        for sub in _cells_within_ray(m.ray, t):
-            if (m.copy, sub.base) not in covered:
-                return PartitionDiagnostics(False, f"uncovered cell {sub} on copy {m.copy}")
+    region, covered = frozenset().union(*held), frozenset().union(*own)
+    for m, keys in sorted(zip(p.cells, own), key=lambda item: item[0].copy):
+        if not keys <= region:
+            why = f"cell {m.ray} on copy {m.copy} leaves the region near {min(keys - region)[1]}"
+            return PartitionDiagnostics(False, why)
+    for m, keys in sorted(zip(p.region.rays, held), key=lambda item: item[0].copy):
+        if not keys <= covered:
+            gap = cell_of_point(min(keys - covered)[1], max(cut[-1] for cut in cuts) - 1)
+            return PartitionDiagnostics(False, f"uncovered cell {gap} on copy {m.copy}")
     return PartitionDiagnostics(True)
 
 
@@ -474,11 +513,9 @@ def region_equal(a: Region, b: Region) -> bool:
 def _uncovered_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> Iterator[MarkedRay]:
     """Cells of N^k x [n] that no ray contains, on the grid of the largest threshold.
 
-    Cells come copy by copy, each copy's in the order of their base points.
-    The rays' own cells form one set of ``(copy, base)`` keys, and a grid
-    cell is uncovered when its key is missing.  No ``Region`` is built, so
-    callers that already know the rays to be pairwise disjoint skip its
-    pairwise overlap check.
+    Cells come copy by copy, each copy's in the order of their base points;
+    a grid cell is uncovered when its ``(copy, base)`` key is not among the
+    rays' own cells.  No ``Region`` and its overlap check are built.
     """
     rays = tuple(rays)
     t = max((m.ray.threshold for m in rays), default=0)

@@ -708,3 +708,19 @@ def test_cross_process_byte_identity():
             assert proc.returncode == 0, proc.stderr.decode(errors="replace")
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], f"build-sn --n {n} differs across hash seeds"
+
+
+def test_element_verify_far_gap_answers_quickly():
+    """A plane pinned at z = 1 and an orthant from z = 3000 leave the layers
+    z = 2..2999 uncovered.  The report names the same cell as for an orthant
+    from z = 30, and the check does not walk the (t+1)^3 threshold grid."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "hforge.cli", "element", "verify", str(FIXTURES / "far_gap.json")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout)["problems"] == [
+        "domain is not a ray partition: uncovered cell Ray(base=(1, 1, 2), dirs=()) on copy 1"
+    ]

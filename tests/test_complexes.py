@@ -43,7 +43,7 @@ from hforge.houghton import (
     random_injection,
     validate,
 )
-from hforge.rays import MarkedRay, Ray
+from hforge.rays import MarkedRay, Ray, _disjoint_masks
 from hforge.snf import mat_mul, snf_diagonal, zero_matrix
 
 from _oracles import (
@@ -664,8 +664,8 @@ BOUNDED_TRUNCATIONS = [
 
 
 def mask_pairs(cells):
-    """The index pairs i < j that ``_disjoint_masks`` marks as disjoint."""
-    masks = complexes_module._disjoint_masks(cells)
+    """The index pairs i < j that ``rays._disjoint_masks`` marks as disjoint."""
+    masks = _disjoint_masks(cells)
     return [(i, j) for i, mask in enumerate(masks) for j in complexes_module._bits(mask) if i < j]
 
 

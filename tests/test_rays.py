@@ -10,8 +10,10 @@ from hforge.rays import (
     MarkedRay,
     _canonical_cells,
     _cell_bases,
+    _cell_sets,
     _cells_within_ray,
     _cuts_for,
+    _first_gap,
     _uncovered_cells,
     Ray,
     RayPartition,
@@ -546,3 +548,106 @@ def test_partition_validate_matches_containment_oracle():
         assert (diag.ok, diag.reason) == partition_validate_pairwise(part)
         reasons.add(diag.reason.split()[0] if diag.reason else None)
     assert reasons == {None, "uncovered", "cell", "cells"}
+
+
+def test_partition_validate_names_a_far_gap():
+    """The rays of ``fixtures/far_gap.json``: their gap is named on the
+    threshold grid without that grid, of 3000^3 cells, being walked."""
+    plane = MarkedRay(R((1, 1, 1), 1, 2), 1)
+    orthant = MarkedRay(R((1, 1, 3000), 1, 2, 3), 1)
+    diag = partition_validate(RayPartition(Region.full(3, 1), (plane, orthant)))
+    assert diag.reason == "uncovered cell Ray(base=(1, 1, 2), dirs=()) on copy 1"
+
+
+# Pairs (0, 3) and (1, 2) meet and no pair before (0, 3) does: the first pair
+# in ``combinations`` order is (0, 3), though (1, 2) has the smaller j.
+FIRST_PAIR_RAYS = (
+    MarkedRay(R((1,)), 1),
+    MarkedRay(R((2,)), 1),
+    MarkedRay(R((2,), 1), 1),
+    MarkedRay(R((1,)), 1),
+)
+
+
+def test_overlap_names_the_first_pair_in_combinations_order():
+    from hforge.houghton import HoughtonMap, Translation, validate
+
+    a, _, _, b = FIRST_PAIR_RAYS
+    with pytest.raises(ValidationError) as err:
+        Region(1, 1, FIRST_PAIR_RAYS)
+    assert str(err.value) == f"region rays overlap: {a} and {b}"
+    diag = partition_validate(RayPartition(Region.full(1, 1), FIRST_PAIR_RAYS))
+    assert diag.reason == f"cells overlap: {a} and {b}"
+    # domain pieces {1}, {2}, [4, oo) and {3}, sent in this order onto the four rays
+    domain = (R((1,)), R((2,)), R((4,), 1), R((3,)))
+    pieces = tuple(
+        (MarkedRay(src, 1), Translation((dst.ray.base[0] - src.base[0],), 1))
+        for src, dst in zip(domain, FIRST_PAIR_RAYS)
+    )
+    f = HoughtonMap(1, 1, 1, pieces)
+    assert [f.image_ray(p) for p in pieces] == list(FIRST_PAIR_RAYS)
+    assert validate(f).problems == (f"image rays overlap: {a} and {b}",)
+
+
+def test_region_overlap_message_matches_pairwise_scan():
+    rng = random.Random(61)
+    outcomes = set()
+    for _ in range(300):
+        k, n = rng.choice((1, 2, 3)), rng.choice((1, 2))
+        rays = tuple(
+            MarkedRay(_random_ray(rng, k, 4), rng.randint(1, n))
+            for _ in range(rng.randint(0, 6))
+        )
+        pair = next(
+            ((a, b) for a, b in itertools.combinations(rays, 2) if marked_intersect(a, b)),
+            None,
+        )
+        try:
+            Region(k, n, rays)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == (None if pair is None else f"region rays overlap: {pair[0]} and {pair[1]}")
+        outcomes.add(pair is None)
+    assert outcomes == {False, True}
+
+
+def test_first_gap_is_the_first_uncovered_threshold_cell():
+    """On disjoint rays, ``_first_gap`` names the first cell ``_uncovered_cells``
+    lists: copy by copy, least base first."""
+    from hforge.houghton import image_region, random_injection
+
+    rng = random.Random(67)
+    cases = []
+    for _ in range(80):
+        k, n = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+        cases.append((k, n, list(_refined_region(rng, k, n).rays)))
+        cases.append((k, n, list(_random_split_partition(rng, k, n, splits=4).cells)))
+    for seed in range(30):
+        k, n = 1 + seed % 3, 2 + seed % 2
+        cases.append((k, n, list(image_region(random_injection(k, n - 1, n, seed % 3, seed)).rays)))
+    # copy 1 misses the point 3, copy 2 the point 1
+    gaps = (MarkedRay(R((1,)), 1), MarkedRay(R((2,)), 1), MarkedRay(R((4,), 1), 1))
+    cases.append((1, 2, [*gaps, MarkedRay(R((2,), 1), 2)]))
+    copies = set()
+    for k, n, rays in cases:
+        cuts, cells = _cell_sets(k, [(m,) for m in rays])
+        gap = _first_gap(n, cuts, cells)
+        assert gap == next(_uncovered_cells(k, n, rays), None), rays
+        copies.add(gap and gap.copy)
+    assert copies == {None, 1, 2, 3}
+
+
+def test_partition_validate_names_cells_and_gaps_in_copy_order():
+    """Rays listed copy 2 first: the cell or gap named is still copy 1's."""
+    region = Region(1, 2, (MarkedRay(R((1,), 1), 2), MarkedRay(R((1,), 1), 1)))
+    cells = (MarkedRay(R((2,), 1), 2), MarkedRay(R((1,)), 1), MarkedRay(R((3,), 1), 1))
+    gaps = RayPartition(region, cells)
+    assert partition_validate(gaps).reason == "uncovered cell Ray(base=(2,), dirs=()) on copy 1"
+    inner = Region(1, 2, (MarkedRay(R((2,), 1), 2), MarkedRay(R((2,), 1), 1)))
+    leaves = RayPartition(inner, (MarkedRay(R((1,), 1), 2), MarkedRay(R((1,), 1), 1)))
+    reason = partition_validate(leaves).reason
+    assert reason == "cell Ray(base=(1,), dirs=(1,)) on copy 1 leaves the region near (1,)"
+    for part in (gaps, leaves):
+        diag = partition_validate(part)
+        assert (diag.ok, diag.reason) == partition_validate_pairwise(part)
