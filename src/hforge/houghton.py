@@ -25,6 +25,7 @@ Everything is immutable and pure; seeded generators are deterministic.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,15 +37,15 @@ from .rays import (
     Ray,
     RayPartition,
     Region,
-    _canonical_cells,
+    _canonical_grid,
     _cell_sets,
     _cells_within_ray,
-    _coarsen_cells,
+    _complement_cells,
     _first_gap,
     _json_int,
     _json_ints,
+    _label_cells,
     _overlapping_pair,
-    _uncovered_cells,
     cell_of_point,
     grid_cells,
     marked_ray_from_json,
@@ -212,8 +213,6 @@ def validate(f: HoughtonMap) -> MapDiagnostics:
 
 # -- canonical form ----------------------------------------------------------
 
-CellKey = tuple[int, Ray]
-
 # Bound on the maps whose canonical tables are kept; a pass of the benchmark
 # workloads computes about 3,000 of them.
 _CANONICAL_CACHE_SIZE = 4096
@@ -223,25 +222,14 @@ _CANONICAL_CACHE_SIZE = 4096
 def _canonical_table(f: HoughtonMap) -> tuple[int, MappingProxyType]:
     """Minimal grid threshold and the read-only per-cell translation table of ``f``.
 
-    The table at the representation's own threshold is coarsened one grid
-    level at a time while all sibling cells agree, so the result depends only
-    on the map as a function.  Entries are in sorted cell order.
+    The table is read off the grid fitted to the pieces, so the result depends
+    only on the map as a function.  Entries are in sorted cell order.
     """
-    t = max(dom.ray.threshold for dom, _ in f.pieces)
-    table: dict[CellKey, Translation] = {}
-    for dom, tr in f.pieces:
-        for cell in _cells_within_ray(dom.ray, t):
-            key = (dom.copy, cell)
-            if key in table and table[key] != tr:
-                raise ValidationError(
-                    f"domain pieces overlap on copy {dom.copy} at {cell}"
-                )
-            table[key] = tr
-    if len(table) != f.m * (t + 1) ** f.k:
+    cuts, labels = _label_cells(f.k, f.pieces)
+    if len(labels) != f.m * math.prod(map(len, cuts)):
         raise ValidationError("domain pieces do not cover every copy")
-    t, table = _coarsen_cells(table, t)
-    items = sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key()))
-    return t, MappingProxyType(dict(items))
+    t, cells = _canonical_grid(cuts, labels, labels)
+    return t, MappingProxyType({(copy, cell): tr for copy, cell, tr in cells})
 
 
 def canonical_threshold(f: HoughtonMap) -> int:
@@ -433,8 +421,7 @@ def fi_map(f_images: tuple[int, ...], n: int, g: HoughtonMap) -> HoughtonMap:
 
 def image_complement(f: HoughtonMap) -> Region:
     """The codomain minus the image, canonical; the one ``Region`` built."""
-    _, cells = _canonical_cells(_uncovered_cells(f.k, f.n, (f.image_ray(p) for p in f.pieces)))
-    return Region(f.k, f.n, cells)
+    return Region(f.k, f.n, _complement_cells(f.k, f.n, (f.image_ray(p) for p in f.pieces)))
 
 
 def complement_subobject(f: HoughtonMap) -> RayPartition:

@@ -14,20 +14,20 @@ in [1, t] and all free coordinates starting at t+1 partition N^k into
 is small enough relative to t is a union of t-cells.  Canonicalising a
 region means writing it as the set of cells of the minimal adequate grid.
 
-This module is the one owner of the grid layer.  Overlap and cover are set
-operations on grid cells named by their least points: ``_cell_bases`` lists
-a ray's cells on a grid of per-coordinate cuts, either the threshold grid or
-the one ``_cuts_for`` fits to a set of rays.  Overlap and cover of a batch of
-rays are read off their ``_cell_sets`` on the fitted grid, whose size does not
-grow with the bases; ``_uncovered_cells`` lists a complement's threshold cells.
-``_coarsen_cells`` coarsens regions and map tables alike; ``MarkedRay.meets``
-serves callers that meet rays one at a time, such as vertex enumeration.
+This module is the one owner of the grid layer.  Overlap, cover and canonical
+forms are read off grid cells named by their least points: ``_cell_bases``
+lists a ray's cells on per-coordinate cuts, either the threshold grid or the
+grid ``_cuts_for`` fits to a set of rays, whose size does not grow with the
+bases.  ``_cell_sets`` decides overlap and cover on the fitted grid;
+``_label_cells`` labels its cells and ``_canonical_grid`` reads map tables,
+canonical regions and complements off them.  ``MarkedRay.meets`` meets rays
+one at a time, for vertex enumeration.
 
 Values are checked where they enter.  The JSON parsers take integers only,
 the constructors check coordinates, directions and copies, and ``Region``
 checks that its rays are disjoint.  The grid code takes rays as already
-checked: ``_uncovered_cells`` and ``_canonical_cells`` work on bare rays and
-build no ``Region``, so a complement or a canonical form builds one
+checked: ``_canonical_cells`` and ``_complement_cells`` work on bare rays
+and build no ``Region``, so a complement or a canonical form builds one
 ``Region``, its result.
 
 All values are immutable and all functions are pure; everything is safe to
@@ -265,29 +265,6 @@ def cell_of_point(point: tuple[int, ...], t: int) -> Ray:
     return Ray(base, dirs)
 
 
-def _coarsen_cells(table: dict[tuple[int, Ray], object], t: int) -> tuple[int, dict]:
-    """Coarsen a ``{(copy, t-cell): label}`` table towards the minimal grid.
-
-    One level at a time, each (t-1)-cell replaces its 2^dim children when
-    all of them are present with one label; a t-cell's parent is the
-    (t-1)-cell holding its base point.  The search stops at the first label
-    mismatch, or at the first level where some parent is incomplete, and
-    returns the last level that merged in full with its table.
-    """
-    while t > 0:
-        merged, counts = {}, {}
-        for (copy, cell), label in table.items():
-            key = (copy, cell_of_point(cell.base, t - 1))
-            if merged.setdefault(key, label) != label:
-                return t, table
-            counts[key] = counts.get(key, 0) + 1
-        if any(c != 2 ** len(parent.dirs) for (_, parent), c in counts.items()):
-            return t, table
-        table = merged
-        t -= 1
-    return t, table
-
-
 def _cell_bases(ray: Ray, cuts: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
     """Least points, in lexicographic order, of the cells whose union is ``ray``.
 
@@ -368,6 +345,54 @@ def _first_gap(n: int, cuts: tuple, cells: list[frozenset]) -> MarkedRay | None:
     keys = ((copy, base) for copy in range(1, n + 1) for base in itertools.product(*cuts))
     copy, base = next(key for key in keys if key not in covered)
     return MarkedRay(cell_of_point(base, max(cut[-1] for cut in cuts) - 1), copy)
+
+
+def _label_cells(k: int, pieces: Iterable[tuple[MarkedRay, object]]) -> tuple[tuple, dict]:
+    """The ``_cuts_for`` cuts of the pieces' rays and ``{(copy, base): label}`` on them;
+    no label is None.  A label may repeat on a cell; two raise, naming the first such
+    cell in piece order as the threshold cell at its base, for t+1 the largest cut."""
+    pieces = tuple(pieces)
+    cuts = _cuts_for(k, (m.ray for m, _ in pieces))
+    labels: dict = {}
+    for m, label in pieces:
+        for base in _cell_bases(m.ray, cuts):
+            if labels.setdefault((m.copy, base), label) != label:
+                cell = cell_of_point(base, max(cut[-1] for cut in cuts) - 1)
+                raise ValidationError(f"domain pieces overlap on copy {m.copy} at {cell}")
+    return cuts, labels
+
+
+def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[int, list]:
+    """Minimal threshold t* of ``_label_cells`` labels and the t*-cells of the fitted
+    cells ``keys``, as ``(copy, cell, label)`` in ``(copy, dirs, base)`` order.
+
+    A grid level merges exactly when no coordinate changes label between the values
+    t and t+1, so t* + 1 is the largest cut, or 1, across which a labelled fitted
+    cell and its neighbour differ, a missing cell reading None.  A t*-cell takes the
+    label of the fitted cell that holds its base (None when missing); the threshold
+    grid is built only for these output cells.
+    """
+    below = [dict(zip(cut[1:], cut)) for cut in cuts]
+    above = [dict(zip(cut, cut[1:])) for cut in cuts]
+    last, top = max(cut[-1] for cut in cuts), 1
+    for (copy, base), label in labels.items():
+        if top == last:
+            break
+        for j, b in enumerate(base):
+            for d in (below[j].get(b), above[j].get(b)):
+                if d is not None and max(b, d) > top:
+                    if labels.get((copy, base[:j] + (d,) + base[j + 1:])) != label:
+                        top = max(b, d)
+    # spans[j][c]: the t*-grid values of coordinate j in the fitted interval from cut c
+    spans = [{c: range(c, min(d, top + 1)) for c, d in zip(cut, cut[1:] + [top + 1])}
+             for cut in cuts]
+    cells = []
+    for copy, base in keys:
+        label = labels.get((copy, base))
+        for point in itertools.product(*(span[b] for span, b in zip(spans, base))):
+            cells.append((copy, tuple(j for j, p in enumerate(point, 1) if p == top), point, label))
+    cells.sort()  # (copy, dirs, base) names a cell, so labels are never compared
+    return top - 1, [(copy, Ray(base, dirs), label) for copy, dirs, base, label in cells]
 
 
 # -- regions ----------------------------------------------------------------
@@ -483,19 +508,15 @@ def common_refinement(p1: RayPartition, p2: RayPartition) -> RayPartition:
 def _canonical_cells(rays: Iterable[MarkedRay]) -> tuple[int, tuple[MarkedRay, ...]]:
     """Minimal grid threshold t* and the t*-cells whose union is ``rays``.
 
-    Starts from the grid adequate for the given representation and coarsens
-    it with unlabelled cells, so a level merges when every parent cell is
-    fully covered.  The search descends from the representation's own
-    threshold, so the result is independent of how the union was presented.
+    The cells are read off the grid fitted to the rays, so the result is
+    independent of how the union was presented.
     """
     rays = tuple(rays)
     if not rays:
         return 0, ()
-    t = max(m.ray.threshold for m in rays)
-    table = {(m.copy, cell): None for m in rays for cell in _cells_within_ray(m.ray, t)}
-    t, table = _coarsen_cells(table, t)
-    cells = sorted((MarkedRay(cell, copy) for copy, cell in table), key=MarkedRay.sort_key)
-    return t, tuple(cells)
+    cuts, labels = _label_cells(rays[0].ray.k, ((m, True) for m in rays))
+    t, cells = _canonical_grid(cuts, labels, labels)
+    return t, tuple(MarkedRay(cell, copy) for copy, cell, _ in cells)
 
 
 def canonicalize_region(reg: Region) -> Region:
@@ -510,27 +531,18 @@ def region_equal(a: Region, b: Region) -> bool:
     return _canonical_cells(a.rays)[1] == _canonical_cells(b.rays)[1]
 
 
-def _uncovered_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> Iterator[MarkedRay]:
-    """Cells of N^k x [n] that no ray contains, on the grid of the largest threshold.
-
-    Cells come copy by copy, each copy's in the order of their base points;
-    a grid cell is uncovered when its ``(copy, base)`` key is not among the
-    rays' own cells.  No ``Region`` and its overlap check are built.
-    """
-    rays = tuple(rays)
-    t = max((m.ray.threshold for m in rays), default=0)
-    cuts = (range(1, t + 2),) * k
-    covered = {(m.copy, base) for m in rays for base in _cell_bases(m.ray, cuts)}
-    for copy in range(1, n + 1):
-        for base in itertools.product(cuts[0], repeat=k):
-            if (copy, base) not in covered:
-                yield MarkedRay(cell_of_point(base, t), copy)
+def _complement_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> tuple[MarkedRay, ...]:
+    """The minimal-grid cells of N^k x [n] that no ray contains, in canonical order."""
+    cuts, labels = _label_cells(k, ((m, True) for m in rays))
+    gaps = (key for key in itertools.product(range(1, n + 1), itertools.product(*cuts))
+            if key not in labels)
+    _, cells = _canonical_grid(cuts, labels, gaps)
+    return tuple(MarkedRay(cell, copy) for copy, cell, _ in cells)
 
 
 def region_complement(reg: Region) -> Region:
     """N^k x [n] minus the region, in canonical grid form."""
-    _, cells = _canonical_cells(_uncovered_cells(reg.k, reg.n, reg.rays))
-    return Region(reg.k, reg.n, cells)
+    return Region(reg.k, reg.n, _complement_cells(reg.k, reg.n, reg.rays))
 
 
 # -- JSON encoding ----------------------------------------------------------

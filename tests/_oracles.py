@@ -616,8 +616,9 @@ def grid_cells_by_mask(k: int, t: int) -> tuple:
 
 
 def uncovered_cells_by_containment(k: int, n: int, rays):
-    """``rays._uncovered_cells`` as a containment scan: each threshold-grid
-    cell is tested against every ray of its copy through its base point."""
+    """The threshold-grid cells of N^k x [n] that no ray contains, copy by
+    copy and least base first: each cell of the largest threshold's grid is
+    tested against every ray of its copy through its base point."""
     from hforge.rays import MarkedRay, grid_cells
 
     per_copy = {c: [] for c in range(1, n + 1)}

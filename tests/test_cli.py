@@ -724,3 +724,25 @@ def test_element_verify_far_gap_answers_quickly():
     assert json.loads(proc.stdout)["problems"] == [
         "domain is not a ray partition: uncovered cell Ray(base=(1, 1, 2), dirs=()) on copy 1"
     ]
+
+
+def test_far_planes_invert_and_compose_answer_quickly():
+    """``fixtures/far_planes.json`` writes the identity of N^3 as the planes
+    z = 1..79 and the orthant from z = 80.  Its inverse and its square are the
+    one-piece identity, read off a fitted grid of 80 cells, not the 80^3
+    cells of its threshold grid."""
+    path = str(FIXTURES / "far_planes.json")
+    identity = {
+        "k": 3, "m": 1, "n": 1,
+        "pieces": [{"copy": 1, "base": [1, 1, 1], "dirs": [1, 2, 3], "offset": [0, 0, 0],
+                    "target_copy": 1}],
+    }
+    for argv in (["invert", path], ["compose", path, path]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hforge.cli", "element", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == identity, argv

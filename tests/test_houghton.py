@@ -1,6 +1,9 @@
 import itertools
+import json
+import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from hforge.houghton import (
     extend_to_automorphism,
     fi_map,
     identity_map,
+    image_complement,
     image_region,
     in_kernel,
     inverse,
@@ -37,18 +41,30 @@ from hforge.houghton import (
     translation_vector,
     validate,
 )
-from hforge.rays import Region, canonicalize_region, ray_split, region_equal
+from hforge.rays import (
+    Region,
+    _canonical_cells,
+    _cuts_for,
+    canonicalize_region,
+    ray_split,
+    region_complement,
+    region_equal,
+)
 
 from _oracles import (
     apply_raw,
     box_points,
+    canonical_cells_group_by_parent,
     canonical_table_children_scan,
     compose_global_grid,
     inverse_via_validate,
     random_injection_by_restriction,
     raw_pieces,
+    uncovered_cells_by_containment,
     validate_reference,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def spec_generator():
@@ -584,16 +600,79 @@ def _mutants(f, rng):
     return [HoughtonMap(f.k, f.m, f.n, tuple(p)) for p in out]
 
 
-def _differential_maps():
-    """Seeded elements and injections at k = 1, 2, 3, each with its mutants."""
-    rng = random.Random(23)
+def _resplit(f, rng):
+    """``f`` with some pieces split along free directions, each part keeping
+    its piece's translation: the same function on more pieces, whose
+    threshold grid is finer than the grid fitted to them.  Equal pieces are
+    split alike, so a repeated piece stays a repeat."""
+    split = {}
+    for dom, tr in f.pieces:
+        if (dom, tr) not in split:
+            parts = [dom.ray]
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randrange(len(parts))
+                if parts[i].dirs:
+                    parts[i:i + 1] = ray_split(parts[i], rng.choice(parts[i].dirs))
+            split[dom, tr] = [(MarkedRay(part, dom.copy), tr) for part in parts]
+    pieces = tuple(part for piece in f.pieces for part in split[piece])
+    return HoughtonMap(f.k, f.m, f.n, pieces)
+
+
+def _plane_stacks():
+    """Maps whose pieces are the planes pinned in the last coordinate at
+    1..T-1 and the orthant from T, as in ``fixtures/far_planes.json``: the
+    identity, its injection into two copies, and the element that swaps two
+    copies' planes and fixes their orthants."""
     maps = []
+    for k, top in ((1, 3), (2, 4), (3, 5)):
+        free, zero = tuple(range(1, k)), (0,) * k
+        stack = [Ray((1,) * (k - 1) + (z,), free) for z in range(1, top)]
+        stack.append(Ray((1,) * (k - 1) + (top,), free + (k,)))
+        identity = tuple((MarkedRay(r, 1), Translation(zero, 1)) for r in stack)
+        swap = tuple(
+            (MarkedRay(r, c), Translation(zero, c if r.is_full else 3 - c))
+            for c in (1, 2)
+            for r in stack
+        )
+        maps += [HoughtonMap(k, 1, 1, identity), HoughtonMap(k, 1, 2, identity)]
+        maps.append(HoughtonMap(k, 2, 2, swap))
+    return maps
+
+
+def _overlapped(f, rng):
+    """``f`` with one more piece, anywhere in piece order: part of a piece's
+    domain with that piece's offset moved one step up."""
+    dom, tr = rng.choice(f.pieces)
+    ray = dom.ray
+    if ray.dirs:
+        ray = ray_split(ray, rng.choice(ray.dirs))[rng.randrange(2)]
+    moved = Translation(tuple(d + 1 for d in tr.offset), tr.target_copy)
+    pieces = list(f.pieces)
+    extra = (MarkedRay(ray, dom.copy), moved)
+    pieces.insert(rng.randrange(len(pieces) + 1), extra)
+    return HoughtonMap(f.k, f.m, f.n, tuple(pieces))
+
+
+def _differential_maps():
+    """Seeded elements and injections at k = 1, 2, 3, each with its mutants
+    and one overlapped variant, and plane stacks; then each of these again
+    with its pieces re-split."""
+    rng = random.Random(23)
+    maps, seeded = [], []
     for seed, (k, bound, _) in enumerate(itertools.product((1, 2, 3), (0, 1, 2), range(4))):
         n = 1 + seed % 3
         g = random_element(k, n, bound, seed)
         f = random_injection(k, 1 + seed % 2, 2 + seed % 2, bound, seed)
         maps += [g, f] + _mutants(g, rng) + _mutants(f, rng)
-    return maps
+        seeded += [g, f]
+    maps += [_overlapped(f, rng) for f in seeded] + _plane_stacks()
+    return maps + [_resplit(f, rng) for f in maps]
+
+
+def _fitted_grid_is_coarser(k, rays):
+    """Whether the grid fitted to ``rays`` has fewer cells than their threshold grid."""
+    t = max((ray.threshold for ray in rays), default=0)
+    return math.prod(map(len, _cuts_for(k, rays))) < (t + 1) ** k
 
 
 def test_validate_matches_partition_oracle():
@@ -610,15 +689,69 @@ def test_validate_matches_partition_oracle():
 def test_canonical_table_matches_children_scan_oracle():
     from hforge.houghton import _canonical_table
 
+    seen = set()
     for f in _differential_maps():
+        if _fitted_grid_is_coarser(f.k, [dom.ray for dom, _ in f.pieces]):
+            seen.add("coarser fitted grid")
         try:
             expected = canonical_table_children_scan(f)
         except ValidationError as exc:
-            with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            with pytest.raises(ValidationError) as err:
                 _canonical_table(f)
+            assert str(err.value) == str(exc), f
+            seen.add("overlap" if "overlap" in str(exc) else "gap")
             continue
         t, table = _canonical_table(f)
         assert (t, tuple(table.items())) == expected
+    assert seen == {"coarser fitted grid", "overlap", "gap"}
+
+
+def test_canonical_regions_and_complements_match_oracles():
+    """The domains and images of ``_differential_maps()``: canonical cells
+    against the group-by-parent coarsening, and ``region_complement`` and
+    ``image_complement`` against the coarsened containment scan."""
+
+    def complement(k, n, rays):
+        uncovered = tuple(uncovered_cells_by_containment(k, n, rays))
+        return canonical_cells_group_by_parent(Region(k, n, uncovered))[1]
+
+    seen = set()
+    for f in _differential_maps():
+        images = [f.image_ray(p) for p in f.pieces]
+        assert image_complement(f).rays == complement(f.k, f.n, images), f
+        for n, rays in ((f.m, [dom for dom, _ in f.pieces]), (f.n, images)):
+            try:
+                region = Region(f.k, n, tuple(rays))
+            except ValidationError:
+                seen.add("overlap")
+                continue
+            assert _canonical_cells(region.rays) == canonical_cells_group_by_parent(region), f
+            assert region_complement(region).rays == complement(f.k, n, rays), f
+            seen.add("empty complement" if region_equal(region, Region.full(f.k, n)) else "gaps")
+            if _fitted_grid_is_coarser(f.k, [m.ray for m in rays]):
+                seen.add("coarser fitted grid")
+    assert seen == {"overlap", "empty complement", "gaps", "coarser fitted grid"}
+
+
+def test_a_map_with_no_pieces_covers_nothing():
+    f = HoughtonMap(1, 1, 1, ())
+    assert not validate(f).valid
+    calls = (canonical_form, lambda f: equals(f, f), lambda f: compose(f, f), inverse, map_to_json)
+    for call in calls:
+        with pytest.raises(ValidationError, match="domain pieces do not cover every copy"):
+            call(f)
+
+
+def test_far_planes_complements_are_one_orthant():
+    """``fixtures/far_planes.json`` writes the identity of N^3 as the planes
+    z = 1..79 and the orthant from z = 80.  Its canonical threshold is 0, and
+    in two copies its complement is copy 2's orthant, read off a fitted grid
+    of 80 cells a copy rather than a threshold grid of 80^3."""
+    f = map_from_json(json.loads((FIXTURES / "far_planes.json").read_text()))
+    assert canonical_threshold(f) == 0
+    orthant = (MarkedRay(Ray((1, 1, 1), (1, 2, 3)), 2),)
+    assert region_complement(Region(3, 2, tuple(dom for dom, _ in f.pieces))).rays == orthant
+    assert image_complement(HoughtonMap(3, 1, 2, f.pieces)).rays == orthant
 
 
 def test_canonical_table_is_read_only_and_bounded():

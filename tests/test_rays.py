@@ -12,9 +12,9 @@ from hforge.rays import (
     _cell_bases,
     _cell_sets,
     _cells_within_ray,
+    _complement_cells,
     _cuts_for,
     _first_gap,
-    _uncovered_cells,
     Ray,
     RayPartition,
     Region,
@@ -522,9 +522,14 @@ def test_uncovered_cells_match_containment_oracle():
         cases.append((k, n, list(image_region(f).rays)))
     found = 0
     for k, n, rays in cases:
-        got = list(_uncovered_cells(k, n, iter(rays)))
-        assert got == list(uncovered_cells_by_containment(k, n, rays))
-        found += bool(got)
+        uncovered = tuple(uncovered_cells_by_containment(k, n, rays))
+        _, expected = canonical_cells_group_by_parent(Region(k, n, uncovered))
+        try:
+            got = region_complement(Region(k, n, tuple(rays))).rays
+        except ValidationError:  # overlapping rays: their union's complement
+            got = _complement_cells(k, n, iter(rays))
+        assert got == expected, rays
+        found += bool(uncovered)
     assert 0 < found < len(cases)
 
 
@@ -613,8 +618,8 @@ def test_region_overlap_message_matches_pairwise_scan():
 
 
 def test_first_gap_is_the_first_uncovered_threshold_cell():
-    """On disjoint rays, ``_first_gap`` names the first cell ``_uncovered_cells``
-    lists: copy by copy, least base first."""
+    """On disjoint rays, ``_first_gap`` names the first threshold cell that no
+    ray contains: copy by copy, least base first."""
     from hforge.houghton import image_region, random_injection
 
     rng = random.Random(67)
@@ -633,7 +638,7 @@ def test_first_gap_is_the_first_uncovered_threshold_cell():
     for k, n, rays in cases:
         cuts, cells = _cell_sets(k, [(m,) for m in rays])
         gap = _first_gap(n, cuts, cells)
-        assert gap == next(_uncovered_cells(k, n, rays), None), rays
+        assert gap == next(uncovered_cells_by_containment(k, n, rays), None), rays
         copies.add(gap and gap.copy)
     assert copies == {None, 1, 2, 3}
 
