@@ -27,14 +27,21 @@ from .houghton import (
     HoughtonMap,
     Translation,
     _k_piece,
-    canonical_form,
     canonical_threshold,
     equals,
     map_from_json,
     map_to_json,
     validate,
 )
-from .rays import MarkedRay, Ray, _cell_sets, _disjoint_masks, _overlapping_pair, grid_cells
+from .rays import (
+    MarkedRay,
+    Ray,
+    _canonical_grid,
+    _cell_sets,
+    _disjoint_masks,
+    _overlapping_pair,
+    grid_cells,
+)
 from .snf import _sparse_diagonal
 
 __all__ = [
@@ -118,10 +125,6 @@ class SimplicialComplex:
             raw.add(t)
         by_dim = _close_faces(raw, size_limit)
         return cls(tuple(vertices), {d: frozenset(v) for d, v in sorted(by_dim.items())})
-
-    @classmethod
-    def from_maximal(cls, vertices, maximal, size_limit: int | None = DEFAULT_SIZE_LIMIT):
-        return cls.build(vertices, maximal, size_limit)
 
     @property
     def is_empty(self) -> bool:
@@ -348,52 +351,69 @@ def wcm_check(k: SimplicialComplex, n: int) -> tuple[bool, str | None]:
 # -- truncated stability complexes -------------------------------------------
 
 
-def enumerate_bounded_vertices(
-    k: int, n: int, bound: int, size_limit: int | None = DEFAULT_SIZE_LIMIT
-) -> list[HoughtonMap]:
-    """All ray injections N^k -> N^k x [n] that are B-bounded.
+def _bounded_vertices(
+    k: int, n: int, bound: int, size_limit: int | None
+) -> tuple[list[HoughtonMap], int, list[frozenset]]:
+    """``enumerate_bounded_vertices``, the cell count of N^k x [n] and each vertex's image
+    cells, on one grid; the cells decide overlap and cover as ``_image_cells`` does.
 
-    Equivalently: all assignments of a translation with offsets in [-B, B]^k
-    to each cell of the threshold-B grid of the domain, with pairwise
-    disjoint images.  Backtracking prunes on image overlap.
+    One ``rays._cell_sets`` call fits the grid to every option's image ray.  A leaf keeps
+    the union of its options' cells and reads its canonical form off
+    ``rays._canonical_grid``: the domain cells are the fitted cells of the cuts 1..B+1.
     """
     if n < 1 or bound < 0:
         raise ValidationError("need n >= 1 and bound >= 0")
     cells = grid_cells(k, bound)
-    options: list[list[Translation]] = []
-    for cell in cells:
-        opts = []
-        for target in range(1, n + 1):
-            for off in itertools.product(range(-bound, bound + 1), repeat=k):
-                if all(b + d >= 1 for b, d in zip(cell.base, off)):
-                    opts.append(Translation(off, target))
-        options.append(opts)
+    translations = [
+        [
+            Translation(off, target)
+            for target in range(1, n + 1)
+            for off in itertools.product(range(-bound, bound + 1), repeat=k)
+            if all(b + d >= 1 for b, d in zip(cell.base, off))
+        ]
+        for cell in cells
+    ]
+    cuts, image_cells = _cell_sets(k, [
+        (MarkedRay(cell.translate(tr.offset), tr.target_copy),)
+        for cell, trs in zip(cells, translations)
+        for tr in trs
+    ])
+    image_cells = iter(image_cells)
+    options = [[(tr, next(image_cells)) for tr in trs] for trs in translations]
+    domain_cuts = (list(range(1, bound + 2)),) * k
     found: list[HoughtonMap] = []
-    images: list[MarkedRay] = []
-    chosen: list[Translation] = []
+    found_cells: list[frozenset] = []
 
-    def backtrack(i: int) -> None:
+    def backtrack(i: int, used: frozenset, chosen: tuple) -> None:
         if i == len(cells):
-            pieces = tuple(
-                (MarkedRay(cell, 1), tr) for cell, tr in zip(cells, chosen)
-            )
-            found.append(canonical_form(HoughtonMap(k, 1, n, pieces)))
+            labels = {(1, cell.base): tr for cell, tr in zip(cells, chosen)}
+            _, canonical = _canonical_grid(domain_cuts, labels, labels)
+            pieces = tuple((MarkedRay(cell, copy), tr) for copy, cell, tr in canonical)
+            found.append(HoughtonMap(k, 1, n, pieces))
+            found_cells.append(used)
             if size_limit is not None and len(found) > size_limit:
                 raise SizeLimitError(
                     f"vertex enumeration exceeds the size limit {size_limit}"
                 )
             return
-        for tr in options[i]:
-            img = MarkedRay(cells[i].translate(tr.offset), tr.target_copy)
-            if not any(img.meets(other) for other in images):
-                images.append(img)
-                chosen.append(tr)
-                backtrack(i + 1)
-                images.pop()
-                chosen.pop()
+        for tr, image in options[i]:
+            if used.isdisjoint(image):
+                backtrack(i + 1, used | image, chosen + (tr,))
 
-    backtrack(0)
-    return found
+    backtrack(0, frozenset(), ())
+    return found, n * math.prod(map(len, cuts)), found_cells
+
+
+def enumerate_bounded_vertices(
+    k: int, n: int, bound: int, size_limit: int | None = DEFAULT_SIZE_LIMIT
+) -> list[HoughtonMap]:
+    """All ray injections N^k -> N^k x [n] that are B-bounded, in canonical form.
+
+    Equivalently: all assignments of a translation with offsets in [-B, B]^k
+    to each cell of the threshold-B grid of the domain, with pairwise
+    disjoint images.  Backtracking prunes on shared image cells.
+    """
+    return _bounded_vertices(k, n, bound, size_limit)[0]
 
 
 def _image_rays(v: HoughtonMap) -> tuple[MarkedRay, ...]:
@@ -464,10 +484,9 @@ def build_sn_truncated(
     are included as top simplices only with ``include_top``, and then also
     need jointly surjective images.
 
-    Image cells are computed only when some degree >= 1 is kept, or when a
-    one-copy top layer keeps only the surjective vertices.  The disjointness
-    graph is one ``_disjoint_masks`` bitmask per vertex, cut to the
-    neighbours above it; for n >= 3 its vertices and edges are counted
+    The disjointness graph is one ``_disjoint_masks`` bitmask per vertex,
+    read off the cells the enumeration pruned on and cut to the neighbours
+    above it; for n >= 3 its vertices and edges are counted
     against ``size_limit`` as each mask is formed, before any layer is
     listed.  (For n = 2 the only edge layer is the top one, which keeps just
     the covering pairs, so there the layer count guards it.)  A clique grows
@@ -476,10 +495,8 @@ def build_sn_truncated(
     layer, already face-closed and counted against ``size_limit``, so no
     second closure pass runs.
     """
-    candidates = enumerate_bounded_vertices(k, n, bound, size_limit)
+    candidates, cells_total, cells = _bounded_vertices(k, n, bound, size_limit)
     max_dim = n - 1 if include_top else n - 2
-    if max_dim >= 1 or include_top:
-        cells_total, cells = _image_cells(candidates)
     if include_top and n == 1:
         candidates = [v for v, c in zip(candidates, cells) if len(c) == cells_total]
     count = len(candidates)
@@ -705,7 +722,7 @@ def connectivity_probe(
     if slack < 0:
         raise ValidationError(f"slack must be >= 0, got {slack}")
     report: dict = {"k": k, "n": n, "bound": bound, "slack": slack, "trials": trials}
-    vertices = enumerate_bounded_vertices(k, n, bound, size_limit)
+    vertices, _, cells = _bounded_vertices(k, n, bound, size_limit)
     report["bounded_vertices"] = len(vertices)
     if n < 3:
         report["claim"] = (
@@ -715,7 +732,7 @@ def connectivity_probe(
         return report
     report["claim"] = "sampled pairs connect within the enlarged truncation"
     rng = random.Random(seed)
-    neighbours = list(_disjoint_masks(_image_cells(vertices)[1]))
+    neighbours = list(_disjoint_masks(cells))
     indices = range(len(vertices))  # the same draws as choosing from the list
     intermediates: list[HoughtonMap] = []
     connected = 0
@@ -808,7 +825,7 @@ def complex_from_json(data: dict, size_limit: int | None = DEFAULT_SIZE_LIMIT) -
             labels.append(map_from_json(v))
         else:
             labels.append(v)
-    return SimplicialComplex.from_maximal(tuple(labels), maximal, size_limit)
+    return SimplicialComplex.build(tuple(labels), maximal, size_limit)
 
 
 def homology_to_json(hom: HomologyResult) -> list[dict]:

@@ -213,8 +213,8 @@ def validate(f: HoughtonMap) -> MapDiagnostics:
 
 # -- canonical form ----------------------------------------------------------
 
-# Bound on the maps whose canonical tables are kept; a pass of the benchmark
-# workloads computes about 3,000 of them.
+# Bound on the maps whose canonical tables are kept; one benchmark pass computes
+# at most about 1,400 of them (1,435 on `group`, 541 on `sn-build` at seed 3).
 _CANONICAL_CACHE_SIZE = 4096
 
 

@@ -20,8 +20,9 @@ lists a ray's cells on per-coordinate cuts, either the threshold grid or the
 grid ``_cuts_for`` fits to a set of rays, whose size does not grow with the
 bases.  ``_cell_sets`` decides overlap and cover on the fitted grid;
 ``_label_cells`` labels its cells and ``_canonical_grid`` reads map tables,
-canonical regions and complements off them.  ``MarkedRay.meets`` meets rays
-one at a time, for vertex enumeration.
+canonical regions and complements off them.  Vertex enumeration in
+``complexes`` prunes on ``_cell_sets`` and reads canonical forms off
+``_canonical_grid`` too.
 
 Values are checked where they enter.  The JSON parsers take integers only,
 the constructors check coordinates, directions and copies, and ``Region``
@@ -147,22 +148,6 @@ class Ray:
             )
         return Ray(moved, self.dirs)
 
-    def meets(self, other: "Ray") -> bool:
-        """Whether the two rays intersect, without building the intersection.
-
-        Coordinate j admits a common value exactly when the bases agree
-        there or the ray with the smaller base is free in j.
-        """
-        if len(self.base) != len(other.base):
-            raise ValidationError("dimension mismatch between rays")
-        for j, (b1, b2) in enumerate(zip(self.base, other.base), start=1):
-            if b1 < b2:
-                if j not in self.dirs:
-                    return False
-            elif b2 < b1 and j not in other.dirs:
-                return False
-        return True
-
     def sort_key(self) -> tuple:
         return (self.dirs, self.base)
 
@@ -180,10 +165,6 @@ class MarkedRay:
 
     def contains(self, point: tuple[int, ...], copy: int) -> bool:
         return copy == self.copy and self.ray.contains(point)
-
-    def meets(self, other: "MarkedRay") -> bool:
-        """Whether the two marked rays share a point: same copy, meeting rays."""
-        return self.copy == other.copy and self.ray.meets(other.ray)
 
     def sort_key(self) -> tuple:
         return (self.copy, self.ray.dirs, self.ray.base)

@@ -740,6 +740,46 @@ def wcm_check_every_link(k, n, link=link_by_closure):
     return True, None
 
 
+# -- vertex enumeration as it was before it pruned on grid cells --------------
+
+
+def enumerate_bounded_vertices_by_meets(k, n, bound):
+    """``complexes.enumerate_bounded_vertices`` as it was before it pruned on
+    cell sets: each image ray is met against every image chosen so far, and a
+    leaf builds its map on the threshold-B grid, then takes ``canonical_form``."""
+    from hforge.houghton import HoughtonMap, Translation, canonical_form
+    from hforge.rays import MarkedRay, grid_cells, marked_intersect
+
+    cells = grid_cells(k, bound)
+    options = [
+        [
+            Translation(off, target)
+            for target in range(1, n + 1)
+            for off in itertools.product(range(-bound, bound + 1), repeat=k)
+            if all(b + d >= 1 for b, d in zip(cell.base, off))
+        ]
+        for cell in cells
+    ]
+    found, images, chosen = [], [], []
+
+    def backtrack(i):
+        if i == len(cells):
+            pieces = tuple((MarkedRay(cell, 1), tr) for cell, tr in zip(cells, chosen))
+            found.append(canonical_form(HoughtonMap(k, 1, n, pieces)))
+            return
+        for tr in options[i]:
+            img = MarkedRay(cells[i].translate(tr.offset), tr.target_copy)
+            if all(marked_intersect(img, other) is None for other in images):
+                images.append(img)
+                chosen.append(tr)
+                backtrack(i + 1)
+                images.pop()
+                chosen.pop()
+
+    backtrack(0)
+    return found
+
+
 # -- disjointness, sections and random draws as they were before bitmasks ----
 
 

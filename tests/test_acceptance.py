@@ -237,12 +237,12 @@ def test_c05_smith_normal_form():
 
 
 def _simplex_complex(n):
-    return SimplicialComplex.from_maximal(tuple(range(n)), [tuple(range(n))])
+    return SimplicialComplex.build(tuple(range(n)), [tuple(range(n))])
 
 
 def _boundary_complex(n):
     face = tuple(range(n))
-    return SimplicialComplex.from_maximal(
+    return SimplicialComplex.build(
         tuple(range(n)), [face[:i] + face[i + 1 :] for i in range(n)]
     )
 
@@ -258,7 +258,7 @@ def test_c06_homology_fixtures():
                 assert hom.is_trivial(d)
             assert hom.betti(n - 1) == 1 and hom.torsion(n - 1) == ()
         facets = [tuple(v - 1 for v in f) for f in RP2_FACETS]
-        rp2 = SimplicialComplex.from_maximal(tuple(range(6)), facets)
+        rp2 = SimplicialComplex.build(tuple(range(6)), facets)
         hom = reduced_homology(rp2)
         assert hom.betti(1) == 0 and hom.torsion(1) == (2,)
         assert hom.betti(2) == 0 and hom.torsion(2) == ()
@@ -304,7 +304,7 @@ def test_c09_truncated_sn_census():
         k2 = build_sn_truncated(1, 2, 1)
         assert len(k2.vertices) == 18
         k3 = build_sn_truncated(1, 3, 1)
-        target3 = SimplicialComplex.from_maximal(
+        target3 = SimplicialComplex.build(
             (1, 2, 3), [(0, 1), (0, 2), (1, 2)]
         )
         mapping3 = [pi_projection(v) - 1 for v in k3.vertices]

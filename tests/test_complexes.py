@@ -50,6 +50,7 @@ from _oracles import (
     boundary_matrices_from_facets,
     bounded_vertex_census,
     disjoint_pairs_by_buckets,
+    enumerate_bounded_vertices_by_meets,
     images_disjoint_all_pairs,
     link_by_closure,
     maximal_simplices_quadratic,
@@ -69,13 +70,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def full_simplex(n):
     """The full simplex on n vertices."""
-    return SimplicialComplex.from_maximal(tuple(range(n)), [tuple(range(n))])
+    return SimplicialComplex.build(tuple(range(n)), [tuple(range(n))])
 
 
 def boundary_simplex(n):
     """The boundary of the (n-1)-simplex on n vertices."""
     face = tuple(range(n))
-    return SimplicialComplex.from_maximal(
+    return SimplicialComplex.build(
         tuple(range(n)), [face[:i] + face[i + 1 :] for i in range(n)]
     )
 
@@ -110,7 +111,7 @@ def test_build_and_face_closure():
     with pytest.raises(
         SizeLimitError, match=r"face closure exceeds the size limit 100: 101 simplices"
     ):
-        SimplicialComplex.from_maximal(tuple(range(20)), [tuple(range(20))], size_limit=100)
+        SimplicialComplex.build(tuple(range(20)), [tuple(range(20))], size_limit=100)
 
 
 def test_link_star_skeleton_examples():
@@ -157,7 +158,7 @@ def test_boundary_matrices_shape_and_squares_to_zero():
 
     # RP^2 against the hand-rolled boundary matrices of the oracle
     facets = sorted(RP2_FACETS)
-    rp2 = SimplicialComplex.from_maximal(
+    rp2 = SimplicialComplex.build(
         tuple(range(6)), [tuple(v - 1 for v in f) for f in facets]
     )
     assert assert_squares_to_zero(rp2)[1:] == list(boundary_matrices_from_facets(facets))
@@ -217,7 +218,7 @@ def test_homology_point_and_spheres():
 
 def test_homology_projective_plane_vs_hand_built_matrices():
     facets = [tuple(v - 1 for v in f) for f in RP2_FACETS]
-    K = SimplicialComplex.from_maximal(tuple(range(6)), facets)
+    K = SimplicialComplex.build(tuple(range(6)), facets)
     assert K.euler_characteristic() == 1
     hom = reduced_homology(K)
     assert hom.betti(0) == 0 and hom.torsion(0) == ()
@@ -244,7 +245,7 @@ def test_max_degree_assembles_no_higher_boundary(monkeypatch):
         return rows(bases, d)
 
     monkeypatch.setattr(complexes_module, "_boundary_rows", counting)
-    rp2 = SimplicialComplex.from_maximal(
+    rp2 = SimplicialComplex.build(
         tuple(range(6)), [tuple(v - 1 for v in f) for f in RP2_FACETS]
     )
     delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
@@ -329,11 +330,11 @@ def memoised_link():
 
 def wcm_fixtures():
     """Small complexes for the differential wcm and link tests."""
-    rp2 = SimplicialComplex.from_maximal(
+    rp2 = SimplicialComplex.build(
         tuple(range(6)), [tuple(v - 1 for v in f) for f in RP2_FACETS]
     )
     delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
-    bowtie = SimplicialComplex.from_maximal(tuple(range(5)), [(0, 1, 2), (0, 3, 4)])
+    bowtie = SimplicialComplex.build(tuple(range(5)), [(0, 1, 2), (0, 3, 4)])
     return [
         rp2,
         delta3,
@@ -439,6 +440,24 @@ def test_bounded_vertex_census():
         diag = validate(v)
         assert diag.valid
         assert canonical_threshold(v) <= 1
+
+
+ENUMERATION_ORACLE_CASES = [
+    (1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 2, 2), (1, 3, 2), (1, 2, 3),
+    (2, 1, 1), (2, 2, 1), (3, 1, 0), (3, 2, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "k, n, bound", ENUMERATION_ORACLE_CASES,
+    ids=["".join(map(str, p)) for p in ENUMERATION_ORACLE_CASES],
+)
+def test_enumeration_matches_meets_oracle(k, n, bound):
+    """Same vertices, in the same order, with the same canonical pieces and labels."""
+    got = enumerate_bounded_vertices(k, n, bound)
+    expected = enumerate_bounded_vertices_by_meets(k, n, bound)
+    assert [map_to_json(v) for v in got] == [map_to_json(v) for v in expected]
+    assert got == expected
 
 
 def test_bounded_vertex_set_closed_under_symmetric_action():
@@ -678,19 +697,41 @@ def test_disjoint_masks_match_bucket_oracle(params):
     assert mask_pairs(cells) == sorted(disjoint_pairs_by_buckets(vertices, cells))
 
 
+@pytest.mark.parametrize(
+    "params", BOUNDED_TRUNCATIONS, ids=["".join(map(str, p)) for p in BOUNDED_TRUNCATIONS]
+)
+def test_enumerated_cells_match_image_cells(params):
+    """The cells the enumeration pruned on give the same graph and cover verdicts."""
+    vertices, count, cells = complexes_module._bounded_vertices(*params, size_limit=None)
+    image_count, image_cells = complexes_module._image_cells(vertices)
+    assert list(_disjoint_masks(cells)) == list(_disjoint_masks(image_cells))
+    covers = [len(c) == count for c in cells]
+    assert covers == [len(c) == image_count for c in image_cells]
+    if params[1] == 1:
+        assert any(covers)  # the identity covers N^k
+
+
 def test_disjoint_masks_match_bucket_oracle_on_probe_pools(monkeypatch):
     lists = []
+    bounded_vertices = complexes_module._bounded_vertices
     image_cells = complexes_module._image_cells
+
+    def recording_vertices(*args, **kwargs):
+        found = bounded_vertices(*args, **kwargs)
+        lists.append(list(found[0]))
+        return found
 
     def recording(maps):
         lists.append(list(maps))
         return image_cells(maps)
 
+    monkeypatch.setattr(complexes_module, "_bounded_vertices", recording_vertices)
     monkeypatch.setattr(complexes_module, "_image_cells", recording)
     for seed in (3, 4, 5):
         lists.clear()
         connectivity_probe(1, 3, 1, 3, trials=30, seed=seed)
-        vertices, pool = lists[0], lists[-1]
+        assert len(lists) == 2  # the enumeration, then the pool
+        vertices, pool = lists
         assert len(pool) > len(vertices)  # intermediates joined the pool
         cells = image_cells(pool)[1]
         assert mask_pairs(cells) == sorted(disjoint_pairs_by_buckets(pool, cells))
@@ -788,7 +829,7 @@ def test_maximal_simplices_match_quadratic_reference(raw):
 
 
 def test_maximal_simplices_match_quadratic_reference_on_fixtures():
-    rp2 = SimplicialComplex.from_maximal(
+    rp2 = SimplicialComplex.build(
         tuple(range(6)), [tuple(v - 1 for v in f) for f in RP2_FACETS]
     )
     delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
@@ -832,7 +873,7 @@ def test_build_sn_truncated_matches_brute_force(k, n, bound, include_top):
 
 
 def test_build_sn_truncated_without_vertices(monkeypatch):
-    monkeypatch.setattr(complexes_module, "enumerate_bounded_vertices", lambda *a, **kw: [])
+    monkeypatch.setattr(complexes_module, "_bounded_vertices", lambda *a, **kw: ([], 0, []))
     for n, include_top in ((1, True), (2, True), (3, False), (3, True)):
         K = build_sn_truncated(1, n, 1, include_top=include_top)
         assert K.vertices == ()

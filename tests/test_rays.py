@@ -408,35 +408,6 @@ def test_json_round_trip():
         ray_from_json({"dirs": []})
 
 
-def test_ray_meets_matches_ray_intersect_exhaustively():
-    for k in (1, 2):
-        rays = [
-            Ray(base, dirs)
-            for base in itertools.product(range(1, 5), repeat=k)
-            for size in range(k + 1)
-            for dirs in itertools.combinations(range(1, k + 1), size)
-        ]
-        for a in rays:
-            for b in rays:
-                assert a.meets(b) == (ray_intersect(a, b) is not None), (a, b)
-    with pytest.raises(ValidationError):
-        Ray((1,), ()).meets(Ray((1, 1), ()))
-
-
-def test_marked_ray_meets_matches_marked_intersect():
-    for k in (1, 2):
-        rays = [
-            MarkedRay(Ray(base, dirs), copy)
-            for base in itertools.product(range(1, 4), repeat=k)
-            for size in range(k + 1)
-            for dirs in itertools.combinations(range(1, k + 1), size)
-            for copy in (1, 2)
-        ]
-        for a in rays:
-            for b in rays:
-                assert a.meets(b) == (marked_intersect(a, b) is not None), (a, b)
-
-
 def _refined_region(rng, k, n):
     """A random union of coarse grid cells, each written as its finer cells.
 
