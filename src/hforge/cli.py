@@ -33,7 +33,6 @@ from .errors import SizeLimitError, ValidationError
 from .fimodules import (
     _fg_report,
     degree_from_table,
-    generation_degree,
     houghton_h1_fimodule,
     module_from_json,
     module_to_json,
@@ -251,7 +250,8 @@ def _cmd_fimod(args) -> int:
         report = {
             "N": args.module_bound,
             "ring": args.ring,
-            "generation_degree": generation_degree(module),
+            # built here, so not validated again as generation_degree would
+            "generation_degree": degree_from_table(surjectivity_table(module)),
             "module": module_to_json(module),
         }
         _emit(report, args)

@@ -287,28 +287,36 @@ def _tau(i: int, n: int) -> tuple[int, ...]:
 def sigma1(v: TruncatedFIModule, n: int) -> tuple[InducedModule, Mat]:
     """The induced module at level n and its differential into level n.
 
-    Component i carries level n-1 through the coset representative sending
-    the new slot to i; the differential is that action composed with the
-    inclusion, so its image is the symmetric-group span of the included
-    lower level.
+    Component i carries level n-1 through the coset representative tau_i
+    sending the new slot to i; the differential is that action composed with
+    the inclusion, so its image is the symmetric-group span of the included
+    lower level.  The blocks are built by ``_d1``.
     """
     if not 1 <= n <= v.N:
         raise ValidationError(f"need 1 <= n <= {v.N}")
-    base_rank = v.levels[n - 1].rank
     reps = tuple(_tau(i, n) for i in range(1, n + 1))
-    induced = InducedModule(v, n, 1, base_rank, reps)
-    blocks = [
-        mat_mul(action_matrix(v, n, tau), v.levels[n].iota, base_rank) for tau in reps
-    ]
-    d1 = _hstack(blocks, v.levels[n].rank)
-    return induced, d1
+    return InducedModule(v, n, 1, v.levels[n - 1].rank, reps), _d1(v, n)
+
+
+def _d1(v: TruncatedFIModule, n: int) -> Mat:
+    """The differential of ``sigma1`` at level n, one product per coset.
+
+    tau_n is the identity and tau_i = s_i tau_{i+1}, so block n is the
+    inclusion and block i is s_i times block i+1.
+    """
+    lv = v.levels[n]
+    cols = v.levels[n - 1].rank
+    blocks = [lv.iota]
+    for s in reversed(lv.transpositions):
+        blocks.append(mat_mul(s, blocks[-1], cols))
+    return _hstack(blocks[::-1], lv.rank)
 
 
 def _surjective_at(v: TruncatedFIModule, n: int) -> bool:
     r = v.levels[n].rank
     if r == 0:
         return True
-    _, d1 = sigma1(v, n)
+    d1 = _d1(v, n)
     pres = v.levels[n].presentation
     if pres is not None:
         d1 = _hstack([d1, pres], r)

@@ -878,3 +878,38 @@ def random_injection_by_restriction(k, m, n, bound, seed):
             offset = tuple(b - a for a, b in zip(src.ray.base, dst.ray.base))
             pieces.append((src, Translation(offset, dst.copy)))
     return restrict(HoughtonMap(k, n, n, tuple(pieces)), m)
+
+
+# -- components and the induced differential as they were first computed -----
+
+
+def component_roots_by_union_find(nodes, edges) -> dict:
+    """Union-find over ``edges``: the representative of each node's component."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return {v: find(v) for v in parent}
+
+
+def sigma1_by_words(v, n):
+    """The differential of ``fimodules.sigma1`` with block i formed as
+    ``action_matrix`` of tau_i, the word s_i s_{i+1} ... s_{n-1} multiplied
+    out from the identity, times the inclusion."""
+    from hforge.fimodules import _tau, action_matrix
+    from hforge.snf import mat_mul
+
+    base_rank = v.levels[n - 1].rank
+    blocks = [
+        mat_mul(action_matrix(v, n, _tau(i, n)), v.levels[n].iota, base_rank)
+        for i in range(1, n + 1)
+    ]
+    return tuple(
+        tuple(x for block in blocks for x in block[row]) for row in range(v.levels[n].rank)
+    )

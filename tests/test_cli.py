@@ -145,6 +145,28 @@ def test_section_check_stdout_digests(capsys, params, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of `complex probe` stdout, pinned from the build that found the
+# pool's component by union-find and read its reduced H_0 by exact
+# elimination.  The (1,3,2) case has 5 failures and a component of 1,080.
+PROBE_DIGESTS = [
+    (("--k", "1", "--n", "3", "--bound", "1", "--trials", "30", "--seed", "0"),
+     "32ca7e48008c3dbcecc2c5d11f8b9c5a4733069ce8ebc82d634ca838d181f596"),
+    (("--k", "1", "--n", "4", "--bound", "1", "--trials", "20", "--seed", "1"),
+     "aa6d5e43afed0d16cfb0126f793fd23865300566e6ca0355713ffdabc2d78496"),
+    (("--k", "2", "--n", "3", "--bound", "0", "--trials", "20", "--seed", "2"),
+     "26049cdd9dec4ec22f03cb5b9be8dec75604fe734b058620f768cae4aac44500"),
+    (("--k", "1", "--n", "3", "--bound", "2", "--slack", "1", "--trials", "40", "--seed", "5"),
+     "ddcd3d5d8f8db1d5deb507c5da0ee0a3b95b2ce0d3ffb5f9003d4d9212592e25"),
+]
+
+
+@pytest.mark.parametrize("params, digest", PROBE_DIGESTS, ids=["1-3-1", "1-4-1", "2-3-0", "1-3-2"])
+def test_probe_stdout_digests(capsys, params, digest):
+    code, out, _ = run_cli(capsys, "complex", "probe", *params)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def _rp2_json():
     return {
         "vertices": list(range(6)),
@@ -383,6 +405,8 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
     assert run("fimod", "validate", str(module)) == {"validate_fimodule": 1}
     # one table: the truncation at the cut has the cut as its degree
     assert run("fimod", "report", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 1}
+    # a module the CLI built itself is not validated again
+    assert run("fimod", "houghton-h1", "--N", "5") == {"surjectivity_table": 1}
     # the three S vertices, once each; not the section built from them
     section = ("complex", "section-check", "--k", "1", "--n", "3", "--trials", "1", "--set-size", "3")
     assert run(*section) == {"validate": 3}

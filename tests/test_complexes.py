@@ -49,6 +49,7 @@ from hforge.snf import mat_mul, snf_diagonal, zero_matrix
 from _oracles import (
     boundary_matrices_from_facets,
     bounded_vertex_census,
+    component_roots_by_union_find,
     disjoint_pairs_by_buckets,
     enumerate_bounded_vertices_by_meets,
     images_disjoint_all_pairs,
@@ -729,12 +730,55 @@ def test_disjoint_masks_match_bucket_oracle_on_probe_pools(monkeypatch):
     monkeypatch.setattr(complexes_module, "_image_cells", recording)
     for seed in (3, 4, 5):
         lists.clear()
-        connectivity_probe(1, 3, 1, 3, trials=30, seed=seed)
+        report = connectivity_probe(1, 3, 1, 3, trials=30, seed=seed)
         assert len(lists) == 2  # the enumeration, then the pool
         vertices, pool = lists
         assert len(pool) > len(vertices)  # intermediates joined the pool
         cells = image_cells(pool)[1]
-        assert mask_pairs(cells) == sorted(disjoint_pairs_by_buckets(pool, cells))
+        pairs = disjoint_pairs_by_buckets(pool, cells)
+        assert mask_pairs(cells) == sorted(pairs)
+        # the reported component is vertex 0's union-find class, and it is
+        # connected: exact elimination finds its reduced H_0 zero
+        roots = component_roots_by_union_find(range(len(pool)), pairs)
+        members = [v for v in range(len(pool)) if roots[v] == roots[0]]
+        assert report["component_size"] == len(members)
+        index = {v: i for i, v in enumerate(members)}
+        component = SimplicialComplex.build(
+            tuple(pool[v] for v in members),
+            [(i,) for i in index.values()]
+            + [(index[a], index[b]) for a, b in pairs if a in index and b in index],
+            size_limit=None,
+        )
+        assert reduced_homology(component, max_degree=0).betti(0) == 0
+        assert report["component_betti0"] == 0
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=2 * n,
+            ),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_component_matches_union_find(graph):
+    """From every start, the mask search reaches exactly the start's
+    union-find class; vertices on no edge are components of their own."""
+    n, edges = graph
+    masks = [0] * n
+    for a, b in edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    roots = component_roots_by_union_find(range(n), edges)
+    for v in range(n):
+        expected = sum(1 << u for u in range(n) if roots[u] == roots[v])
+        assert complexes_module._component(masks, v) == expected
 
 
 def test_connectivity_probe_n3():
@@ -775,6 +819,11 @@ def test_complex_json_round_trip():
 def test_size_guard_messages_name_stage_and_count():
     with pytest.raises(SizeLimitError, match=r"size limit 3: 5 simplices listed"):
         SimplicialComplex.build(tuple(range(5)), [(i,) for i in range(5)], size_limit=3)
+    # (1,3,1) has 45 vertices; the enumeration stops at the eleventh
+    with pytest.raises(
+        SizeLimitError, match=r"vertex enumeration exceeds the size limit 10: 11 vertices"
+    ):
+        enumerate_bounded_vertices(1, 3, 1, size_limit=10)
     # 45 vertices fit, but 45 + 360 edges do not: the graph guard trips on
     # the first vertex whose neighbours above it pass 50, before any layer.
     with pytest.raises(
@@ -797,8 +846,9 @@ def test_size_guard_messages_name_stage_and_count():
 )
 @settings(max_examples=300, deadline=None)
 def test_q_acyclic_matches_reduced_homology(raw):
-    """Degree 0 is decided by union-find, higher degrees by elimination;
-    single-vertex lists put isolated vertices in many of the complexes."""
+    """Degree 0 is decided by the mask search of ``_component``, higher
+    degrees by elimination; single-vertex lists put isolated vertices in
+    many of the complexes."""
     K = SimplicialComplex.build(tuple(range(8)), raw)
     if K.is_empty:
         assert not any(is_q_acyclic(K, q) for q in range(-1, 3))

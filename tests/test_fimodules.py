@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hforge.errors import ValidationError
 from hforge.fimodules import (
@@ -27,7 +28,7 @@ from hforge.fimodules import (
 )
 from hforge.houghton import decompose, fi_map, random_element, translation_vector
 
-from _oracles import rank_over_q
+from _oracles import rank_over_q, sigma1_by_words
 
 
 def perm_matrix(perm):
@@ -195,6 +196,43 @@ def test_sigma1_rank_and_equivariance():
                 left = _matmul_py(action_matrix(v, n, perm), d1)
                 right = _matmul_py(d1, induced.action_matrix(perm))
                 assert left == right
+
+
+def test_sigma1_matches_word_oracle():
+    """One product per coset gives the differential the words gave."""
+    for ring in ("Z", "Q"):
+        for v in (constant_module(8, ring), permutation_module(8, ring), houghton_h1_fimodule(8, ring)):
+            for n in range(1, v.N + 1):
+                assert sigma1(v, n)[1] == sigma1_by_words(v, n)
+
+
+@st.composite
+def _random_levels(draw):
+    """Levels of random shapes and integer entries, free of every module relation."""
+    ranks = draw(st.lists(st.integers(0, 3), min_size=2, max_size=5))
+    entries = st.integers(-3, 3)
+
+    def matrix(rows, cols):
+        return tuple(
+            tuple(draw(st.lists(entries, min_size=cols, max_size=cols))) for _ in range(rows)
+        )
+
+    levels = [Level(ranks[0], None, ())]
+    for n in range(1, len(ranks)):
+        r = ranks[n]
+        levels.append(
+            Level(r, matrix(r, ranks[n - 1]), tuple(matrix(r, r) for _ in range(n - 1)))
+        )
+    return TruncatedFIModule(len(ranks) - 1, "Z", tuple(levels))
+
+
+@given(_random_levels())
+@settings(max_examples=200, deadline=None)
+def test_sigma1_matches_word_oracle_on_random_matrices(v):
+    """Exact associativity: the blocks agree whether or not the matrices
+    satisfy the Coxeter relations."""
+    for n in range(1, v.N + 1):
+        assert sigma1(v, n)[1] == sigma1_by_words(v, n)
 
 
 def test_sigma1_surjectivity_examples():
