@@ -10,9 +10,9 @@ element.
 Equality, composition and inversion are exact.  Every map has a canonical
 form: the coarsest grid of the domain on which it is a translation per cell.
 Pointwise equality of maps is equality of canonical forms.  A composition
-splits each canonical cell of the first map, once moved, only where the
-second map's grid cuts it, so each part lands inside a single canonical cell
-of the second map.
+labels one grid of the first map's domain, cut also where the second map's
+grid cuts it once pulled back by an offset, and reads its canonical form off
+those labels.
 
 A map's canonical table, ``(t, {(copy, cell): translation})`` in sorted
 cell order, lives in one LRU cache of ``_CANONICAL_CACHE_SIZE`` maps, as a
@@ -38,8 +38,8 @@ from .rays import (
     RayPartition,
     Region,
     _canonical_grid,
+    _cell_bases,
     _cell_sets,
-    _cells_within_ray,
     _complement_cells,
     _first_gap,
     _json_int,
@@ -263,27 +263,31 @@ def apply_map(f: HoughtonMap, point: tuple[int, ...], copy: int) -> tuple[tuple[
 def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
     """g after f.  Shapes must chain: f: m -> n, g: n -> r.
 
-    Each canonical cell of f is moved by its translation and split on a grid
-    at least as fine as g's, so each part lies in the canonical cell of g
-    that holds its base.  The part is pulled back into f's cell, the two
-    translations combine, and the result is re-canonicalised.
+    The result is read off one grid of f's domain: f's threshold cuts 1..tf+1
+    and g's 1..tg+1 pulled back by each offset d of f, c - d_j where >= 1.  f
+    is constant on a cell, and so is g once it is moved, as a cut of g inside
+    would pull back inside it; a cell's label is the two translations added.
     """
     if f.k != g.k or f.n != g.m:
         raise ValidationError(
             f"shape mismatch: cannot compose {g.m}->{g.n} after {f.m}->{f.n}"
         )
     tg, g_table = _canonical_table(g)
-    pieces = []
-    for (copy, cell), tr1 in _canonical_table(f)[1].items():
-        moved = cell.translate(tr1.offset)
-        back = tuple(-d for d in tr1.offset)
-        for part in _cells_within_ray(moved, max(tg, moved.threshold)):
-            tr2 = g_table[(tr1.target_copy, cell_of_point(part.base, tg))]
-            combined = Translation(
-                tuple(a + b for a, b in zip(tr1.offset, tr2.offset)), tr2.target_copy
-            )
-            pieces.append((MarkedRay(part.translate(back), copy), combined))
-    return canonical_form(HoughtonMap(f.k, f.m, g.n, tuple(pieces)))
+    tf, f_table = _canonical_table(f)
+    g_at = {(copy, cell.base): tr for (copy, cell), tr in g_table.items()}
+    cuts = tuple(
+        sorted({*range(1, tf + 2)}.union(*(range(max(1, 1 - d), tg + 2 - d) for d in set(ds))))
+        for ds in zip(*(tr.offset for tr in f_table.values()))
+    )
+    labels = {}
+    for (copy, cell), tr1 in f_table.items():
+        for base in _cell_bases(cell, cuts):
+            moved = tuple(min(b + d, tg + 1) for b, d in zip(base, tr1.offset))
+            tr2 = g_at[(tr1.target_copy, moved)]
+            offset = tuple(a + b for a, b in zip(tr1.offset, tr2.offset))
+            labels[(copy, base)] = Translation(offset, tr2.target_copy)
+    _, cells = _canonical_grid(cuts, labels, labels)
+    return HoughtonMap(f.k, f.m, g.n, tuple((MarkedRay(cell, copy), tr) for copy, cell, tr in cells))
 
 
 def inverse(g: HoughtonMap) -> HoughtonMap:

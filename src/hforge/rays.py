@@ -20,9 +20,9 @@ lists a ray's cells on per-coordinate cuts, either the threshold grid or the
 grid ``_cuts_for`` fits to a set of rays, whose size does not grow with the
 bases.  ``_cell_sets`` decides overlap and cover on the fitted grid;
 ``_label_cells`` labels its cells and ``_canonical_grid`` reads map tables,
-canonical regions and complements off them.  Vertex enumeration in
-``complexes`` prunes on ``_cell_sets`` and reads canonical forms off
-``_canonical_grid`` too.
+canonical regions and complements off them, or off any labelled grid with cuts
+from 1: ``houghton.compose`` reads a product off its own.  Vertex enumeration in
+``complexes`` prunes on ``_cell_sets`` and reads ``_canonical_grid`` too.
 
 Values are checked where they enter.  The JSON parsers take integers only,
 the constructors check coordinates, directions and copies, and ``Region``
@@ -235,8 +235,8 @@ def grid_cells(k: int, t: int) -> tuple[Ray, ...]:
     """
     if k < 1 or t < 0:
         raise ValidationError("need k >= 1 and t >= 0")
-    full = Ray((1,) * k, tuple(range(1, k + 1)))
-    return tuple(sorted(_cells_within_ray(full, t), key=Ray.sort_key))
+    bases = itertools.product(range(1, t + 2), repeat=k)
+    return tuple(sorted((cell_of_point(base, t) for base in bases), key=Ray.sort_key))
 
 
 def cell_of_point(point: tuple[int, ...], t: int) -> Ray:
@@ -270,12 +270,6 @@ def _cuts_for(k: int, rays: Iterable[Ray]) -> tuple[list[int], ...]:
             if j not in ray.dirs:
                 cuts[j - 1].add(b + 1)
     return tuple(sorted(c) for c in cuts)
-
-
-def _cells_within_ray(ray: Ray, t: int) -> Iterator[Ray]:
-    """The t-grid cells whose union is ``ray``; callers pass t >= ray.threshold."""
-    for base in _cell_bases(ray, (range(1, t + 2),) * ray.k):
-        yield Ray(base, tuple(j for j, b in enumerate(base, start=1) if b > t))
 
 
 def _cell_sets(k: int, groups: Sequence[Sequence[MarkedRay]]) -> tuple[tuple, list[frozenset]]:
@@ -344,14 +338,14 @@ def _label_cells(k: int, pieces: Iterable[tuple[MarkedRay, object]]) -> tuple[tu
 
 
 def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[int, list]:
-    """Minimal threshold t* of ``_label_cells`` labels and the t*-cells of the fitted
-    cells ``keys``, as ``(copy, cell, label)`` in ``(copy, dirs, base)`` order.
+    """Minimal threshold t* of a labelled grid and the t*-cells of its cells ``keys``,
+    as ``(copy, cell, label)`` in ``(copy, dirs, base)`` order.
 
-    A grid level merges exactly when no coordinate changes label between the values
-    t and t+1, so t* + 1 is the largest cut, or 1, across which a labelled fitted
-    cell and its neighbour differ, a missing cell reading None.  A t*-cell takes the
-    label of the fitted cell that holds its base (None when missing); the threshold
-    grid is built only for these output cells.
+    The sorted ``cuts`` start at 1; ``labels`` maps ``(copy, base)`` cells of their product,
+    every one of a map's or those of a region, to labels.  A level merges exactly when no
+    coordinate changes label between t and t+1, so t* + 1 is the largest cut, or 1, across
+    which a cell and its neighbour differ, a missing cell reading None.  A t*-cell takes the
+    label of the cell holding its base; the threshold grid is built only for output cells.
     """
     below = [dict(zip(cut[1:], cut)) for cut in cuts]
     above = [dict(zip(cut, cut[1:])) for cut in cuts]

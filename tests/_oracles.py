@@ -303,10 +303,19 @@ def sn_simplices_brute_force(vertices, include_top: bool) -> dict:
 # -- the grid layer as it was before rays.py owned it alone -----------------
 
 
+def cells_within_ray(ray, t: int):
+    """The t-grid cells whose union is ``ray``, for t >= ray.threshold: its
+    ``_cell_bases`` on the threshold cuts 1..t+1."""
+    from hforge.rays import Ray, _cell_bases
+
+    for base in _cell_bases(ray, (range(1, t + 2),) * ray.k):
+        yield Ray(base, tuple(j for j, b in enumerate(base, start=1) if b > t))
+
+
 def partition_validate_pairwise(p):
     """``rays.partition_validate`` with its first overlapping pair found by
     ``marked_intersect``; returns the (ok, reason) of its diagnostics."""
-    from hforge.rays import _cells_within_ray, marked_intersect
+    from hforge.rays import marked_intersect
 
     for a, b in itertools.combinations(p.cells, 2):
         if marked_intersect(a, b) is not None:
@@ -316,12 +325,12 @@ def partition_validate_pairwise(p):
     cell_rays = {c: [m.ray for m in p.cells if m.copy == c] for c in range(1, p.region.n + 1)}
     for copy, rays in cell_rays.items():
         for ray in rays:
-            for sub in _cells_within_ray(ray, t):
+            for sub in cells_within_ray(ray, t):
                 if not any(h.contains(sub.base) for h in region_rays[copy]):
                     return False, f"cell {ray} on copy {copy} leaves the region near {sub.base}"
     for copy, hosts in region_rays.items():
         for host in hosts:
-            for sub in _cells_within_ray(host, t):
+            for sub in cells_within_ray(host, t):
                 if not any(c.contains(sub.base) for c in cell_rays[copy]):
                     return False, f"uncovered cell {sub} on copy {copy}"
     return True, None
@@ -374,12 +383,12 @@ def canonical_table_children_scan(f):
     scanning every (t-1)-cell's children for one common translation; raises
     ``ValidationError`` on overlapping or missing domain pieces."""
     from hforge.errors import ValidationError
-    from hforge.rays import _cells_within_ray, grid_cells
+    from hforge.rays import grid_cells
 
     t = max(dom.ray.threshold for dom, _ in f.pieces)
     table = {}
     for dom, tr in f.pieces:
-        for cell in _cells_within_ray(dom.ray, t):
+        for cell in cells_within_ray(dom.ray, t):
             key = (dom.copy, cell)
             if key in table and table[key] != tr:
                 raise ValidationError(f"domain pieces overlap on copy {dom.copy} at {cell}")
@@ -402,12 +411,12 @@ def canonical_table_children_scan(f):
 def canonical_cells_group_by_parent(reg):
     """(t, sorted marked cells) of a region, coarsened by grouping the cells of
     each level under their parents and merging while every group is full."""
-    from hforge.rays import MarkedRay, _cells_within_ray, cell_of_point
+    from hforge.rays import MarkedRay, cell_of_point
 
     if not reg.rays:
         return 0, ()
     t = reg.threshold
-    current = {(m.copy, cell) for m in reg.rays for cell in _cells_within_ray(m.ray, t)}
+    current = {(m.copy, cell) for m in reg.rays for cell in cells_within_ray(m.ray, t)}
     while t > 0:
         groups = {}
         for copy, cell in current:

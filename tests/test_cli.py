@@ -263,6 +263,52 @@ def test_element_verify_digests(capsys, tmp_path, make_input, exit_code, digest)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _elements(*specs):
+    from hforge.houghton import random_element, random_injection
+
+    return lambda: [random_element(*spec) if len(spec) == 4 else random_injection(*spec)
+                    for spec in specs]
+
+
+# sha256 of `element` stdout, pinned from the build whose compose split each
+# moved canonical cell on a threshold grid and canonicalised the parts again.
+# Seeds 9, 11, 12 and 17 draw grid threshold 3 at bound 3; the injections are
+# (k, m, n, bound, seed) with m < n.
+ELEMENT_DIGESTS = [
+    ("compose-k2", "compose", _elements((2, 3, 3, 9), (2, 3, 3, 11)),
+     "23f4ffc2b25bedc266ae9d41b9eb64b683fe28fe5cc007684201151dda4413d2"),
+    ("compose-k3", "compose", _elements((3, 2, 3, 12), (3, 2, 3, 17)),
+     "f4287d95082dac7226fe9e8fbdd6b73194c08588613784c96566ba6a007b12e8"),
+    ("compose-injections", "compose", _elements((2, 3, 4, 3, 24), (2, 2, 3, 3, 25)),
+     "8dcdcb3f4fbb1841e990a1ad87afa23eb4a3e5d6dea6b0b1261c2d9427a087ac"),
+    ("invert-k2", "invert", _elements((2, 3, 3, 9)),
+     "5c288a763cc7a828cb442b93fa253a454517fea7398b8a5db9caa57baef8a51c"),
+    ("invert-k3", "invert", _elements((3, 2, 3, 12)),
+     "693bdbe187e148c29b4a79afd0aed161f9a5ffdb226e2bab0666445551072036"),
+    ("decompose-k2", "decompose", _elements((2, 3, 3, 9)),
+     "675703bd9413d1bd9fb2537a95722c6e20760535d5d51ed875a8f2d99dec1390"),
+    ("decompose-k3", "decompose", _elements((3, 2, 3, 12)),
+     "a8f5bd549ba62ec9c5c77396dc849232cab08ba5ca98ade00e32885f6184b07d"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, make_inputs, digest",
+    [case[1:] for case in ELEMENT_DIGESTS],
+    ids=[case[0] for case in ELEMENT_DIGESTS],
+)
+def test_element_stdout_digests(capsys, tmp_path, verb, make_inputs, digest):
+    from hforge.houghton import map_to_json
+
+    paths = []
+    for i, f in enumerate(make_inputs()):
+        paths.append(tmp_path / f"map{i}.json")
+        paths[-1].write_text(json.dumps(map_to_json(f)))
+    code, out, _ = run_cli(capsys, "element", verb, *map(str, paths))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # A float, bool or string where the map format wants an integer.  Rounded
 # down, the first case would read as the identity of N x [1].
 NON_INTEGER_FIELDS = [

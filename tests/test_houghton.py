@@ -196,9 +196,10 @@ def test_compose_matches_global_grid_oracle():
     """Local refinement against the one-global-grid composition.
 
     Bijections and injections (m < n) at k = 1, 2, 3, with the two factors'
-    canonical thresholds in either order, and every m = n map of
-    ``_differential_maps()`` composed with a valid element on either side;
-    where the oracle raises, compose raises the same message.
+    canonical thresholds in either order; every m = n map of
+    ``_differential_maps()`` composed with a valid element on either side, and
+    every m < n map followed by a valid injection into n + 1 copies; where the
+    oracle raises, compose raises the same message.
     """
     from hforge.houghton import _canonical_table
 
@@ -233,13 +234,47 @@ def test_compose_matches_global_grid_oracle():
             if negative:
                 seen.add("negative offset")
     for trial, f in enumerate(_differential_maps()):
-        if f.m != f.n:
-            continue
-        h = random_element(f.k, f.n, trial % 3, seed=4000 + trial)
-        for g, first in ((h, f), (f, h)):
-            seen.add(check(g, first)[0])
+        if f.m == f.n:
+            h = random_element(f.k, f.n, trial % 3, seed=4000 + trial)
+            for g, first in ((h, f), (f, h)):
+                seen.add(check(g, first)[0])
+        elif f.m < f.n:
+            g = random_injection(f.k, f.n, f.n + 1, trial % 3, seed=4000 + trial)
+            seen.add(("m < n", check(g, f)[0] == "raises"))
     expected = {(label, k) for label in ("bijection", "injection") for k in (1, 2, 3)}
+    expected |= {("m < n", True), ("m < n", False)}
     assert seen >= expected | {"tf > tg", "tf < tg", "negative offset", "raises"}
+
+
+def test_compose_canonicalises_once(monkeypatch):
+    """With both factors' tables cached, compose labels one grid and reads
+    the result off it: one ``_canonical_grid`` call, one ``HoughtonMap``
+    built, and no ``_label_cells``, ``canonical_form`` or ``cell_of_point``."""
+    import hforge.houghton as houghton
+    import hforge.rays as rays
+    from collections import Counter
+
+    g, f = random_element(2, 3, 3, seed=9), random_element(2, 3, 3, seed=11)
+    houghton._canonical_table(g), houghton._canonical_table(f)
+    calls = Counter()
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for module in (rays, houghton):
+        for name in ("_canonical_grid", "_label_cells", "cell_of_point"):
+            if hasattr(module, name):
+                count(module, name)
+    count(houghton, "canonical_form")
+    count(HoughtonMap, "__post_init__")
+    compose(g, f)
+    assert calls == Counter({"_canonical_grid": 1, "__post_init__": 1})
 
 
 def test_inverse_examples():

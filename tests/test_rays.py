@@ -11,7 +11,6 @@ from hforge.rays import (
     _canonical_cells,
     _cell_bases,
     _cell_sets,
-    _cells_within_ray,
     _complement_cells,
     _cuts_for,
     _first_gap,
@@ -36,6 +35,7 @@ from hforge.rays import (
 )
 
 from _oracles import (
+    cells_within_ray,
     canonical_cells_group_by_parent,
     grid_cells_by_mask,
     partition_validate_pairwise,
@@ -421,7 +421,7 @@ def _refined_region(rng, k, n):
         for cell in grid_cells(k, coarse):
             if rng.random() < 0.6:
                 t = fine + rng.randint(0, 1)
-                cells += [MarkedRay(sub, copy) for sub in _cells_within_ray(cell, t)]
+                cells += [MarkedRay(sub, copy) for sub in cells_within_ray(cell, t)]
     if cells and rng.random() < 0.3:
         cells.pop(rng.randrange(len(cells)))
     return Region(k, n, tuple(cells))
@@ -469,7 +469,7 @@ def test_cells_within_ray_is_the_threshold_grid_of_cell_bases():
         ray = _random_ray(rng, k, 4)
         t = ray.threshold + rng.randint(0, 2)
         expected = [cell for cell in grid_cells(k, t) if ray.contains(cell.base)]
-        assert sorted(_cells_within_ray(ray, t), key=Ray.sort_key) == expected
+        assert sorted(cells_within_ray(ray, t), key=Ray.sort_key) == expected
 
 
 def test_uncovered_cells_match_containment_oracle():
