@@ -19,13 +19,14 @@ from pathlib import Path
 
 from .complexes import (
     DEFAULT_SIZE_LIMIT,
-    build_s_section,
     build_sn_truncated,
     complex_from_json,
     complex_to_json,
     connectivity_probe,
     homology_to_json,
     reduced_homology,
+    _s_images,
+    _s_section,
     _verify_s_section,
     wcm_check,
 )
@@ -212,8 +213,9 @@ def _cmd_complex(args) -> int:
                 random_injection(args.k, 1, args.n, args.bound, seed=args.seed + 7 * t + i + 1)
                 for i in range(args.set_size)
             ]
-            section = build_s_section(args.k, args.n, members)
-            ok, _ = _verify_s_section(args.k, args.n, members, section)
+            images = _s_images(args.k, args.n, members)
+            section = _s_section(args.k, args.n, members, images)
+            ok, _ = _verify_s_section(args.k, args.n, members, section, images)
             all_ok = all_ok and ok
             trials.append({"trial": t, "set_size": args.set_size, "ok": ok})
         _emit(

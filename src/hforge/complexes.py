@@ -31,7 +31,7 @@ from .houghton import (
     equals,
     map_from_json,
     map_to_json,
-    validate,
+    _validate,
 )
 from .rays import (
     MarkedRay,
@@ -453,8 +453,9 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
 
     Full-size tuples (as many vertices as copies) must additionally cover
     the whole codomain, matching the top-dimensional automorphism condition.
-    Both are read off ``_image_cells``: no two cell sets may meet, and a
-    full-size tuple's cells must number the grid's count.
+    Both are read off the ``_cell_sets`` of the image rays that validating
+    each vertex computed: no two cell sets may meet, and a full-size tuple's
+    cells must number the grid's count, as in ``_image_cells``.
     """
     if not vertices:
         raise ValidationError("need at least one vertex")
@@ -465,13 +466,9 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
         raise ValidationError(f"at most {n} vertices can span a simplex")
     if len({id(v) for v in vertices}) != len(vertices):
         raise ValidationError("repeated vertex")
-    for v in vertices:
-        diag = validate(v)
-        if not diag.valid:
-            raise ValidationError(f"invalid vertex: {diag.problems}")
-    count, cells = _image_cells(vertices)
+    cuts, cells = _cell_sets(k, [_checked_rays(v) for v in vertices])
     disjoint = _overlapping_pair(vertices, cells) is None
-    return disjoint and (len(vertices) < n or sum(map(len, cells)) == count)
+    return disjoint and (len(vertices) < n or sum(map(len, cells)) == n * math.prod(map(len, cuts)))
 
 
 def build_sn_truncated(
@@ -561,23 +558,44 @@ def _avoidance_offset(k: int, rays_in_copy: list[Ray]) -> int:
     return m
 
 
+def _checked_rays(v: HoughtonMap, what: str = "vertex") -> tuple[MarkedRay, ...]:
+    """The image rays of ``v``, computed by the one ``_validate`` that checks it."""
+    diag, rays = _validate(v)
+    if not diag.valid:
+        raise ValidationError(f"invalid {what}: {diag.problems}")
+    return rays
+
+
+def _s_images(k: int, n: int, s_vertices: list[HoughtonMap]) -> list[tuple[MarkedRay, ...]]:
+    """Each vertex of S checked once, its shape ``(k, 1, n)`` and then one ``_validate``,
+    and the image rays of that pass, which the section's avoidance and its check reuse."""
+    images = []
+    for v in s_vertices:
+        if (v.k, v.m, v.n) != (k, 1, n):
+            raise ValidationError(f"vertex {v} does not live in the (k={k}, n={n}) complex")
+        images.append(_checked_rays(v, "vertex in S"))
+    return images
+
+
 def build_s_section(k: int, n: int, s_vertices: list[HoughtonMap]) -> list[HoughtonMap]:
     """Vertices f_1..f_n sending the full ray far enough out into each copy.
 
     f_p lands in copy p beyond everything the given vertices reach there,
     except for vertices whose own full ray already occupies copy p, which a
-    section cannot and need not avoid.
+    section cannot and need not avoid.  S is checked by ``_s_images``, and
+    the avoidance lists are built from the image rays that check computed.
     """
-    for v in s_vertices:
-        if (v.k, v.m, v.n) != (k, 1, n):
-            raise ValidationError(f"vertex {v} does not live in the (k={k}, n={n}) complex")
-        diag = validate(v)
-        if not diag.valid:
-            raise ValidationError(f"invalid vertex in S: {diag.problems}")
+    return _s_section(k, n, s_vertices, _s_images(k, n, s_vertices))
+
+
+def _s_section(
+    k: int, n: int, s_vertices: list[HoughtonMap], s_images: list[tuple[MarkedRay, ...]]
+) -> list[HoughtonMap]:
+    """``build_s_section`` on vertices already checked, with their image rays."""
     avoid: dict[int, list[Ray]] = {p: [] for p in range(1, n + 1)}
-    for v in s_vertices:
+    for v, rays in zip(s_vertices, s_images):
         own = pi_projection(v)
-        for m in _image_rays(v):
+        for m in rays:
             if m.copy != own:
                 avoid[m.copy].append(m.ray)
     full = MarkedRay(Ray((1,) * k, tuple(range(1, k + 1))), 1)
@@ -598,13 +616,12 @@ def verify_s_section(
     For every simplex sigma spanned by S and every simplex tau of the
     codomain skeleton: tau lies in the link of the projected sigma iff the
     section's image of tau lies in the link of sigma.  Returns the first
-    failing pair, if any.  Every vertex is validated first.
+    failing pair, if any.  Every vertex is validated first, the section's
+    and then S's by ``_s_images``, whose image rays the check reuses.
     """
-    for v in [*rho, *s_vertices]:
-        diag = validate(v)
-        if not diag.valid:
-            raise ValidationError(f"invalid vertex: {diag.problems}")
-    return _verify_s_section(k, n, s_vertices, rho)
+    for f in rho:
+        _checked_rays(f)
+    return _verify_s_section(k, n, s_vertices, rho, _s_images(k, n, s_vertices))
 
 
 def _verify_s_section(
@@ -612,25 +629,29 @@ def _verify_s_section(
     n: int,
     s_vertices: list[HoughtonMap],
     rho: list[HoughtonMap],
+    s_images: list[tuple[MarkedRay, ...]],
 ) -> tuple[bool, tuple | None]:
     """``verify_s_section`` on vertices already checked, such as S after
-    ``build_s_section`` and the section that it built.
+    ``_s_images`` and the section that ``_s_section`` built from it.
 
-    Simplices are read off one ``_disjoint_masks`` bitmask per map, taken
-    over the section (bit p-1 for copy p) and the distinct vertices of S.
-    S is deduplicated within groups of equal ``_image_cells`` sets, since
-    equal maps have equal images.  The section spans a simplex (checked for
-    n >= 3; for smaller n a tau has one vertex), so sigma + rho(tau) spans
-    one exactly when it has at most n - 1 vertices and tau lies in the AND
-    of sigma's masks.  A vertex of sigma equal to a section vertex shares
-    its nonempty image, so that AND already rejects the repeat.
+    ``s_images`` are S's image rays from that check.  One ``_cell_sets``
+    grid is fitted to them and to the section's image rays, the only ones
+    computed here.  Simplices are read off one ``_disjoint_masks`` bitmask
+    per map, taken over the section (bit p-1 for copy p) and the distinct
+    vertices of S.  S is deduplicated within groups of equal cell sets,
+    since equal maps have equal images.  The section spans a simplex
+    (checked for n >= 3; for smaller n a tau has one vertex), so
+    sigma + rho(tau) spans one exactly when it has at most n - 1 vertices
+    and tau lies in the AND of sigma's masks.  A vertex of sigma equal to a
+    section vertex shares its nonempty image, so that AND already rejects
+    the repeat.
     """
     if len(rho) != n:
         raise ValidationError(f"section must assign all {n} copies")
     for p, f in enumerate(rho, start=1):
         if pi_projection(f) != p:
             raise ValidationError(f"not a section: assigned vertex for copy {p} projects to {pi_projection(f)}")
-    cells = _image_cells([*rho, *s_vertices])[1]
+    cells = _cell_sets(k, [*map(_image_rays, rho), *s_images])[1]
     maps, kept = list(rho), cells[:n]
     groups: dict[frozenset, list[HoughtonMap]] = {}
     for v, c in zip(s_vertices, cells[n:]):

@@ -192,8 +192,15 @@ def image_region(f: HoughtonMap) -> Region:
 
 
 def validate(f: HoughtonMap) -> MapDiagnostics:
-    """Domain partition, positivity, injectivity; bijectivity when m = n.  Domain and images
-    take one ``_cell_sets`` pass each; ``_overlapping_pair`` and ``_first_gap`` name the fault."""
+    """Domain partition, positivity, injectivity; bijectivity when m = n.  ``_validate``
+    does the work and also hands back the image rays, for callers that use them next."""
+    return _validate(f)[0]
+
+
+def _validate(f: HoughtonMap) -> tuple[MapDiagnostics, tuple[MarkedRay, ...]]:
+    """``validate`` and the image rays it checked, one per piece in piece order.  Domain
+    and images take one ``_cell_sets`` pass each; ``_overlapping_pair`` and ``_first_gap``
+    name the fault."""
     problems: list[str] = []
     domain = [dom for dom, _ in f.pieces]
     cuts, cells = _cell_sets(f.k, [(m,) for m in domain])
@@ -203,12 +210,12 @@ def validate(f: HoughtonMap) -> MapDiagnostics:
         problems.append(
             f"domain is not a ray partition: uncovered cell {gap.ray} on copy {gap.copy}"
         )
-    images = [f.image_ray(p) for p in f.pieces]
+    images = tuple(f.image_ray(p) for p in f.pieces)
     cuts, cells = _cell_sets(f.k, [(m,) for m in images])
     if (pair := _overlapping_pair(images, cells)) is not None:
         problems.append(f"image rays overlap: {pair[0]} and {pair[1]}")
     bijective = not problems and f.m == f.n and _first_gap(f.n, cuts, cells) is None
-    return MapDiagnostics(not problems, bijective, tuple(problems))
+    return MapDiagnostics(not problems, bijective, tuple(problems)), images
 
 
 # -- canonical form ----------------------------------------------------------
@@ -218,6 +225,16 @@ def validate(f: HoughtonMap) -> MapDiagnostics:
 _CANONICAL_CACHE_SIZE = 4096
 
 
+def _map_cells(k: int, m: int, pieces) -> tuple[int, list]:
+    """Minimal grid threshold and the ``(copy, cell, translation)`` cells of the map on
+    ``m`` copies that ``pieces`` describe, read off the grid fitted to the pieces; the
+    pieces must neither overlap nor leave a gap."""
+    cuts, labels = _label_cells(k, pieces)
+    if len(labels) != m * math.prod(map(len, cuts)):
+        raise ValidationError("domain pieces do not cover every copy")
+    return _canonical_grid(cuts, labels, labels)
+
+
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
 def _canonical_table(f: HoughtonMap) -> tuple[int, MappingProxyType]:
     """Minimal grid threshold and the read-only per-cell translation table of ``f``.
@@ -225,10 +242,7 @@ def _canonical_table(f: HoughtonMap) -> tuple[int, MappingProxyType]:
     The table is read off the grid fitted to the pieces, so the result depends
     only on the map as a function.  Entries are in sorted cell order.
     """
-    cuts, labels = _label_cells(f.k, f.pieces)
-    if len(labels) != f.m * math.prod(map(len, cuts)):
-        raise ValidationError("domain pieces do not cover every copy")
-    t, cells = _canonical_grid(cuts, labels, labels)
+    t, cells = _map_cells(f.k, f.m, f.pieces)
     return t, MappingProxyType({(copy, cell): tr for copy, cell, tr in cells})
 
 
@@ -293,10 +307,11 @@ def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
 def inverse(g: HoughtonMap) -> HoughtonMap:
     """Invert a bijective element: image cells with negated translations.
 
-    The inverse's own canonical table decides bijectivity: it rejects image
-    cells that overlap or leave a gap.  g is read through its table, as the
-    function it denotes, so a hand-built g that repeats a piece is inverted
-    like the map without the repeat, as ``compose`` and ``equals`` read it.
+    The inverse is read off the grid fitted to those pieces, which rejects
+    image cells that overlap or leave a gap, and built once.  g is read
+    through its table, as the function it denotes, so a hand-built g that
+    repeats a piece is inverted like the map without the repeat, as
+    ``compose`` and ``equals`` read it.
     """
     if g.m != g.n:
         raise ValidationError("only m = n maps can be inverted")
@@ -305,7 +320,8 @@ def inverse(g: HoughtonMap) -> HoughtonMap:
         for (copy, cell), tr in _canonical_table(g)[1].items():
             image = MarkedRay(cell.translate(tr.offset), tr.target_copy)
             pieces.append((image, Translation(tuple(-d for d in tr.offset), copy)))
-        return canonical_form(HoughtonMap(g.k, g.n, g.m, tuple(pieces)))
+        _, cells = _map_cells(g.k, g.n, pieces)
+        return HoughtonMap(g.k, g.n, g.m, tuple((MarkedRay(c, copy), tr) for copy, c, tr in cells))
     except ValidationError as exc:
         raise ValidationError(f"map is not bijective: {exc}") from exc
 

@@ -430,7 +430,8 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
 
     counts = Counter()
     for module in (hforge.houghton, hforge.complexes, hforge.cli):
-        _counting(monkeypatch, counts, module, "validate")
+        if hasattr(module, "_validate"):  # every binding of the function that does the check
+            _counting(monkeypatch, counts, module, "_validate")
     _counting(monkeypatch, counts, Region, "__post_init__")
     for name in ("validate_fimodule", "surjectivity_table"):
         _counting(monkeypatch, counts, hforge.fimodules, name)
@@ -443,8 +444,8 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
         assert code == 0
         return dict(counts)
 
-    assert run("element", "invert", str(FIXTURES / "generator.json")) == {"validate": 1}
-    assert run("element", "verify", str(FIXTURES / "generator.json")) == {"validate": 1}
+    assert run("element", "invert", str(FIXTURES / "generator.json")) == {"_validate": 1}
+    assert run("element", "verify", str(FIXTURES / "generator.json")) == {"_validate": 1}
     module = tmp_path / "module.json"
     module.write_text(json.dumps(_h1_module_json(5, "Z")))
     assert run("fimod", "gendeg", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 1}
@@ -455,12 +456,33 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
     assert run("fimod", "houghton-h1", "--N", "5") == {"surjectivity_table": 1}
     # the three S vertices, once each; not the section built from them
     section = ("complex", "section-check", "--k", "1", "--n", "3", "--trials", "1", "--set-size", "3")
-    assert run(*section) == {"validate": 3}
+    assert run(*section) == {"_validate": 3}
 
     reg = image_region(random_injection(2, 2, 3, 2, 7))
     counts.clear()
     region_complement(reg)
     assert counts["__post_init__"] == 1
+
+
+def test_section_check_computes_each_image_ray_once(capsys, monkeypatch):
+    """One trial maps each S piece once, in the check of its vertex, and each
+    section vertex's one piece once; avoidance and the grid reuse them."""
+    from hforge.houghton import HoughtonMap, random_injection
+
+    real = HoughtonMap.image_ray
+    calls = []
+
+    def counted(self, piece):
+        calls.append(piece)
+        return real(self, piece)
+
+    monkeypatch.setattr(HoughtonMap, "image_ray", counted)
+    argv = ("complex", "section-check", "--k", "2", "--n", "4", "--set-size", "6", "--trials", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["all_sections_verified"] is True
+    # the CLI's default --bound 2 and --seed 0 draw the members of trial 0
+    members = [random_injection(2, 1, 4, 2, seed=i + 1) for i in range(6)]
+    assert len(calls) == sum(len(v.pieces) for v in members) + 4
 
 
 def test_complex_homology_fixture(capsys):

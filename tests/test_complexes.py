@@ -653,9 +653,8 @@ def restrict_vertex(g):
 def test_section_masks_match_pairwise_oracle_on_seeded_sets():
     for k, n, S in seeded_s_sets():
         fs = build_s_section(k, n, S)
-        assert complexes_module._verify_s_section(k, n, S, fs) == verify_s_section_by_pairs(
-            k, n, S, fs
-        )
+        got = complexes_module._verify_s_section(k, n, S, fs, [_images(v) for v in S])
+        assert got == verify_s_section_by_pairs(k, n, S, fs)
 
 
 def test_section_masks_match_pairwise_oracle_on_shallow_first_slots():
@@ -672,7 +671,7 @@ def test_section_masks_match_pairwise_oracle_on_shallow_first_slots():
             S.append(S[0])  # a repeat, which both must drop
             rho = build_s_section(k, n, S)
             rho[0] = inclusion(k, n, 1)
-            got = complexes_module._verify_s_section(k, n, S, rho)
+            got = complexes_module._verify_s_section(k, n, S, rho, [_images(v) for v in S])
             assert got == verify_s_section_by_pairs(k, n, S, rho)
             outcomes.add(got[0])
     assert outcomes == {False, True}
@@ -1016,6 +1015,53 @@ def test_top_simplex_cover_matches_containment_oracle():
         assert simplex_test(vertices) == expected
         outcomes.add(expected)
     assert outcomes == {False, True}
+
+
+def test_simplex_test_matches_all_pairs_oracle_on_seeded_sets():
+    """Seeded vertex sets of three kinds: a full-size tuple of the copies of
+    one element, which covers unless a copy is shifted; a map beside an equal
+    copy of itself; and draws of mixed thresholds.  A set spans a simplex when
+    ``images_disjoint_all_pairs`` holds for every pair and, at full size, the
+    containment scan finds no uncovered cell."""
+    rng = random.Random(43)
+    seen = set()
+    for trial in range(90):
+        k, n, kind = rng.choice((1, 2)), rng.choice((2, 3)), trial % 3
+        if kind == 0:
+            g = random_element(k, n, rng.randint(0, 2), seed=trial)
+            vertices = [_copy_vertex(g, c) for c in range(1, n + 1)]
+            if rng.random() < 0.3:
+                vertices[-1] = _shifted(vertices[-1], 1)
+        elif kind == 1:
+            v = _random_vertices(rng, k, n, 1)[0]
+            vertices = [v, HoughtonMap(v.k, v.m, v.n, v.pieces)]
+        else:
+            vertices = _random_vertices(rng, k, n, rng.randint(1, n))
+        expected = all(
+            images_disjoint_all_pairs(_images(a), _images(b))
+            for a, b in itertools.combinations(vertices, 2)
+        ) and (len(vertices) < n or _covers_by_containment(vertices))
+        assert simplex_test(vertices) == expected, (kind, vertices)
+        seen.add((kind, expected))
+    assert seen == {(0, True), (0, False), (1, False), (2, True), (2, False)}
+
+    full = Ray((1,), (1,))
+    overlapping = HoughtonMap(
+        1,
+        1,
+        2,
+        (
+            (MarkedRay(full, 1), Translation((0,), 1)),
+            (MarkedRay(Ray((2,), (1,)), 1), Translation((0,), 2)),
+        ),
+    )
+    with pytest.raises(ValidationError) as excinfo:
+        simplex_test([inclusion(1, 2, 2), overlapping])
+    assert str(excinfo.value) == (
+        "invalid vertex: ('domain is not a ray partition: cells overlap: "
+        "MarkedRay(ray=Ray(base=(1,), dirs=(1,)), copy=1) and "
+        "MarkedRay(ray=Ray(base=(2,), dirs=(1,)), copy=1)',)"
+    )
 
 
 def test_cover_counts_the_cell_just_past_a_pinned_base():

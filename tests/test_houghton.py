@@ -277,6 +277,31 @@ def test_compose_canonicalises_once(monkeypatch):
     assert calls == Counter({"_canonical_grid": 1, "__post_init__": 1})
 
 
+def test_inverse_canonicalises_once(monkeypatch):
+    """With g's table cached, inverse reads the negated image pieces off one
+    grid and builds one ``HoughtonMap``; it caches no table for a map that no
+    caller holds."""
+    import hforge.houghton as houghton
+    from collections import Counter
+
+    g = random_element(2, 3, 3, seed=9)
+    houghton._canonical_table(g)
+    calls = Counter()
+    for owner, name in ((houghton, "_canonical_grid"), (HoughtonMap, "__post_init__")):
+        inner = getattr(owner, name)
+
+        def counted(*args, _inner=inner, _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    misses = houghton._canonical_table.cache_info().misses
+    gi = inverse(g)
+    assert calls == Counter({"_canonical_grid": 1, "__post_init__": 1})
+    assert houghton._canonical_table.cache_info().misses == misses
+    assert equals(compose(gi, g), identity_map(2, 3))
+
+
 def test_inverse_examples():
     assert equals(inverse(identity_map(2, 2)), identity_map(2, 2))
     g = spec_generator()
