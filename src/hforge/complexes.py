@@ -27,6 +27,7 @@ from .houghton import (
     HoughtonMap,
     Translation,
     _k_piece,
+    _map_of_cells,
     canonical_threshold,
     equals,
     map_from_json,
@@ -349,6 +350,8 @@ def _bounded_vertices(
     One ``rays._cell_sets`` call fits the grid to every option's image ray.  A leaf keeps
     the union of its options' cells and reads its canonical form off
     ``rays._canonical_grid``: the domain cells are the fitted cells of the cuts 1..B+1.
+    ``houghton._map_of_cells`` builds the vertex with that table, so writing it out
+    computes no table again.
     """
     if n < 1 or bound < 0:
         raise ValidationError("need n >= 1 and bound >= 0")
@@ -376,9 +379,7 @@ def _bounded_vertices(
     def backtrack(i: int, used: frozenset, chosen: tuple) -> None:
         if i == len(cells):
             labels = {(1, cell.base): tr for cell, tr in zip(cells, chosen)}
-            _, canonical = _canonical_grid(domain_cuts, labels, labels)
-            pieces = tuple((MarkedRay(cell, copy), tr) for copy, cell, tr in canonical)
-            found.append(HoughtonMap(k, 1, n, pieces))
+            found.append(_map_of_cells(k, 1, n, _canonical_grid(domain_cuts, labels, labels)))
             found_cells.append(used)
             if size_limit is not None and len(found) > size_limit:
                 raise SizeLimitError(

@@ -14,12 +14,17 @@ labels one grid of the first map's domain, cut also where the second map's
 grid cuts it once pulled back by an offset, and reads its canonical form off
 those labels.
 
-A map's canonical table, ``(t, {(copy, cell): translation})`` in sorted
-cell order, lives in one LRU cache of ``_CANONICAL_CACHE_SIZE`` maps, as a
-read-only mapping that callers share.  The grid work is done by ``rays``.
-Maps are validated where they enter (``map_from_json``, ``validate``);
-arithmetic relies on the table's own check, which rejects overlapping or
-missing domain pieces.
+A map's canonical table is ``(t, {(copy, cell): translation})`` in sorted
+cell order, as a read-only mapping.  A map read off canonical cells (by
+``compose``, ``inverse``, ``canonical_form`` or vertex enumeration) is built
+by ``_map_of_cells`` and carries its table from birth.  A map that comes
+from outside gets its table from one LRU cache of ``_CANONICAL_CACHE_SIZE``
+maps on its first lookup, and keeps it.  The grid work is done by ``rays``.
+Maps are validated where they enter (the constructors, ``map_from_json``,
+``validate``); arithmetic relies on the table's own check, which rejects
+overlapping or missing domain pieces.  The cells, translations and maps
+that arithmetic builds are valid by construction, so they skip
+``__post_init__``.
 
 Everything is immutable and pure; seeded generators are deterministic.
 """
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -45,7 +50,9 @@ from .rays import (
     _json_int,
     _json_ints,
     _label_cells,
+    _marked,
     _overlapping_pair,
+    _ray,
     cell_of_point,
     grid_cells,
     marked_ray_from_json,
@@ -100,6 +107,18 @@ class Translation:
             raise ValidationError(f"offset must be a nonempty integer vector, got {self.offset!r}")
 
 
+_set_offset, _set_target = Translation.offset.__set__, Translation.target_copy.__set__
+
+
+def _translation(offset: tuple[int, ...], target_copy: int) -> Translation:
+    """``Translation(offset, target_copy)`` without ``__post_init__``, for arithmetic on
+    valid maps, whose offsets are integer vectors and whose copies are >= 1."""
+    tr = object.__new__(Translation)
+    _set_offset(tr, offset)
+    _set_target(tr, target_copy)
+    return tr
+
+
 @dataclass(frozen=True, slots=True)
 class PermutationN:
     """A permutation of [n], stored as the tuple of images."""
@@ -147,6 +166,10 @@ class HoughtonMap:
     m: int
     n: int
     pieces: tuple[tuple[MarkedRay, Translation], ...]
+    # The canonical table, once known: set by ``_map_of_cells`` or on the first ``_table_of``.
+    _table: tuple[int, MappingProxyType] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.m < 1 or self.n < 1:
@@ -165,8 +188,15 @@ class HoughtonMap:
                 )
 
     def image_ray(self, piece: tuple[MarkedRay, Translation]) -> MarkedRay:
+        """The image of one of this map's pieces, built unchecked: ``__post_init__`` has
+        already checked that its base lands in N^k."""
         dom, tr = piece
-        return MarkedRay(dom.ray.translate(tr.offset), tr.target_copy)
+        return _marked(_moved(dom.ray, tr.offset), tr.target_copy)
+
+
+def _moved(ray: Ray, offset: tuple[int, ...]) -> Ray:
+    """``ray`` translated by ``offset``, for a translation known to keep it in N^k."""
+    return _ray(tuple(b + d for b, d in zip(ray.base, offset)), ray.dirs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,6 +265,12 @@ def _map_cells(k: int, m: int, pieces) -> tuple[int, list]:
     return _canonical_grid(cuts, labels, labels)
 
 
+def _grid_table(grid: tuple[int, list]) -> tuple[int, MappingProxyType]:
+    """The canonical table of ``_map_cells`` or ``_canonical_grid`` output, in its cell order."""
+    t, cells = grid
+    return t, MappingProxyType({(copy, cell): tr for copy, cell, tr in cells})
+
+
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
 def _canonical_table(f: HoughtonMap) -> tuple[int, MappingProxyType]:
     """Minimal grid threshold and the read-only per-cell translation table of ``f``.
@@ -242,25 +278,49 @@ def _canonical_table(f: HoughtonMap) -> tuple[int, MappingProxyType]:
     The table is read off the grid fitted to the pieces, so the result depends
     only on the map as a function.  Entries are in sorted cell order.
     """
-    t, cells = _map_cells(f.k, f.m, f.pieces)
-    return t, MappingProxyType({(copy, cell): tr for copy, cell, tr in cells})
+    return _grid_table(_map_cells(f.k, f.m, f.pieces))
+
+
+def _table_of(f: HoughtonMap) -> tuple[int, MappingProxyType]:
+    """The canonical table ``f`` carries; one that carries none looks it up in
+    ``_canonical_table`` once and keeps the result.  Two threads that race here
+    store equal read-only tables, so no lock is needed."""
+    if f._table is None:
+        object.__setattr__(f, "_table", _canonical_table(f))
+    return f._table
+
+
+def _map_of_cells(k: int, m: int, n: int, grid: tuple[int, list]) -> HoughtonMap:
+    """The map N^k x [m] -> N^k x [n] whose canonical threshold and ``(copy, cell,
+    translation)`` cells are ``grid``, carrying its table.
+
+    The cells come from ``rays._canonical_grid`` on the grid of a valid map or of a
+    vertex, so they partition the domain and every image lies in N^k; the pieces and
+    the map are built without ``__post_init__``.
+    """
+    f = object.__new__(HoughtonMap)
+    pieces = tuple((_marked(cell, copy), tr) for copy, cell, tr in grid[1])
+    fields = {"k": k, "m": m, "n": n, "pieces": pieces, "_table": _grid_table(grid)}
+    for name, value in fields.items():
+        object.__setattr__(f, name, value)
+    return f
 
 
 def canonical_threshold(f: HoughtonMap) -> int:
-    return _canonical_table(f)[0]
+    return _table_of(f)[0]
 
 
 def canonical_form(f: HoughtonMap) -> HoughtonMap:
-    _, table = _canonical_table(f)
-    pieces = tuple((MarkedRay(cell, copy), tr) for (copy, cell), tr in table.items())
-    return HoughtonMap(f.k, f.m, f.n, pieces)
+    t, table = _table_of(f)
+    cells = [(copy, cell, tr) for (copy, cell), tr in table.items()]
+    return _map_of_cells(f.k, f.m, f.n, (t, cells))
 
 
 def equals(f: HoughtonMap, g: HoughtonMap) -> bool:
     """Pointwise equality, decided on canonical forms."""
     if (f.k, f.m, f.n) != (g.k, g.m, g.n):
         raise ValidationError("cannot compare maps of different shapes")
-    return _canonical_table(f) == _canonical_table(g)
+    return _table_of(f) == _table_of(g)
 
 
 def apply_map(f: HoughtonMap, point: tuple[int, ...], copy: int) -> tuple[tuple[int, ...], int]:
@@ -269,7 +329,7 @@ def apply_map(f: HoughtonMap, point: tuple[int, ...], copy: int) -> tuple[tuple[
         raise ValidationError(f"{point!r} is not a point of N^{f.k}")
     if not 1 <= copy <= f.m:
         raise ValidationError(f"copy {copy} outside [1, {f.m}]")
-    t, table = _canonical_table(f)
+    t, table = _table_of(f)
     tr = table[(copy, cell_of_point(point, t))]
     return tuple(x + d for x, d in zip(point, tr.offset)), tr.target_copy
 
@@ -286,8 +346,8 @@ def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
         raise ValidationError(
             f"shape mismatch: cannot compose {g.m}->{g.n} after {f.m}->{f.n}"
         )
-    tg, g_table = _canonical_table(g)
-    tf, f_table = _canonical_table(f)
+    tg, g_table = _table_of(g)
+    tf, f_table = _table_of(f)
     g_at = {(copy, cell.base): tr for (copy, cell), tr in g_table.items()}
     cuts = tuple(
         sorted({*range(1, tf + 2)}.union(*(range(max(1, 1 - d), tg + 2 - d) for d in set(ds))))
@@ -299,9 +359,8 @@ def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
             moved = tuple(min(b + d, tg + 1) for b, d in zip(base, tr1.offset))
             tr2 = g_at[(tr1.target_copy, moved)]
             offset = tuple(a + b for a, b in zip(tr1.offset, tr2.offset))
-            labels[(copy, base)] = Translation(offset, tr2.target_copy)
-    _, cells = _canonical_grid(cuts, labels, labels)
-    return HoughtonMap(f.k, f.m, g.n, tuple((MarkedRay(cell, copy), tr) for copy, cell, tr in cells))
+            labels[(copy, base)] = _translation(offset, tr2.target_copy)
+    return _map_of_cells(f.k, f.m, g.n, _canonical_grid(cuts, labels, labels))
 
 
 def inverse(g: HoughtonMap) -> HoughtonMap:
@@ -317,11 +376,10 @@ def inverse(g: HoughtonMap) -> HoughtonMap:
         raise ValidationError("only m = n maps can be inverted")
     try:
         pieces = []
-        for (copy, cell), tr in _canonical_table(g)[1].items():
-            image = MarkedRay(cell.translate(tr.offset), tr.target_copy)
-            pieces.append((image, Translation(tuple(-d for d in tr.offset), copy)))
-        _, cells = _map_cells(g.k, g.n, pieces)
-        return HoughtonMap(g.k, g.n, g.m, tuple((MarkedRay(c, copy), tr) for copy, c, tr in cells))
+        for (copy, cell), tr in _table_of(g)[1].items():
+            image = _marked(_moved(cell, tr.offset), tr.target_copy)
+            pieces.append((image, _translation(tuple(-d for d in tr.offset), copy)))
+        return _map_of_cells(g.k, g.n, g.m, _map_cells(g.k, g.n, pieces))
     except ValidationError as exc:
         raise ValidationError(f"map is not bijective: {exc}") from exc
 
@@ -617,7 +675,7 @@ def map_to_json(f: HoughtonMap) -> dict:
                 "offset": list(tr.offset),
                 "target_copy": tr.target_copy,
             }
-            for (copy, cell), tr in _canonical_table(f)[1].items()
+            for (copy, cell), tr in _table_of(f)[1].items()
         ],
     }
 

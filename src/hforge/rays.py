@@ -29,7 +29,8 @@ the constructors check coordinates, directions and copies, and ``Region``
 checks that its rays are disjoint.  The grid code takes rays as already
 checked: ``_canonical_cells`` and ``_complement_cells`` work on bare rays
 and build no ``Region``, so a complement or a canonical form builds one
-``Region``, its result.
+``Region``, its result.  The cells it builds itself are valid by
+construction and skip the constructors' checks (``_ray``, ``_marked``).
 
 All values are immutable and all functions are pure; everything is safe to
 share between threads.
@@ -168,6 +169,27 @@ class MarkedRay:
 
     def sort_key(self) -> tuple:
         return (self.copy, self.ray.dirs, self.ray.base)
+
+
+_set_base, _set_dirs = Ray.base.__set__, Ray.dirs.__set__
+_set_ray, _set_copy = MarkedRay.ray.__set__, MarkedRay.copy.__set__
+
+
+def _ray(base: tuple[int, ...], dirs: tuple[int, ...]) -> Ray:
+    """``Ray(base, dirs)`` without ``__post_init__``, for grid code whose positive
+    coordinates and increasing directions hold by construction."""
+    r = object.__new__(Ray)
+    _set_base(r, base)
+    _set_dirs(r, dirs)
+    return r
+
+
+def _marked(ray: Ray, copy: int) -> MarkedRay:
+    """``MarkedRay(ray, copy)`` without ``__post_init__``, for a copy already known to be >= 1."""
+    m = object.__new__(MarkedRay)
+    _set_ray(m, ray)
+    _set_copy(m, copy)
+    return m
 
 
 def ray_intersect(r1: Ray, r2: Ray) -> Ray | None:
@@ -346,6 +368,8 @@ def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[i
     coordinate changes label between t and t+1, so t* + 1 is the largest cut, or 1, across
     which a cell and its neighbour differ, a missing cell reading None.  A t*-cell takes the
     label of the cell holding its base; the threshold grid is built only for output cells.
+    The ``Ray``s are built unchecked (``_ray``): a point of the spans is a product of values
+    from cuts >= 1, and its free directions are listed in increasing order.
     """
     below = [dict(zip(cut[1:], cut)) for cut in cuts]
     above = [dict(zip(cut, cut[1:])) for cut in cuts]
@@ -367,7 +391,7 @@ def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[i
         for point in itertools.product(*(span[b] for span, b in zip(spans, base))):
             cells.append((copy, tuple(j for j, p in enumerate(point, 1) if p == top), point, label))
     cells.sort()  # (copy, dirs, base) names a cell, so labels are never compared
-    return top - 1, [(copy, Ray(base, dirs), label) for copy, dirs, base, label in cells]
+    return top - 1, [(copy, _ray(base, dirs), label) for copy, dirs, base, label in cells]
 
 
 # -- regions ----------------------------------------------------------------
@@ -491,7 +515,7 @@ def _canonical_cells(rays: Iterable[MarkedRay]) -> tuple[int, tuple[MarkedRay, .
         return 0, ()
     cuts, labels = _label_cells(rays[0].ray.k, ((m, True) for m in rays))
     t, cells = _canonical_grid(cuts, labels, labels)
-    return t, tuple(MarkedRay(cell, copy) for copy, cell, _ in cells)
+    return t, tuple(_marked(cell, copy) for copy, cell, _ in cells)
 
 
 def canonicalize_region(reg: Region) -> Region:
@@ -512,7 +536,7 @@ def _complement_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> tuple[Marked
     gaps = (key for key in itertools.product(range(1, n + 1), itertools.product(*cuts))
             if key not in labels)
     _, cells = _canonical_grid(cuts, labels, gaps)
-    return tuple(MarkedRay(cell, copy) for copy, cell, _ in cells)
+    return tuple(_marked(cell, copy) for copy, cell, _ in cells)
 
 
 def region_complement(reg: Region) -> Region:

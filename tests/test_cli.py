@@ -78,6 +78,27 @@ def test_element_invert_project_decompose(capsys):
     assert json.loads(out) == json.loads((FIXTURES / "identity_n2.json").read_text())
 
 
+def test_build_sn_writes_vertices_without_recomputing_tables(capsys, monkeypatch):
+    """Enumerated vertices carry their canonical tables, so writing the
+    (1,4,1) report adds no ``_canonical_table`` miss after enumeration."""
+    from hforge import complexes, houghton
+
+    enumerated = []
+    inner = complexes._bounded_vertices
+
+    def recorded(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        enumerated.append((len(out[0]), houghton._canonical_table.cache_info().misses))
+        return out
+
+    monkeypatch.setattr(complexes, "_bounded_vertices", recorded)
+    code, out, _ = run_cli(capsys, "complex", "build-sn", "--k", "1", "--n", "4", "--bound", "1")
+    assert code == 0
+    [(vertices, misses)] = enumerated
+    assert vertices == len(json.loads(out)["complex"]["vertices"]) == 84
+    assert houghton._canonical_table.cache_info().misses == misses
+
+
 def test_complex_build_sn_census(capsys):
     code, out, _ = run_cli(
         capsys, "complex", "build-sn", "--k", "1", "--n", "2", "--bound", "1"

@@ -246,10 +246,33 @@ def test_compose_matches_global_grid_oracle():
     assert seen >= expected | {"tf > tg", "tf < tg", "negative offset", "raises"}
 
 
+def _count_calls(monkeypatch, calls, owner, name):
+    """Wrap ``owner.name`` so that each call adds one to ``calls[name]``."""
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _assert_carries_table_for_free(calls, f):
+    """``f`` carries its table, so ``equals(f, f)`` looks nothing up and reads no grid."""
+    import hforge.houghton as houghton
+
+    assert f._table is not None
+    before, misses = calls.copy(), houghton._canonical_table.cache_info().misses
+    assert equals(f, f)
+    assert calls == before
+    assert houghton._canonical_table.cache_info().misses == misses
+
+
 def test_compose_canonicalises_once(monkeypatch):
     """With both factors' tables cached, compose labels one grid and reads
-    the result off it: one ``_canonical_grid`` call, one ``HoughtonMap``
-    built, and no ``_label_cells``, ``canonical_form`` or ``cell_of_point``."""
+    the result off it: one ``_canonical_grid`` call and one map built by
+    ``_map_of_cells``, with no ``_label_cells``, ``canonical_form``,
+    ``cell_of_point`` or ``__post_init__``.  The result carries its table."""
     import hforge.houghton as houghton
     import hforge.rays as rays
     from collections import Counter
@@ -257,48 +280,37 @@ def test_compose_canonicalises_once(monkeypatch):
     g, f = random_element(2, 3, 3, seed=9), random_element(2, 3, 3, seed=11)
     houghton._canonical_table(g), houghton._canonical_table(f)
     calls = Counter()
-
-    def count(owner, name):
-        inner = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
     for module in (rays, houghton):
         for name in ("_canonical_grid", "_label_cells", "cell_of_point"):
             if hasattr(module, name):
-                count(module, name)
-    count(houghton, "canonical_form")
-    count(HoughtonMap, "__post_init__")
-    compose(g, f)
-    assert calls == Counter({"_canonical_grid": 1, "__post_init__": 1})
+                _count_calls(monkeypatch, calls, module, name)
+    for owner, name in ((houghton, "canonical_form"), (houghton, "_map_of_cells"),
+                        (HoughtonMap, "__post_init__")):
+        _count_calls(monkeypatch, calls, owner, name)
+    h = compose(g, f)
+    assert calls == Counter({"_canonical_grid": 1, "_map_of_cells": 1})
+    _assert_carries_table_for_free(calls, h)
 
 
 def test_inverse_canonicalises_once(monkeypatch):
     """With g's table cached, inverse reads the negated image pieces off one
-    grid and builds one ``HoughtonMap``; it caches no table for a map that no
-    caller holds."""
+    grid and builds one map, by ``_map_of_cells`` and without ``__post_init__``;
+    it caches no table for a map that no caller holds, and the result carries
+    its own."""
     import hforge.houghton as houghton
     from collections import Counter
 
     g = random_element(2, 3, 3, seed=9)
     houghton._canonical_table(g)
     calls = Counter()
-    for owner, name in ((houghton, "_canonical_grid"), (HoughtonMap, "__post_init__")):
-        inner = getattr(owner, name)
-
-        def counted(*args, _inner=inner, _name=name, **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
+    for owner, name in ((houghton, "_canonical_grid"), (houghton, "_map_of_cells"),
+                        (HoughtonMap, "__post_init__")):
+        _count_calls(monkeypatch, calls, owner, name)
     misses = houghton._canonical_table.cache_info().misses
     gi = inverse(g)
-    assert calls == Counter({"_canonical_grid": 1, "__post_init__": 1})
+    assert calls == Counter({"_canonical_grid": 1, "_map_of_cells": 1})
     assert houghton._canonical_table.cache_info().misses == misses
+    _assert_carries_table_for_free(calls, gi)
     assert equals(compose(gi, g), identity_map(2, 3))
 
 
@@ -863,6 +875,77 @@ def test_inverse_matches_validate_oracle():
                 assert apply_map(got, p, c) == apply_map(want, p, c), (f, p, c)
         seen.add("repeated piece")
     assert seen == {"bijective", "not a bijection", "repeated piece"}
+
+
+def test_carried_tables_match_tables_recomputed_from_pieces():
+    """Every map read off canonical cells carries the table that the uncached
+    ``_map_cells`` recomputes from its pieces, entry for entry and in order:
+    results of ``compose``, ``inverse``, ``canonical_form`` and ``decompose``
+    on ``_differential_maps()`` and seeded elements, and enumerated vertices."""
+    from collections import Counter
+
+    from hforge.complexes import enumerate_bounded_vertices
+    from hforge.houghton import _map_cells
+
+    checked = Counter()
+
+    def check(what, f):
+        t, cells = _map_cells(f.k, f.m, f.pieces)
+        assert f._table is not None, (what, f)
+        carried_t, carried = f._table
+        assert (carried_t, tuple(carried.items())) == (
+            t, tuple(((copy, cell), tr) for copy, cell, tr in cells)
+        ), (what, f)
+        checked[what] += 1
+
+    seeded = [random_element(k, n, 2, seed) for k in (1, 2, 3) for n in (1, 2, 3)
+              for seed in range(4)]
+    for f in [f for f in _differential_maps() if validate(f).valid] + seeded:
+        check("canonical_form", canonical_form(f))
+        if validate(f).bijective:
+            check("inverse", inverse(f))
+            check("compose", compose(f, f))
+            check("decompose", decompose(f)[0])
+        check("compose", compose(random_element(f.k, f.n, 1, seed=f.n), f))
+    for k, n, bound in ((1, 3, 1), (1, 2, 2), (2, 1, 1)):
+        for v in enumerate_bounded_vertices(k, n, bound):
+            check("vertex", v)
+    assert checked.keys() == {"canonical_form", "inverse", "compose", "decompose", "vertex"}
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Ray((1, 0), (1,)), "coordinates must be integers >= 1, got (1, 0)"),
+    (lambda: Ray((1, 1), (2, 1)), "dirs must be strictly increasing within 1..2, got (2, 1)"),
+    (lambda: MarkedRay(Ray((1,), (1,)), 0), "copy index must be >= 1, got 0"),
+    (lambda: Translation((), 1), "offset must be a nonempty integer vector, got ()"),
+    (lambda: Translation((0,), 0), "target copy must be >= 1, got 0"),
+    (lambda: Ray((2,), (1,)).translate((-2,)), "translation by (-2,) moves base (2,) outside N^1"),
+    (
+        lambda: HoughtonMap(1, 1, 1, ((MarkedRay(Ray((1,), (1,)), 2), Translation((0,), 1)),)),
+        "domain copy 2 exceeds m=1",
+    ),
+    (
+        lambda: HoughtonMap(1, 1, 1, ((MarkedRay(Ray((1,), (1,)), 1), Translation((-1,), 1)),)),
+        "piece MarkedRay(ray=Ray(base=(1,), dirs=(1,)), copy=1) translated by (-1,) leaves N^1",
+    ),
+])
+def test_entry_checks_still_fire(build, message):
+    """The public constructors keep every check that arithmetic now skips."""
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_map_from_json_still_rejects_overlapping_pieces():
+    piece = {"copy": 1, "dirs": [1], "offset": [0], "target_copy": 1}
+    data = {"k": 1, "m": 1, "n": 1, "pieces": [{**piece, "base": [1]}, {**piece, "base": [2]}]}
+    with pytest.raises(ValidationError) as err:
+        map_from_json(data)
+    ray = "MarkedRay(ray=Ray(base=({},), dirs=(1,)), copy=1)"
+    assert str(err.value) == (
+        f"domain is not a ray partition: cells overlap: {ray.format(1)} and {ray.format(2)}; "
+        f"image rays overlap: {ray.format(1)} and {ray.format(2)}"
+    )
 
 
 def test_random_injection_draws_match_restricted_element():
