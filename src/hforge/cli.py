@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .complexes import (
     DEFAULT_SIZE_LIMIT,
+    _check_truncation,
     build_sn_truncated,
     complex_from_json,
     complex_to_json,
@@ -206,6 +207,7 @@ def _cmd_complex(args) -> int:
         _emit({"target": args.target, "wcm": ok, "violation": why}, args)
         return EXIT_OK
     elif verb == "section-check":
+        _check_truncation(args.k, args.n, args.bound)
         trials = []
         all_ok = True
         for t in range(args.trials):
@@ -326,8 +328,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER: _Parser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one command; returns its exit code.
+
+    The parser is built on the first call and kept for the life of the
+    process: ``parse_args`` returns a fresh namespace and leaves the parser
+    as it was, so later calls parse exactly as a new parser would.  It is not
+    built at import, which keeps ``import hforge.cli`` cheap.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,8 +1,9 @@
 """Finite simplicial complexes, exact homology, and the stability complexes.
 
 The complexes here are finite, face-closed simplex sets over an indexed
-vertex list; homology is integral and reduced, computed from Smith normal
-forms of the boundary matrices.  On top of that sit the bounded truncations
+vertex list; homology is integral and reduced, computed from the connected
+components (the ranks of d_0 and d_1) and the Smith normal forms of the
+higher boundary matrices.  On top of that sit the bounded truncations
 of the complexes S_n whose vertices are ray injections N^k -> N^k x [n] with
 pairwise disjoint images, the projection recording where each vertex sends
 its full-dimensional ray, section construction and verification for that
@@ -206,10 +207,8 @@ def skeleton(k: SimplicialComplex, d: int) -> SimplicialComplex:
 
 
 def _boundary_rows(bases, d: int) -> list[dict[int, int]]:
-    """The rows of the degree-``d`` boundary, one per face in ``bases[d - 1]``,
-    as ``{simplex index: +-1}``; degree 0 has the one augmentation row."""
-    if d == 0:
-        return [dict.fromkeys(range(len(bases[0])), 1)]
+    """The rows of the degree-``d`` boundary (d >= 1), one per face in
+    ``bases[d - 1]``, as ``{simplex index: +-1}``."""
     index = {s: i for i, s in enumerate(bases[d - 1])}
     rows = [{} for _ in bases[d - 1]]
     for col, s in enumerate(bases[d]):
@@ -242,19 +241,24 @@ class HomologyResult:
 
 
 def reduced_homology(k: SimplicialComplex, max_degree: int | None = None) -> HomologyResult:
-    """Betti numbers and torsion from Smith diagonals of the boundaries.
+    """Betti numbers and torsion from the ranks and Smith diagonals of the boundaries.
 
-    Degrees through ``max_degree`` need the boundaries d_0 .. d_{max_degree+1}
-    only, and no higher one is assembled.
+    d_0 (the augmentation) and d_1 (the incidence matrix of the 1-skeleton)
+    are totally unimodular, so their Smith diagonals are all units: rank
+    d_0 = 1 and rank d_1 = V - c for V vertices in c components, counted by
+    ``_component_count``, and degrees 0 and 1 have no torsion.  Only d_2 and
+    up are assembled and eliminated, and degrees through ``max_degree`` need
+    no boundary above d_{max_degree+1}.
     """
     if k.is_empty:
         return HomologyResult(True, ())
     top = k.dim if max_degree is None else min(max_degree, k.dim)
     bases = [k.simplices_of_dim(d) for d in range(min(top + 1, k.dim) + 1)]
-    ranks, torsion = [], []
-    for d in range(len(bases)):
+    ranks = [1, len(bases[0]) - _component_count(k)]
+    torsion = [(), ()]
+    for d in range(2, len(bases)):
         rows = dict(enumerate(_boundary_rows(bases, d)))
-        diag = _sparse_diagonal(rows, len(bases[d - 1]) if d else 1, len(bases[d]))
+        diag = _sparse_diagonal(rows, len(bases[d - 1]), len(bases[d]))
         ranks.append(sum(1 for x in diag if x))
         torsion.append(tuple(x for x in diag if x > 1))
     # above the dimension the boundary is zero
@@ -266,24 +270,36 @@ def reduced_homology(k: SimplicialComplex, max_degree: int | None = None) -> Hom
     return HomologyResult(False, entries)
 
 
+def _component_count(k: SimplicialComplex) -> int:
+    """The number of connected components of a nonempty complex, by repeated
+    ``_component`` searches over one neighbour mask per vertex index; vertex
+    labels that carry no 0-simplex are not counted."""
+    masks = [0] * len(k.vertices)
+    for a, b in k.simplices.get(1, ()):
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    left = sum(1 << v for (v,) in k.simplices[0])
+    count = 0
+    while left:
+        left &= ~_component(masks, (left & -left).bit_length() - 1)
+        count += 1
+    return count
+
+
 def is_q_acyclic(k: SimplicialComplex, q: int) -> bool:
     """Reduced homology vanishes in degrees <= q (vacuous above the dimension).
 
-    Through degree 0 alone this asks for a connected 1-skeleton, since
-    H~_0 is free of rank (components - 1); ``_component`` on one neighbour
-    mask per vertex index answers that without assembling a boundary.
+    Through degree 0 alone this asks for one connected component, since
+    H~_0 is free of rank (components - 1); ``_component_count``, which also
+    gives ``reduced_homology`` the rank of d_1, answers that without listing
+    a basis.
     """
     if k.is_empty:
         return False
     if q < 0:
         return True
     if min(q, k.dim) == 0:
-        masks = [0] * len(k.vertices)
-        for a, b in k.simplices.get(1, ()):
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        every = sum(1 << v for (v,) in k.simplices[0])
-        return (_component(masks, next(iter(k.simplices[0]))[0]) & every) == every
+        return _component_count(k) == 1
     hom = reduced_homology(k, max_degree=min(q, k.dim))
     return all(hom.is_trivial(d) for d in range(0, min(q, k.dim) + 1))
 
@@ -341,6 +357,14 @@ def wcm_check(k: SimplicialComplex, n: int) -> tuple[bool, str | None]:
 # -- truncated stability complexes -------------------------------------------
 
 
+def _check_truncation(k: int, n: int, bound: int) -> None:
+    """Reject truncation parameters outside k >= 1, n >= 1 and bound >= 0."""
+    if n < 1 or bound < 0:
+        raise ValidationError("need n >= 1 and bound >= 0")
+    if k < 1:
+        raise ValidationError("need k >= 1 and t >= 0")
+
+
 def _bounded_vertices(
     k: int, n: int, bound: int, size_limit: int | None
 ) -> tuple[list[HoughtonMap], int, list[frozenset]]:
@@ -353,8 +377,7 @@ def _bounded_vertices(
     ``houghton._map_of_cells`` builds the vertex with that table, so writing it out
     computes no table again.
     """
-    if n < 1 or bound < 0:
-        raise ValidationError("need n >= 1 and bound >= 0")
+    _check_truncation(k, n, bound)
     cells = grid_cells(k, bound)
     translations = [
         [

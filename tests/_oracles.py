@@ -922,3 +922,38 @@ def sigma1_by_words(v, n):
     return tuple(
         tuple(x for block in blocks for x in block[row]) for row in range(v.levels[n].rank)
     )
+
+
+# -- reduced homology with every boundary eliminated ---------------------------
+
+
+def reduced_homology_by_elimination(k, max_degree=None):
+    """``reduced_homology`` as it first was: d_0 (the augmentation row) and
+    every boundary through d_{top+1} written out as sparse rows and reduced
+    to a Smith diagonal, the ranks and torsion of d_0 and d_1 included."""
+    from hforge.complexes import HomologyResult
+    from hforge.snf import _sparse_diagonal
+
+    if k.is_empty:
+        return HomologyResult(True, ())
+    top = k.dim if max_degree is None else min(max_degree, k.dim)
+    bases = [k.simplices_of_dim(d) for d in range(min(top + 1, k.dim) + 1)]
+    ranks, torsion = [], []
+    for d, basis in enumerate(bases):
+        if d == 0:
+            rows, nrows = {0: dict.fromkeys(range(len(basis)), 1)}, 1
+        else:
+            index = {s: i for i, s in enumerate(bases[d - 1])}
+            rows, nrows = {i: {} for i in range(len(index))}, len(index)
+            for col, s in enumerate(basis):
+                for omit in range(len(s)):
+                    rows[index[s[:omit] + s[omit + 1 :]]][col] = -1 if omit % 2 else 1
+        diag = _sparse_diagonal(rows, nrows, len(basis))
+        ranks.append(sum(1 for x in diag if x))
+        torsion.append(tuple(x for x in diag if x > 1))
+    ranks.append(0)
+    torsion.append(())
+    entries = tuple(
+        (d, len(bases[d]) - ranks[d] - ranks[d + 1], torsion[d + 1]) for d in range(top + 1)
+    )
+    return HomologyResult(False, entries)

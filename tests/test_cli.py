@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hforge
+import hforge.cli as cli_module
 from hforge.cli import main
 
 from _oracles import RP2_FACETS
@@ -515,6 +516,12 @@ def test_complex_homology_fixture(capsys):
     assert report["betti"] == [0, 0, 1]
     assert report["reduced_homology"][2] == {"degree": 2, "betti": 1, "torsion": []}
 
+    # the fixture CI reads is the RP^2 of the pinned digests
+    assert json.loads((FIXTURES / "rp2.json").read_text()) == _rp2_json()
+    code, out, _ = run_cli(capsys, "complex", "homology", str(FIXTURES / "rp2.json"))
+    assert code == 0
+    assert json.loads(out)["reduced_homology"][1] == {"degree": 1, "betti": 0, "torsion": [2]}
+
 
 def test_complex_wcm_fixture(capsys):
     code, out, _ = run_cli(
@@ -708,6 +715,37 @@ def test_usage_errors_name_the_problem(capsys, argv, message):
     assert err.endswith(f"\nhforge: error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("complex", "build-sn", "--n", "0"), "need n >= 1 and bound >= 0"),
+        (("complex", "build-sn", "--k", "0"), "need k >= 1 and t >= 0"),
+        (("complex", "probe", "--bound", "-1", "--trials", "1"), "need n >= 1 and bound >= 0"),
+        (
+            ("complex", "section-check", "--n", "0", "--bound", "-1", "--set-size", "0"),
+            "need n >= 1 and bound >= 0",
+        ),
+        (
+            ("complex", "section-check", "--n", "0", "--bound", "-1", "--trials", "0"),
+            "need n >= 1 and bound >= 0",
+        ),
+        (
+            ("complex", "section-check", "--n", "0", "--set-size", "1", "--trials", "1"),
+            "need n >= 1 and bound >= 0",
+        ),
+        (("complex", "section-check", "--bound", "-1", "--trials", "0"), "need n >= 1 and bound >= 0"),
+        (("complex", "section-check", "--k", "0", "--set-size", "0"), "need k >= 1 and t >= 0"),
+    ],
+    ids=[
+        "build-sn-n", "build-sn-k", "probe-bound", "section-check-set-size-0",
+        "section-check-trials-0", "section-check-set-size-1", "section-check-bound",
+        "section-check-k",
+    ],
+)
+def test_truncation_parameters_are_checked_before_any_work(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"validation failure: {message}\n")
+
+
 def test_size_limit_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("HFORGE_SIZE_LIMIT", "5")
     code, _, err = run_cli(
@@ -788,6 +826,52 @@ def test_output_determinism(capsys, tmp_path):
             "-o", str(target),
         )
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, tmp_path):
+    """Calls in one process answer as they would on a freshly built parser:
+    flags of one call (``--include-top``, ``--format``, ``-o``) do not leak
+    into the next, and the parser is built once."""
+    built = []
+    build = cli_module._build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli_module, "_build_parser", counting_build)
+    monkeypatch.setattr(cli_module, "_PARSER", None)
+    target = tmp_path / "report.json"
+    sn = ("complex", "build-sn", "--k", "1", "--n", "2", "--bound", "1")
+    calls = [
+        ("nonsense",),
+        ("complex", "homology"),
+        (*sn, "--include-top"),
+        sn,
+        (*sn, "--format", "text"),
+        (*sn, "-o", str(target)),
+        sn,
+        ("element", "invert", str(FIXTURES / "generator.json")),
+    ]
+
+    def run(argv):
+        target.unlink(missing_ok=True)
+        result = run_cli(capsys, *argv)
+        return result, target.read_bytes() if target.exists() else None
+
+    reused = [run(argv) for argv in calls]
+    assert len(built) == 1
+    for argv, got in zip(calls, reused):
+        monkeypatch.setattr(cli_module, "_PARSER", None)
+        assert run(argv) == got, argv
+    assert len(built) == 1 + len(calls)
+    assert reused[2][0][1] != reused[3][0][1]  # --include-top did change the report
+    proc = subprocess.run(
+        [sys.executable, "-c", "import hforge.cli as c; print(c._PARSER)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout == "None\n", proc.stderr  # not built at import
 
 
 def test_entry_point_subprocess():

@@ -56,6 +56,7 @@ from _oracles import (
     link_by_closure,
     maximal_simplices_quadratic,
     minor_gcd_diagonal,
+    reduced_homology_by_elimination,
     s_section_holds_by_pairs,
     skeleton_by_closure,
     sn_simplices_brute_force,
@@ -80,6 +81,30 @@ def boundary_simplex(n):
     return SimplicialComplex.build(
         tuple(range(n)), [face[:i] + face[i + 1 :] for i in range(n)]
     )
+
+
+def pseudo_projective_plane(m, circle=3):
+    """A disk whose boundary ring of ``m * circle`` vertices wraps m times
+    round a circle of ``circle`` vertices, filled by one inner ring and a
+    centre: reduced H_1 = Z/m and H_2 = 0."""
+    length = m * circle
+    outer = [i % circle for i in range(length)]
+    inner = [circle + i for i in range(length)]
+    centre = circle + length
+    triangles = []
+    for i in range(length):
+        j = (i + 1) % length
+        triangles += [
+            (outer[i], outer[j], inner[i]),
+            (outer[j], inner[i], inner[j]),
+            (inner[i], inner[j], centre),
+        ]
+    return SimplicialComplex.build(tuple(range(centre + 1)), triangles)
+
+
+def rp2_complex():
+    """The 6-vertex RP^2 of ``RP2_FACETS``, on vertices 0..5."""
+    return SimplicialComplex.build(tuple(range(6)), [tuple(v - 1 for v in f) for f in RP2_FACETS])
 
 
 def simplex_skeleton(n, d):
@@ -188,7 +213,10 @@ def test_random_boundaries_square_to_zero(triangles, extra):
 
 
 def dense_boundary(bases, d):
-    """The face rows of the degree-d boundary, written out with their zeros."""
+    """The face rows of the degree-d boundary, written out with their zeros;
+    degree 0 is the augmentation row, which the library never assembles."""
+    if d == 0:
+        return [[1] * len(bases[0])]
     rows = complexes_module._boundary_rows(bases, d)
     return [[row.get(j, 0) for j in range(len(bases[d]))] for row in rows]
 
@@ -201,7 +229,6 @@ def test_boundary_rows_match_hand_built_matrices():
         [tuple(v - 1 for v in f) for f in facets],
     ]
     d1, d2 = boundary_matrices_from_facets(facets)
-    assert dense_boundary(bases, 0) == [[1] * 6]
     assert [dense_boundary(bases, d) for d in (1, 2)] == [d1, d2]
 
 
@@ -238,31 +265,79 @@ def test_homology_projective_plane_vs_hand_built_matrices():
 
 
 def test_max_degree_assembles_no_higher_boundary(monkeypatch):
-    assembled = []
-    rows = complexes_module._boundary_rows
+    """d_0 and d_1 are never assembled or eliminated (their ranks come from the
+    components), and nothing above d_{max_degree+1} is either."""
+    assembled, eliminated = [], []
+    rows, diagonal = complexes_module._boundary_rows, complexes_module._sparse_diagonal
 
-    def counting(bases, d):
+    def counting_rows(bases, d):
         assembled.append(d)
         return rows(bases, d)
 
-    monkeypatch.setattr(complexes_module, "_boundary_rows", counting)
-    rp2 = SimplicialComplex.build(
-        tuple(range(6)), [tuple(v - 1 for v in f) for f in RP2_FACETS]
-    )
+    def counting_diagonal(matrix, nrows, ncols):
+        eliminated.append(ncols)
+        return diagonal(matrix, nrows, ncols)
+
+    monkeypatch.setattr(complexes_module, "_boundary_rows", counting_rows)
+    monkeypatch.setattr(complexes_module, "_sparse_diagonal", counting_diagonal)
+    rp2 = rp2_complex()
     delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
-    cases = [delta3, rp2, boundary_simplex(5)] + [
+    points = SimplicialComplex.build(tuple(range(4)), [(0,), (2,)])
+    cases = [points, delta3, rp2, boundary_simplex(5)] + [
         build_sn_truncated(*params, include_top=top)
         for params, top in (((1, 2, 1), True), ((1, 3, 1), False), ((1, 3, 1), True))
     ]
     for K in cases:
         assembled.clear()
+        eliminated.clear()
         full = reduced_homology(K)
-        assert assembled == list(range(K.dim + 1))
+        assert assembled == list(range(2, K.dim + 1))
+        assert eliminated == [len(K.simplices[d]) for d in assembled]
         for q in range(K.dim + 1):
             assembled.clear()
+            eliminated.clear()
             assert reduced_homology(K, max_degree=q).entries == full.entries[: q + 1]
-            assert assembled == list(range(min(q + 1, K.dim) + 1)), (q, K.dim)
+            assert assembled == list(range(2, min(q + 1, K.dim) + 1)), (q, K.dim)
+            assert eliminated == [len(K.simplices[d]) for d in assembled]
     assert reduced_homology(rp2, max_degree=1).torsion(1) == (2,)
+
+
+def test_reduced_homology_matches_elimination_oracle_on_fixtures():
+    """RP^2, the pseudo-projective planes and two stability truncations, at
+    every ``max_degree``: the same result as eliminating every boundary."""
+    torsion = [(rp2_complex(), 2)] + [(pseudo_projective_plane(m), m) for m in (2, 3, 5, 7)]
+    for K, order in torsion:
+        assert reduced_homology(K).entries == ((0, 0, ()), (1, 0, (order,)), (2, 0, ()))
+    cases = [K for K, _ in torsion] + [
+        build_sn_truncated(1, 3, 1, include_top=True),
+        build_sn_truncated(1, 4, 1),
+    ]
+    for K in cases:
+        for max_degree in (None, *range(K.dim + 2)):
+            got = reduced_homology(K, max_degree)
+            assert got == reduced_homology_by_elimination(K, max_degree), max_degree
+
+
+SMALL_TORSION = (None, rp2_complex(), pseudo_projective_plane(2), pseudo_projective_plane(3))
+
+
+@given(
+    st.sampled_from(SMALL_TORSION),
+    st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True), max_size=10),
+    st.integers(0, 2),
+    st.sampled_from((None, 0, 1, 2, 3)),
+)
+@settings(max_examples=300, deadline=None)
+def test_reduced_homology_matches_elimination_oracle(base, raw, unused, max_degree):
+    """A random complex on labels 0..7, beside a torsion complex or alone,
+    with ``unused`` labels that no simplex carries: single-vertex lists give
+    isolated vertices, and labels no list draws go unused too."""
+    shift = len(base.vertices) if base else 0
+    simplices = [tuple(v + shift for v in s) for s in raw]
+    if base:
+        simplices += base.maximal_simplices()
+    K = SimplicialComplex.build(tuple(range(shift + 8 + unused)), simplices)
+    assert reduced_homology(K, max_degree) == reduced_homology_by_elimination(K, max_degree)
 
 
 def test_homology_cones_are_acyclic():
