@@ -362,7 +362,7 @@ def _check_truncation(k: int, n: int, bound: int) -> None:
     if n < 1 or bound < 0:
         raise ValidationError("need n >= 1 and bound >= 0")
     if k < 1:
-        raise ValidationError("need k >= 1 and t >= 0")
+        raise ValidationError("need k >= 1")
 
 
 def _bounded_vertices(

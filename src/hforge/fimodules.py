@@ -9,6 +9,15 @@ copies of level n-1, and the surjectivity of its differential onto level n
 detects whether new generators appear there.  Everything is exact, and all
 matrix arithmetic (products, ranks over Q, cokernels over Z) goes through
 :mod:`hforge.snf`.
+
+Levels are stored dense, but the work on them is sparse.  Validation checks
+the Coxeter relations and the equivariance of the inclusions on the sparse
+rows of E = s - 1, which has a handful of entries where s has rank-many,
+through exact identities in the E's (see :func:`validate_fimodule`).  The
+induced differential is assembled as sparse rows, one sparse product per
+coset, and handed with the presentation columns to the sparse Smith
+elimination; over Q each row is first cleared of denominators.  Only
+:func:`sigma1` writes the differential out densely.
 """
 from __future__ import annotations
 
@@ -19,7 +28,19 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .rays import _json_int
-from .snf import identity_matrix, mat_mul, rank, snf_diagonal, zero_matrix
+from .snf import (
+    SparseRows,
+    _clear_denominators,
+    _require_ints,
+    _sparse_diagonal,
+    from_sparse,
+    identity_matrix,
+    mat_mul,
+    sparse_add,
+    sparse_mul,
+    to_sparse,
+    zero_matrix,
+)
 
 __all__ = [
     "Level",
@@ -45,16 +66,6 @@ __all__ = [
 ]
 
 Mat = tuple[tuple, ...]
-
-
-def _hstack(blocks: list[Mat], rows: int) -> Mat:
-    out = []
-    for i in range(rows):
-        row: list = []
-        for block in blocks:
-            row.extend(block[i])
-        out.append(tuple(row))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -110,10 +121,19 @@ def validate_fimodule(v: TruncatedFIModule) -> ModuleDiagnostics:
 
     Relations are only checked on matrices of the declared shapes: a level
     with a misshapen matrix reports the shape and nothing that would
-    multiply it.
+    multiply it.  They are checked on the sparse rows of E = s - 1, which
+    has a handful of entries where s has rank-many; each check is an exact
+    identity in the E's:
+
+    - s_i^2 = 1 iff E_i^2 + 2 E_i = 0;
+    - s_i s_j = s_j s_i iff E_i E_j = E_j E_i;
+    - s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} iff A + A^2 + ABA = B + B^2 + BAB,
+      with A = E_i and B = E_{i+1};
+    - s_i iota = iota s'_i iff E_i iota = iota E'_i, primes on the level below.
     """
     problems = []
-    shaped: set[int] = set()
+    # E_i = s_i - 1 of each level whose transpositions all have their shape
+    shifted: dict[int, list[SparseRows]] = {}
     for n in range(v.N + 1):
         lv = v.levels[n]
         r = lv.rank
@@ -133,33 +153,38 @@ def validate_fimodule(v: TruncatedFIModule) -> ModuleDiagnostics:
             problems.append(f"level {n}: presentations are only supported over Z")
         elif pres is not None and (len(pres) != r or len({len(row) for row in pres}) > 1):
             problems.append(f"level {n}: presentation rows must number {r} and have equal length")
-        ident = identity_matrix(r)
-        s = lv.transpositions
-        for i, si in enumerate(s, start=1):
+        minus_one = {i: {i: -1} for i in range(r)}
+        es, squares = [], []
+        for i, si in enumerate(lv.transpositions, start=1):
             if not _shape_ok(si, r, r):
                 problems.append(f"level {n}: s_{i} has wrong shape")
                 break
-            if mat_mul(si, si, r) != ident:
+            e = sparse_add(to_sparse(si), minus_one)
+            square = sparse_mul(e, e)
+            if sparse_add(square, e, 2):
                 problems.append(f"level {n}: s_{i}^2 != 1")
+            es.append(e)
+            squares.append(square)
         else:
-            shaped.add(n)
-        if n not in shaped:
+            shifted[n] = es
+        if n not in shifted:
             continue
-        for i in range(1, len(s)):
-            lhs = mat_mul(mat_mul(s[i - 1], s[i], r), s[i - 1], r)
-            rhs = mat_mul(mat_mul(s[i], s[i - 1], r), s[i], r)
+        for i in range(1, len(es)):
+            a, b = es[i - 1], es[i]
+            ba = sparse_mul(b, a)
+            lhs = sparse_add(sparse_add(a, squares[i - 1]), sparse_mul(a, ba))
+            rhs = sparse_add(sparse_add(b, squares[i]), sparse_mul(ba, b))
             if lhs != rhs:
                 problems.append(f"level {n}: braid relation fails at (s_{i}, s_{i + 1})")
-        for i in range(1, len(s) + 1):
-            for j in range(i + 2, len(s) + 1):
-                if mat_mul(s[i - 1], s[j - 1], r) != mat_mul(s[j - 1], s[i - 1], r):
+        for i in range(1, len(es) + 1):
+            for j in range(i + 2, len(es) + 1):
+                if sparse_mul(es[i - 1], es[j - 1]) != sparse_mul(es[j - 1], es[i - 1]):
                     problems.append(f"level {n}: s_{i} and s_{j} do not commute")
-        if n - 1 in shaped:
-            prev = v.levels[n - 1]
+        if n - 1 in shifted:
+            below = shifted[n - 1]
+            iota = to_sparse(lv.iota)
             for i in range(1, n - 1):
-                lhs = mat_mul(s[i - 1], lv.iota, prev.rank)
-                rhs = mat_mul(lv.iota, prev.transpositions[i - 1], prev.rank)
-                if lhs != rhs:
+                if sparse_mul(es[i - 1], iota) != sparse_mul(iota, below[i - 1]):
                     problems.append(
                         f"level {n}: inclusion does not intertwine s_{i}"
                     )
@@ -295,34 +320,54 @@ def sigma1(v: TruncatedFIModule, n: int) -> tuple[InducedModule, Mat]:
     if not 1 <= n <= v.N:
         raise ValidationError(f"need 1 <= n <= {v.N}")
     reps = tuple(_tau(i, n) for i in range(1, n + 1))
-    return InducedModule(v, n, 1, v.levels[n - 1].rank, reps), _d1(v, n)
+    cols = v.levels[n - 1].rank
+    d1 = from_sparse(_d1(v, n), v.levels[n].rank, n * cols)
+    return InducedModule(v, n, 1, cols, reps), d1
 
 
-def _d1(v: TruncatedFIModule, n: int) -> Mat:
-    """The differential of ``sigma1`` at level n, one product per coset.
+def _d1(v: TruncatedFIModule, n: int) -> SparseRows:
+    """The differential of ``sigma1`` at level n as sparse rows, one product
+    per coset.
 
     tau_n is the identity and tau_i = s_i tau_{i+1}, so block n is the
-    inclusion and block i is s_i times block i+1.
+    inclusion and block i is s_i times block i+1; block i takes the columns
+    from (i - 1) times the lower rank on.
     """
     lv = v.levels[n]
     cols = v.levels[n - 1].rank
-    blocks = [lv.iota]
-    for s in reversed(lv.transpositions):
-        blocks.append(mat_mul(s, blocks[-1], cols))
-    return _hstack(blocks[::-1], lv.rank)
+    block = to_sparse(lv.iota)
+    rows: SparseRows = {}
+    _place(rows, block, (n - 1) * cols)
+    for i in range(n - 1, 0, -1):
+        block = sparse_mul(to_sparse(lv.transpositions[i - 1]), block)
+        _place(rows, block, (i - 1) * cols)
+    return rows
+
+
+def _place(rows: SparseRows, block: SparseRows, offset: int) -> None:
+    """Write ``block`` into ``rows`` with its columns shifted by ``offset``."""
+    for i, entries in block.items():
+        out = rows.setdefault(i, {})
+        for j, x in entries.items():
+            out[offset + j] = x
 
 
 def _surjective_at(v: TruncatedFIModule, n: int) -> bool:
-    r = v.levels[n].rank
+    """Whether the differential at level n, with the presentation columns
+    after it, spans level n: all-unit Smith diagonal over Z, full rank over Q."""
+    lv = v.levels[n]
+    r = lv.rank
     if r == 0:
         return True
-    d1 = _d1(v, n)
-    pres = v.levels[n].presentation
-    if pres is not None:
-        d1 = _hstack([d1, pres], r)
+    rows = _d1(v, n)
+    ncols = n * v.levels[n - 1].rank
+    if lv.presentation is not None:
+        _place(rows, to_sparse(lv.presentation), ncols)
+        ncols += len(lv.presentation[0])
     if v.ring == "Q":
-        return rank(d1) == r
-    return snf_diagonal(d1).count(1) == r
+        return sum(1 for x in _sparse_diagonal(_clear_denominators(rows), r, ncols) if x) == r
+    _require_ints({type(x) for entries in rows.values() for x in entries.values()})
+    return _sparse_diagonal(rows, r, ncols).count(1) == r
 
 
 def surjectivity_table(v: TruncatedFIModule) -> dict[int, bool]:

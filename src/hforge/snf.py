@@ -5,6 +5,10 @@ tuples of row tuples of Python ints (or, for modules over Q, of ints and
 Fractions), so every computation is exact; the Smith normal form takes
 ints only.  A product skips the zero entries of its left factor, so the
 permutation-like matrices of FI-modules cost one row copy per entry.
+Matrices that are mostly zero can also be held as sparse rows
+``{row: {col: x}}``, which list the non-zero rows and entries only; the
+product and sum on them drop every zero they make, so two sparse forms are
+equal exactly when their matrices are.
 
 A Smith diagonal starts sparse.  The matrix is held as rows of non-zero
 entries, and +-1 pivots are eliminated in place while some row holds one:
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 __all__ = [
@@ -40,6 +45,10 @@ __all__ = [
     "identity_matrix",
     "zero_matrix",
     "mat_mul",
+    "to_sparse",
+    "from_sparse",
+    "sparse_mul",
+    "sparse_add",
     "determinant",
     "rank",
     "smith_normal_form",
@@ -47,17 +56,24 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
+SparseRows = dict[int, dict[int, int]]
 
 
 def as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
     out = tuple(map(tuple, rows))
     if len({len(row) for row in out}) > 1:
         raise ValueError("ragged matrix")
-    bad = set().union(*(map(type, row) for row in out)) - {int}
+    _require_ints(set().union(*(map(type, row) for row in out)))
+    return out
+
+
+def _require_ints(kinds: set[type]) -> None:
+    """Reject entry types other than int, such as Fraction, float or bool,
+    which the elimination would run on without complaint."""
+    bad = kinds - {int}
     if bad:
         names = ", ".join(sorted(kind.__name__ for kind in bad))
         raise ValueError(f"matrix entries must be integers, got {names}")
-    return out
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -81,6 +97,60 @@ def mat_mul(a: Matrix, b: Matrix, cols: int) -> Matrix:
                 acc = [s + x * y for s, y in zip(acc, brow)]
         out.append(tuple(acc))
     return tuple(out)
+
+
+def to_sparse(a: Sequence[Sequence[int]]) -> SparseRows:
+    """The non-zero rows of ``a`` as ``{row: {col: x}}``, zeros left out."""
+    out = {}
+    for i, row in enumerate(a):
+        entries = {j: row[j] for j in compress(range(len(row)), row)}
+        if entries:
+            out[i] = entries
+    return out
+
+
+def from_sparse(rows: SparseRows, nrows: int, ncols: int) -> Matrix:
+    """The ``nrows`` x ``ncols`` matrix with non-zero entries ``rows[i][j]``."""
+    out = []
+    for i in range(nrows):
+        row = [0] * ncols
+        for j, x in rows.get(i, {}).items():
+            row[j] = x
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def sparse_mul(a: SparseRows, b: SparseRows) -> SparseRows:
+    """a @ b on sparse rows; entries that sum to zero are dropped."""
+    out = {}
+    brows = b.get
+    for i, arow in a.items():
+        acc: dict[int, int] = {}
+        for k, x in arow.items():
+            brow = brows(k)
+            if brow:
+                for j, y in brow.items():
+                    acc[j] = acc.get(j, 0) + x * y
+        acc = {j: s for j, s in acc.items() if s}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def sparse_add(a: SparseRows, b: SparseRows, factor: int = 1) -> SparseRows:
+    """a + factor * b on sparse rows; entries that sum to zero are dropped."""
+    out = {i: dict(row) for i, row in a.items()}
+    for i, brow in b.items():
+        row = out.setdefault(i, {})
+        for j, y in brow.items():
+            s = row.get(j, 0) + factor * y
+            if s:
+                row[j] = s
+            else:
+                row.pop(j, None)
+        if not row:
+            del out[i]
+    return out
 
 
 def determinant(a: Matrix) -> int:
@@ -247,8 +317,7 @@ def _sparse_diagonal(rows: dict[int, dict[int, int]], nrows: int, ncols: int) ->
 def snf_diagonal(a: Sequence[Sequence[int]]) -> list[int]:
     """Just the Smith diagonal (with divisor chain), no transform tracking."""
     mat = as_matrix(a)
-    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(mat)}
-    return _sparse_diagonal(rows, len(mat), len(mat[0]) if mat else 0)
+    return _sparse_diagonal(to_sparse(mat), len(mat), len(mat[0]) if mat else 0)
 
 
 @dataclass(frozen=True)
@@ -302,15 +371,20 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
     return SnfResult(mat, tuple(map(tuple, u)), tuple(map(tuple, v)), tuple(diag))
 
 
-def _clear_denominators(a: Sequence[Sequence[int | Fraction]]) -> Matrix:
-    """Each row times the lcm of its denominators: integral, same row space over Q."""
-    out = []
-    for row in a:
-        scale = math.lcm(1, *(x.denominator for x in row))
-        out.append(tuple(x.numerator * (scale // x.denominator) for x in row))
-    return tuple(out)
+def _clear_denominators(rows: SparseRows) -> SparseRows:
+    """Each sparse row times the lcm of its denominators: integral, same row
+    space over Q."""
+    out = {}
+    for i, row in rows.items():
+        scale = math.lcm(*(x.denominator for x in row.values()))
+        out[i] = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+    return out
 
 
 def rank(a: Sequence[Sequence[int | Fraction]]) -> int:
     """Rank over Q of a matrix with integer or rational entries."""
-    return sum(1 for x in snf_diagonal(_clear_denominators(a)) if x)
+    mat = tuple(map(tuple, a))
+    if len({len(row) for row in mat}) > 1:
+        raise ValueError("ragged matrix")
+    rows = _clear_denominators(to_sparse(mat))
+    return sum(1 for x in _sparse_diagonal(rows, len(mat), len(mat[0]) if mat else 0) if x)

@@ -957,3 +957,96 @@ def reduced_homology_by_elimination(k, max_degree=None):
         (d, len(bases[d]) - ranks[d] - ranks[d + 1], torsion[d + 1]) for d in range(top + 1)
     )
     return HomologyResult(False, entries)
+
+
+# -- FI-module relations and surjectivity on dense matrices --------------------
+
+
+def validate_fimodule_dense(v):
+    """``fimodules.validate_fimodule`` as it first was: every relation
+    multiplied out on the dense transposition matrices themselves."""
+    from hforge.fimodules import ModuleDiagnostics, _shape_ok
+    from hforge.snf import identity_matrix, mat_mul
+
+    problems = []
+    shaped: set[int] = set()
+    for n in range(v.N + 1):
+        lv = v.levels[n]
+        r = lv.rank
+        if r < 0:
+            problems.append(f"level {n}: negative rank")
+            continue
+        if len(lv.transpositions) != max(n - 1, 0):
+            problems.append(
+                f"level {n}: expected {max(n - 1, 0)} transposition matrices"
+            )
+            continue
+        if n >= 1 and not _shape_ok(lv.iota, r, v.levels[n - 1].rank):
+            problems.append(f"level {n}: inclusion matrix has wrong shape")
+            continue
+        pres = lv.presentation
+        if v.ring == "Q" and pres is not None:
+            problems.append(f"level {n}: presentations are only supported over Z")
+        elif pres is not None and (len(pres) != r or len({len(row) for row in pres}) > 1):
+            problems.append(f"level {n}: presentation rows must number {r} and have equal length")
+        ident = identity_matrix(r)
+        s = lv.transpositions
+        for i, si in enumerate(s, start=1):
+            if not _shape_ok(si, r, r):
+                problems.append(f"level {n}: s_{i} has wrong shape")
+                break
+            if mat_mul(si, si, r) != ident:
+                problems.append(f"level {n}: s_{i}^2 != 1")
+        else:
+            shaped.add(n)
+        if n not in shaped:
+            continue
+        for i in range(1, len(s)):
+            lhs = mat_mul(mat_mul(s[i - 1], s[i], r), s[i - 1], r)
+            rhs = mat_mul(mat_mul(s[i], s[i - 1], r), s[i], r)
+            if lhs != rhs:
+                problems.append(f"level {n}: braid relation fails at (s_{i}, s_{i + 1})")
+        for i in range(1, len(s) + 1):
+            for j in range(i + 2, len(s) + 1):
+                if mat_mul(s[i - 1], s[j - 1], r) != mat_mul(s[j - 1], s[i - 1], r):
+                    problems.append(f"level {n}: s_{i} and s_{j} do not commute")
+        if n - 1 in shaped:
+            prev = v.levels[n - 1]
+            for i in range(1, n - 1):
+                lhs = mat_mul(s[i - 1], lv.iota, prev.rank)
+                rhs = mat_mul(lv.iota, prev.transpositions[i - 1], prev.rank)
+                if lhs != rhs:
+                    problems.append(
+                        f"level {n}: inclusion does not intertwine s_{i}"
+                    )
+    return ModuleDiagnostics(not problems, tuple(problems))
+
+
+def _hstack(blocks, rows: int):
+    out = []
+    for i in range(rows):
+        row: list = []
+        for block in blocks:
+            row.extend(block[i])
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def surjective_at_dense(v, n) -> bool:
+    """``fimodules._surjective_at`` as it first was: the dense differential
+    stacked beside the presentation, then its rank over Q or its Smith
+    diagonal over Z.  The differential comes from ``sigma1_by_words`` and
+    the rank from ``rank_over_q``, so neither shares code with the sparse
+    rows under test."""
+    from hforge.snf import snf_diagonal
+
+    r = v.levels[n].rank
+    if r == 0:
+        return True
+    d1 = sigma1_by_words(v, n)
+    pres = v.levels[n].presentation
+    if pres is not None:
+        d1 = _hstack([d1, pres], r)
+    if v.ring == "Q":
+        return rank_over_q(d1, len(d1[0])) == r
+    return snf_diagonal(d1).count(1) == r

@@ -719,7 +719,7 @@ def test_usage_errors_name_the_problem(capsys, argv, message):
     "argv, message",
     [
         (("complex", "build-sn", "--n", "0"), "need n >= 1 and bound >= 0"),
-        (("complex", "build-sn", "--k", "0"), "need k >= 1 and t >= 0"),
+        (("complex", "build-sn", "--k", "0"), "need k >= 1"),
         (("complex", "probe", "--bound", "-1", "--trials", "1"), "need n >= 1 and bound >= 0"),
         (
             ("complex", "section-check", "--n", "0", "--bound", "-1", "--set-size", "0"),
@@ -734,7 +734,7 @@ def test_usage_errors_name_the_problem(capsys, argv, message):
             "need n >= 1 and bound >= 0",
         ),
         (("complex", "section-check", "--bound", "-1", "--trials", "0"), "need n >= 1 and bound >= 0"),
-        (("complex", "section-check", "--k", "0", "--set-size", "0"), "need k >= 1 and t >= 0"),
+        (("complex", "section-check", "--k", "0", "--set-size", "0"), "need k >= 1"),
     ],
     ids=[
         "build-sn-n", "build-sn-k", "probe-bound", "section-check-set-size-0",

@@ -9,11 +9,15 @@ from hforge.snf import (
     SnfResult,
     as_matrix,
     determinant,
+    from_sparse,
     identity_matrix,
     mat_mul,
     rank,
     smith_normal_form,
     snf_diagonal,
+    sparse_add,
+    sparse_mul,
+    to_sparse,
     zero_matrix,
 )
 
@@ -251,3 +255,29 @@ def test_mat_mul_matches_dense_product():
         b = tuple(tuple(entry() for _ in range(p)) for _ in range(m))
         # a 0-row b leaves only the width argument to size the product
         assert mat_mul(a, b, p) == mat_mul_dense(a, b, p), (a, b)
+
+
+def test_sparse_rows_match_dense_arithmetic():
+    rng = random.Random(6)
+    for _ in range(200):
+        n, m, p = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 5)
+        entry = rng.choice(
+            (
+                lambda: rng.choice((0, 0, 0, 1, -1, 7)),
+                lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+            )
+        )
+        a = tuple(tuple(entry() for _ in range(m)) for _ in range(n))
+        b = tuple(tuple(entry() for _ in range(p)) for _ in range(m))
+        c = tuple(tuple(entry() for _ in range(m)) for _ in range(n))
+        sa, sb, sc = to_sparse(a), to_sparse(b), to_sparse(c)
+        # no zero is stored, so equal matrices have equal sparse forms
+        assert all(row and all(row.values()) for form in (sa, sb, sc) for row in form.values())
+        assert from_sparse(sa, n, m) == a
+        assert sparse_mul(sa, sb) == to_sparse(mat_mul_dense(a, b, p))
+        factor = rng.choice((1, -1, 2))
+        total = tuple(
+            tuple(x + factor * y for x, y in zip(ra, rc)) for ra, rc in zip(a, c)
+        )
+        assert sparse_add(sa, sc, factor) == to_sparse(total)
+        assert sparse_add(sa, sa, -1) == {}
