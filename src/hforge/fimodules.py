@@ -544,6 +544,7 @@ def _entry_to_json(x):
 
 
 _FRACTION = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_INT = frozenset({int})
 
 
 def _entry_from_json(x, ring: str, field: str, n: int):
@@ -564,7 +565,13 @@ def _entry_from_json(x, ring: str, field: str, n: int):
 
 
 def _mat_from_json(rows, ring: str, field: str, n: int) -> Mat:
-    return tuple(tuple(_entry_from_json(x, ring, field, n) for x in row) for row in rows)
+    """The matrix of JSON ``rows``.  A row of exact ints is taken whole, on one type
+    test; any other row is read entry by entry by ``_entry_from_json``."""
+    return tuple(
+        tuple(row) if type(row) is list and set(map(type, row)) <= _INT
+        else tuple(_entry_from_json(x, ring, field, n) for x in row)
+        for row in rows
+    )
 
 
 def _mat_to_json(mat: Mat | None):

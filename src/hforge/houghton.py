@@ -24,13 +24,19 @@ Maps are validated where they enter (the constructors, ``map_from_json``,
 ``validate``); arithmetic relies on the table's own check, which rejects
 overlapping or missing domain pieces.  The cells, translations and maps
 that arithmetic builds are valid by construction, so they skip
-``__post_init__``.
+``__post_init__``.  So do the pieces and map of an element read from JSON:
+``_parse_map`` tests each field once and builds them unchecked, and hands
+any input that fails a test to the constructors, whose messages name the
+fault.  ``validate`` decides the domain partition and the disjointness and
+cover of the images on one set of grid cells each, and builds the per-ray
+cell sets that name a fault only when there is one.
 
 Everything is immutable and pure; seeded generators are deterministic.
 """
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -46,6 +52,7 @@ from .rays import (
     _cell_bases,
     _cell_sets,
     _complement_cells,
+    _disjoint_cover,
     _first_gap,
     _json_int,
     _json_ints,
@@ -196,7 +203,7 @@ class HoughtonMap:
 
 def _moved(ray: Ray, offset: tuple[int, ...]) -> Ray:
     """``ray`` translated by ``offset``, for a translation known to keep it in N^k."""
-    return _ray(tuple(b + d for b, d in zip(ray.base, offset)), ray.dirs)
+    return _ray(tuple(map(operator.add, ray.base, offset)), ray.dirs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,23 +235,32 @@ def validate(f: HoughtonMap) -> MapDiagnostics:
 
 
 def _validate(f: HoughtonMap) -> tuple[MapDiagnostics, tuple[MarkedRay, ...]]:
-    """``validate`` and the image rays it checked, one per piece in piece order.  Domain
-    and images take one ``_cell_sets`` pass each; ``_overlapping_pair`` and ``_first_gap``
-    name the fault."""
+    """``validate`` and the image rays it checked, one per piece in piece order.
+
+    Domain and images are decided on one cell set each (``_disjoint_cover``); only a
+    fault builds the per-ray ``_cell_sets`` from which ``_overlapping_pair`` and
+    ``_first_gap`` name it.  A map with no pieces leaves all of N^k uncovered, which is
+    said without fitting a grid or writing out the k coordinates of its cell.
+    """
+    if not f.pieces:
+        gap = f"uncovered cell N^{f.k} on copy 1: the map has no pieces"
+        return MapDiagnostics(False, False, (f"domain is not a ray partition: {gap}",)), ()
     problems: list[str] = []
     domain = [dom for dom, _ in f.pieces]
-    cuts, cells = _cell_sets(f.k, [(m,) for m in domain])
-    if (pair := _overlapping_pair(domain, cells)) is not None:
-        problems.append(f"domain is not a ray partition: cells overlap: {pair[0]} and {pair[1]}")
-    elif (gap := _first_gap(f.m, cuts, cells)) is not None:
-        problems.append(
-            f"domain is not a ray partition: uncovered cell {gap.ray} on copy {gap.copy}"
-        )
+    if not all(_disjoint_cover(f.k, f.m, domain)):
+        cuts, cells = _cell_sets(f.k, [(m,) for m in domain])
+        if (pair := _overlapping_pair(domain, cells)) is not None:
+            fault = f"cells overlap: {pair[0]} and {pair[1]}"
+        else:
+            gap = _first_gap(f.m, cuts, cells)
+            fault = f"uncovered cell {gap.ray} on copy {gap.copy}"
+        problems.append(f"domain is not a ray partition: {fault}")
     images = tuple(f.image_ray(p) for p in f.pieces)
-    cuts, cells = _cell_sets(f.k, [(m,) for m in images])
-    if (pair := _overlapping_pair(images, cells)) is not None:
+    disjoint, covers = _disjoint_cover(f.k, f.n, images)
+    if not disjoint:
+        pair = _overlapping_pair(images, _cell_sets(f.k, [(m,) for m in images])[1])
         problems.append(f"image rays overlap: {pair[0]} and {pair[1]}")
-    bijective = not problems and f.m == f.n and _first_gap(f.n, cuts, cells) is None
+    bijective = not problems and f.m == f.n and covers
     return MapDiagnostics(not problems, bijective, tuple(problems)), images
 
 
@@ -298,9 +314,14 @@ def _map_of_cells(k: int, m: int, n: int, grid: tuple[int, list]) -> HoughtonMap
     vertex, so they partition the domain and every image lies in N^k; the pieces and
     the map are built without ``__post_init__``.
     """
-    f = object.__new__(HoughtonMap)
     pieces = tuple((_marked(cell, copy), tr) for copy, cell, tr in grid[1])
-    fields = {"k": k, "m": m, "n": n, "pieces": pieces, "_table": _grid_table(grid)}
+    return _unchecked_map(k, m, n, pieces, _grid_table(grid))
+
+
+def _unchecked_map(k: int, m: int, n: int, pieces: tuple, table: tuple | None) -> HoughtonMap:
+    """``HoughtonMap(k, m, n, pieces)`` carrying ``table``, without ``__post_init__``."""
+    f = object.__new__(HoughtonMap)
+    fields = {"k": k, "m": m, "n": n, "pieces": pieces, "_table": table}
     for name, value in fields.items():
         object.__setattr__(f, name, value)
     return f
@@ -680,8 +701,58 @@ def map_to_json(f: HoughtonMap) -> dict:
     }
 
 
+_PIECE_FIELDS = operator.itemgetter("copy", "base", "dirs", "offset", "target_copy")
+_INT = frozenset({int})
+
+
 def _parse_map(data: dict) -> HoughtonMap:
-    """The map a JSON object describes, with its fields checked but not ``validate``."""
+    """The map a JSON object describes, with its fields checked but not ``validate``.
+
+    One pass tests each field once: k, m, n >= 1; per piece, ``base``, ``dirs`` and
+    ``offset`` lists of exact ints, ``base`` and ``offset`` of length k, ``dirs`` without
+    repeats within 1..k, 1 <= ``copy`` <= m, 1 <= ``target_copy`` <= n, and base and
+    base + offset >= 1.  A map that passes is built unchecked (``_ray``, ``_marked``,
+    ``_translation``), with ``dirs`` sorted.  Any other input is read again by the
+    constructors, which accept it or raise the message that names its first fault.
+    """
+    if type(data) is dict and type(k := data.get("k")) is int and k >= 1:
+        m, n, raw = data.get("m"), data.get("n"), data.get("pieces")
+        if type(m) is type(n) is int and m >= 1 and n >= 1 and type(raw) is list:
+            pieces = _pieces_if_valid(k, m, n, raw)
+            if pieces is not None:
+                return _unchecked_map(k, m, n, pieces, None)
+    return _map_by_constructors(data)
+
+
+def _pieces_if_valid(k: int, m: int, n: int, raw: list) -> tuple | None:
+    """The pieces of the JSON ``raw``, built unchecked, when each passes the
+    ``_parse_map`` tests for a map of shape (k, m, n); None when one does not."""
+    pieces = []
+    for p in raw:
+        if type(p) is not dict:
+            return None
+        try:
+            copy, base, dirs, offset, target = _PIECE_FIELDS(p)
+        except KeyError:
+            return None
+        if not (
+            type(base) is list and type(dirs) is list and type(offset) is list
+            and {type(copy), type(target), *map(type, base), *map(type, dirs), *map(type, offset)}
+            == _INT
+            and len(base) == k == len(offset) and 1 <= copy <= m and 1 <= target <= n
+            and min(base) >= 1 and min(map(operator.add, base, offset)) >= 1
+        ):
+            return None
+        free = sorted(set(dirs))
+        if len(free) != len(dirs) or free and (free[0] < 1 or free[-1] > k):
+            return None
+        ray = _marked(_ray(tuple(base), tuple(free)), copy)
+        pieces.append((ray, _translation(tuple(offset), target)))
+    return tuple(pieces)
+
+
+def _map_by_constructors(data: dict) -> HoughtonMap:
+    """The map a JSON object describes, built by the checking constructors."""
     try:
         k, m, n = (_json_int(data, field) for field in ("k", "m", "n"))
         pieces = tuple(

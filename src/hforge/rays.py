@@ -18,19 +18,25 @@ This module is the one owner of the grid layer.  Overlap, cover and canonical
 forms are read off grid cells named by their least points: ``_cell_bases``
 lists a ray's cells on per-coordinate cuts, either the threshold grid or the
 grid ``_cuts_for`` fits to a set of rays, whose size does not grow with the
-bases.  ``_cell_sets`` decides overlap and cover on the fitted grid;
-``_label_cells`` labels its cells and ``_canonical_grid`` reads map tables,
-canonical regions and complements off them, or off any labelled grid with cuts
-from 1: ``houghton.compose`` reads a product off its own.  Vertex enumeration in
-``complexes`` prunes on ``_cell_sets`` and reads ``_canonical_grid`` too.
+bases.  ``_disjoint_cover`` decides overlap and cover on one set of fitted
+cells, for ``Region`` and for ``houghton._validate``; only on a fault are the
+``_cell_sets`` built, one set per ray, from which ``_overlapping_pair`` and
+``_first_gap`` name it.  ``_label_cells`` labels the fitted cells and
+``_canonical_grid`` reads map tables, canonical regions and complements off
+them, or off any labelled grid with cuts from 1: ``houghton.compose`` reads a
+product off its own.  Vertex enumeration in ``complexes`` prunes on
+``_cell_sets`` and reads ``_canonical_grid`` too.
 
 Values are checked where they enter.  The JSON parsers take integers only,
 the constructors check coordinates, directions and copies, and ``Region``
-checks that its rays are disjoint.  The grid code takes rays as already
-checked: ``_canonical_cells`` and ``_complement_cells`` work on bare rays
-and build no ``Region``, so a complement or a canonical form builds one
-``Region``, its result.  The cells it builds itself are valid by
-construction and skip the constructors' checks (``_ray``, ``_marked``).
+checks that its rays are disjoint (a region of fewer than two rays fits no
+cuts).  ``houghton``'s element reader tests the same fields in one pass and
+builds its rays with ``_ray`` and ``_marked``; it leaves input that fails a
+test to the parsers here, for their messages.  The grid code takes rays as
+already checked: ``_canonical_cells`` and ``_complement_cells`` work on bare
+rays and build no ``Region``, so a complement or a canonical form builds one
+``Region``, its result.  The cells it builds itself are valid by construction
+and skip the constructors' checks (``_ray``, ``_marked``).
 
 All values are immutable and all functions are pure; everything is safe to
 share between threads.
@@ -276,10 +282,11 @@ def _cell_bases(ray: Ray, cuts: Sequence[Sequence[int]]) -> Iterator[tuple[int, 
     pinned one keeps its base; the cuts must hold b for every base and b+1
     for every pinned one.
     """
-    return itertools.product(*(
-        cut[bisect_left(cut, b):] if j in ray.dirs else (b,)
-        for j, (b, cut) in enumerate(zip(ray.base, cuts), start=1)
-    ))
+    dirs = ray.dirs
+    return itertools.product(*[
+        cut[bisect_left(cut, b):] if j in dirs else (b,)
+        for j, b, cut in zip(itertools.count(1), ray.base, cuts)
+    ])
 
 
 def _cuts_for(k: int, rays: Iterable[Ray]) -> tuple[list[int], ...]:
@@ -302,6 +309,17 @@ def _cell_sets(k: int, groups: Sequence[Sequence[MarkedRay]]) -> tuple[tuple, li
         frozenset((m.copy, base) for m in group for base in _cell_bases(m.ray, cuts))
         for group in groups
     ]
+
+
+def _disjoint_cover(k: int, n: int, rays: Sequence[MarkedRay]) -> tuple[bool, bool]:
+    """Whether ``rays`` are pairwise disjoint, and whether they also cover N^k x [n], decided
+    on one set of ``(copy, base)`` cells on the ``_cuts_for`` cuts: fewer distinct cells than
+    the rays list is an overlap, and disjoint rays cover when there are n times the grid's.
+    """
+    cuts = _cuts_for(k, (m.ray for m in rays))
+    keys = [(m.copy, base) for m in rays for base in _cell_bases(m.ray, cuts)]
+    cells = len(set(keys))
+    return cells == len(keys), cells == len(keys) == n * math.prod(map(len, cuts))
 
 
 def _disjoint_masks(cells: list[frozenset]) -> Iterator[int]:
@@ -413,8 +431,8 @@ class Region:
                 raise ValidationError(f"ray {m} does not live in N^{self.k}")
             if m.copy > self.n:
                 raise ValidationError(f"copy {m.copy} exceeds ambient copy count {self.n}")
-        pair = _overlapping_pair(self.rays, _cell_sets(self.k, [(m,) for m in self.rays])[1])
-        if pair is not None:
+        if len(self.rays) > 1 and not _disjoint_cover(self.k, self.n, self.rays)[0]:
+            pair = _overlapping_pair(self.rays, _cell_sets(self.k, [(m,) for m in self.rays])[1])
             raise ValidationError(f"region rays overlap: {pair[0]} and {pair[1]}")
 
     @classmethod

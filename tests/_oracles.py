@@ -1050,3 +1050,60 @@ def surjective_at_dense(v, n) -> bool:
     if v.ring == "Q":
         return rank_over_q(d1, len(d1[0])) == r
     return snf_diagonal(d1).count(1) == r
+
+
+# -- element JSON read by the constructors, partitions decided per ray ---------
+
+
+def parse_map_by_constructors(data):
+    """``houghton._parse_map`` as it was before its one-pass reader: every field
+    type-checked by the JSON helpers and checked again by the ``Ray``,
+    ``MarkedRay``, ``Translation`` and ``HoughtonMap`` constructors."""
+    from hforge.errors import ValidationError
+    from hforge.houghton import HoughtonMap, Translation
+    from hforge.rays import _json_int, _json_ints, marked_ray_from_json
+
+    try:
+        k, m, n = (_json_int(data, field) for field in ("k", "m", "n"))
+        pieces = tuple(
+            (
+                marked_ray_from_json(p),
+                Translation(_json_ints(p, "offset"), _json_int(p, "target_copy")),
+            )
+            for p in data["pieces"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed map object: {exc}") from exc
+    return HoughtonMap(k, m, n, pieces)
+
+
+def validate_by_cell_sets(f):
+    """``houghton._validate`` as it was before it decided on one cell set: one
+    ``frozenset`` of cells per ray, domain and images, and the fault-naming
+    ``_overlapping_pair`` and ``_first_gap`` run on every map."""
+    from hforge.houghton import MapDiagnostics
+    from hforge.rays import _cell_sets, _first_gap, _overlapping_pair
+
+    problems: list[str] = []
+    domain = [dom for dom, _ in f.pieces]
+    cuts, cells = _cell_sets(f.k, [(m,) for m in domain])
+    if (pair := _overlapping_pair(domain, cells)) is not None:
+        problems.append(f"domain is not a ray partition: cells overlap: {pair[0]} and {pair[1]}")
+    elif (gap := _first_gap(f.m, cuts, cells)) is not None:
+        problems.append(
+            f"domain is not a ray partition: uncovered cell {gap.ray} on copy {gap.copy}"
+        )
+    images = tuple(f.image_ray(p) for p in f.pieces)
+    cuts, cells = _cell_sets(f.k, [(m,) for m in images])
+    if (pair := _overlapping_pair(images, cells)) is not None:
+        problems.append(f"image rays overlap: {pair[0]} and {pair[1]}")
+    bijective = not problems and f.m == f.n and _first_gap(f.n, cuts, cells) is None
+    return MapDiagnostics(not problems, bijective, tuple(problems)), images
+
+
+def mat_from_json_by_entries(rows, ring: str, field: str, n: int):
+    """``fimodules._mat_from_json`` as it was: every entry, zeros included, read
+    by ``_entry_from_json``."""
+    from hforge.fimodules import _entry_from_json
+
+    return tuple(tuple(_entry_from_json(x, ring, field, n) for x in row) for row in rows)

@@ -913,6 +913,31 @@ def test_cross_process_byte_identity():
         assert outputs[0] == outputs[1], f"build-sn --n {n} differs across hash seeds"
 
 
+def test_element_verify_without_pieces_answers_at_once(capsys, tmp_path):
+    """A map with no pieces leaves all of N^k uncovered.  The report says so
+    without fitting a grid or writing out k coordinates, so a huge k costs
+    nothing; ``complex homology`` reads such a vertex label the same way."""
+    k = 10**9
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(_map_json(k, [])))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "element", "verify", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(out)["problems"] == [
+        f"domain is not a ray partition: uncovered cell N^{k} on copy 1: the map has no pieces"
+    ]
+    complex_path = tmp_path / "complex.json"
+    complex_path.write_text(json.dumps(
+        {"vertices": [_map_json(k, [])], "maximal_simplices": [[0]]}
+    ))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "complex", "homology", str(complex_path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"uncovered cell N^{k} on copy 1" in err
+
+
 def test_element_verify_far_gap_answers_quickly():
     """A plane pinned at z = 1 and an orthant from z = 3000 leave the layers
     z = 2..2999 uncovered.  The report names the same cell as for an orthant

@@ -31,7 +31,13 @@ from hforge.fimodules import (
 )
 from hforge.houghton import decompose, fi_map, random_element, translation_vector
 
-from _oracles import rank_over_q, sigma1_by_words, surjective_at_dense, validate_fimodule_dense
+from _oracles import (
+    mat_from_json_by_entries,
+    rank_over_q,
+    sigma1_by_words,
+    surjective_at_dense,
+    validate_fimodule_dense,
+)
 
 
 def perm_matrix(perm):
@@ -591,3 +597,38 @@ def test_q_module_with_fractional_entry():
     assert generation_degree(module_from_json(_rank_one_module_json("Z", 2))) == 2
     with pytest.raises(ValidationError, match="non-integer entry"):
         module_from_json(_rank_one_module_json("Z", "1/2"))
+
+
+_ROW_ENTRIES = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.sampled_from((0.0, 1.5, -2.0, None, "", "x", "1/0", "a/b")),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9)),
+    st.integers(-9, 9).map(str),
+)
+_ROWS = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=5),
+    st.lists(_ROW_ENTRIES, max_size=5),
+    st.sampled_from((0, None, "12", "1/2", {"1": 2}, (1, 2), 1.0)),
+)
+
+
+def _mat_outcome(read, rows, ring):
+    try:
+        return "ok", read(rows, ring, "iota", 2)
+    except ValidationError as exc:
+        return "error", str(exc)
+    except (TypeError, ValueError) as exc:  # module_from_json calls these malformed
+        return type(exc).__name__, str(exc)
+
+
+@given(st.lists(_ROWS, max_size=4), st.sampled_from(("Z", "Q")))
+@settings(max_examples=400, deadline=None)
+def test_whole_row_reader_matches_entry_reader(rows, ring):
+    """Rows of exact ints are taken on one type test; rows with bools, floats,
+    ``"p/q"`` strings or that are not lists read as each entry read alone."""
+    got = _mat_outcome(fimodules_module._mat_from_json, rows, ring)
+    assert got == _mat_outcome(mat_from_json_by_entries, rows, ring)
+    if got[0] == "ok":
+        assert [type(row) for row in got[1]] == [tuple] * len(rows)

@@ -6,9 +6,12 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hforge.errors import ValidationError
 from hforge.houghton import (
+    _parse_map,
+    _validate,
     HoughtonMap,
     MarkedRay,
     PermutationN,
@@ -58,9 +61,11 @@ from _oracles import (
     canonical_table_children_scan,
     compose_global_grid,
     inverse_via_validate,
+    parse_map_by_constructors,
     random_injection_by_restriction,
     raw_pieces,
     uncovered_cells_by_containment,
+    validate_by_cell_sets,
     validate_reference,
 )
 
@@ -957,3 +962,111 @@ def test_random_injection_draws_match_restricted_element():
             assert (got.k, got.m, got.n, got.pieces) == (want.k, want.m, want.n, want.pieces)
         got = random_element(k, n, bound, seed)
         assert got.pieces == random_injection_by_restriction(k, n, n, bound, seed).pieces
+
+
+# -- the one-pass element reader against the constructors ---------------------
+
+_JUNK = (True, False, 1.0, 2.5, None, "1", "x", [], [1], {}, 0, -1, 2, 3, 10**20)
+
+
+def _fixture_objects():
+    return [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+
+
+def _mutate(data, draw):
+    """One of the ways a JSON element can go wrong, applied to a copy of ``data``."""
+    data = json.loads(json.dumps(data))
+    pieces = data.get("pieces") if isinstance(data, dict) else None
+    kind = draw(st.sampled_from((
+        "top", "drop-top", "piece-field", "drop-field", "entry", "drop-piece",
+        "dup-piece", "non-dict", "unsorted-dirs", "repeat-dirs", "nudge",
+    )))
+    if not isinstance(pieces, list) or not pieces or kind in ("top", "drop-top"):
+        if isinstance(data, dict):
+            key = draw(st.sampled_from(sorted(data) + ["k", "m", "n", "pieces"]))
+            if kind == "drop-top":
+                data.pop(key, None)
+            elif kind == "nudge" and type(data.get(key)) is int:
+                data[key] += draw(st.integers(-3, 3))
+            else:
+                data[key] = draw(st.sampled_from(_JUNK))
+        return data
+    i = draw(st.integers(0, len(pieces) - 1))
+    piece = pieces[i]
+    if kind == "drop-piece":
+        del pieces[i]
+    elif kind == "dup-piece":
+        pieces.insert(i, json.loads(json.dumps(piece)))
+    elif kind == "non-dict":
+        pieces[i] = draw(st.sampled_from((1, "copy", [piece], None, [])))
+    if kind in ("drop-piece", "dup-piece", "non-dict") or not isinstance(piece, dict):
+        return data
+    field = draw(st.sampled_from(("copy", "base", "dirs", "offset", "target_copy")))
+    value = piece.get(field)
+    if kind == "drop-field":
+        piece.pop(field, None)
+    elif kind == "piece-field":
+        piece[field] = draw(st.sampled_from(_JUNK))
+    elif kind in ("unsorted-dirs", "repeat-dirs") and isinstance(piece.get("dirs"), list):
+        dirs = piece["dirs"]
+        piece["dirs"] = dirs[::-1] + dirs[:1] if kind == "repeat-dirs" else dirs[::-1]
+    elif kind == "nudge" and type(value) is int:
+        piece[field] += draw(st.integers(-3, 3))
+    elif kind == "nudge" and isinstance(value, list):
+        j = draw(st.integers(0, len(value)))
+        if j == len(value):
+            value.append(draw(st.integers(-2, 4)))
+        elif type(value[j]) is int:
+            value[j] += draw(st.integers(-3, 3))
+    elif isinstance(value, list) and value:  # "entry"
+        value[draw(st.integers(0, len(value) - 1))] = draw(st.sampled_from(_JUNK))
+    return data
+
+
+def _read_element(parse, check, data):
+    """What a parser and a validator make of ``data``: the error text, or the pieces
+    with the diagnostics and image rays."""
+    try:
+        f = parse(data)
+    except ValidationError as exc:
+        return "error", str(exc)
+    if not f.pieces:  # the no-pieces gap is named without walking N^k
+        return (f.k, f.m, f.n), f._table, f.pieces
+    return (f.k, f.m, f.n), f._table, f.pieces, check(f)
+
+
+@given(st.sampled_from(_fixture_objects()), st.integers(1, 3), st.data())
+@settings(max_examples=600, deadline=None)
+def test_one_pass_reader_matches_constructors(fixture, rounds, data):
+    """Mutated fixture elements: bools, floats, None and strings in any field or
+    entry, deleted and duplicated pieces and fields, unsorted and repeated
+    ``dirs``, non-dict pieces and nudged integers.  The one-pass reader and the
+    one-cell-set ``_validate`` agree with the constructors and the per-ray cell
+    sets, in the pieces, the diagnostics and image rays, or the error text."""
+    for _ in range(rounds):
+        fixture = _mutate(fixture, data.draw)
+    got = _read_element(_parse_map, _validate, fixture)
+    assert got == _read_element(parse_map_by_constructors, validate_by_cell_sets, fixture)
+    if got[0] != "error" and not got[2]:
+        diag, images = _validate(_parse_map(fixture))
+        assert (diag.valid, diag.bijective, images) == (False, False, ())
+        assert diag.problems == (
+            f"domain is not a ray partition: uncovered cell N^{fixture['k']} on copy 1: "
+            "the map has no pieces",
+        )
+
+
+def test_validate_decides_without_naming_on_valid_maps(monkeypatch):
+    """A valid map is decided on one cell set per side; the per-ray cell sets that
+    name a fault are not built."""
+    import hforge.houghton
+
+    def unused(*args):
+        raise AssertionError("a fault was named on a valid map")
+
+    for name in ("_cell_sets", "_overlapping_pair", "_first_gap"):
+        monkeypatch.setattr(hforge.houghton, name, unused)
+    for f in (random_element(2, 3, 2, 5), random_injection(3, 2, 4, 1, 8), spec_generator()):
+        assert _validate(f)[0].valid
+    for path in ("generator.json", "identity_n2.json", "far_planes.json"):
+        assert map_from_json(json.loads((FIXTURES / path).read_text())).pieces

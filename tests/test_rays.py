@@ -588,6 +588,32 @@ def test_region_overlap_message_matches_pairwise_scan():
     assert outcomes == {False, True}
 
 
+def test_region_decides_disjointness_on_one_cell_set(monkeypatch):
+    """Disjoint rays are accepted without the per-ray cell sets that name an overlap,
+    and a region with fewer than two rays fits no cuts, whatever its k."""
+    import time
+
+    import hforge.rays
+
+    rng = random.Random(71)
+    regions = [_refined_region(rng, k, n) for k in (1, 2, 3) for n in (1, 2)]
+
+    def unused(*args):
+        raise AssertionError("an overlap was named on disjoint rays")
+
+    monkeypatch.setattr(hforge.rays, "_cell_sets", unused)
+    monkeypatch.setattr(hforge.rays, "_cuts_for", unused)
+    start = time.perf_counter()
+    assert region_from_json({"k": 10**9, "n": 1, "rays": []}).is_empty
+    assert time.perf_counter() - start < 1.0
+    one = regions[2].rays[:1]
+    assert Region(2, 1, one).rays == one
+    monkeypatch.undo()
+    monkeypatch.setattr(hforge.rays, "_cell_sets", unused)
+    for region in regions:
+        assert Region(region.k, region.n, region.rays) == region
+
+
 def test_first_gap_is_the_first_uncovered_threshold_cell():
     """On disjoint rays, ``_first_gap`` names the first threshold cell that no
     ray contains: copy by copy, least base first."""
