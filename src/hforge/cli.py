@@ -130,7 +130,10 @@ def _emit(data, args) -> None:
     else:
         text = _render_text(data) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

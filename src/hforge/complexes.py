@@ -248,24 +248,27 @@ def reduced_homology(k: SimplicialComplex, max_degree: int | None = None) -> Hom
     d_0 = 1 and rank d_1 = V - c for V vertices in c components, counted by
     ``_component_count``, and degrees 0 and 1 have no torsion.  Only d_2 and
     up are assembled and eliminated, and degrees through ``max_degree`` need
-    no boundary above d_{max_degree+1}.
+    no boundary above d_{max_degree+1}.  Only the layers those boundaries index
+    are sorted into bases, so degree 0 alone reads counts and components.
     """
     if k.is_empty:
         return HomologyResult(True, ())
     top = k.dim if max_degree is None else min(max_degree, k.dim)
-    bases = [k.simplices_of_dim(d) for d in range(min(top + 1, k.dim) + 1)]
-    ranks = [1, len(bases[0]) - _component_count(k)]
+    last = min(top + 1, k.dim)
+    sizes = [len(k.simplices.get(d, ())) for d in range(last + 1)]
+    bases = {d: k.simplices_of_dim(d) for d in range(1, last + 1)} if last >= 2 else {}
+    ranks = [1, sizes[0] - _component_count(k)]
     torsion = [(), ()]
-    for d in range(2, len(bases)):
+    for d in range(2, last + 1):
         rows = dict(enumerate(_boundary_rows(bases, d)))
-        diag = _sparse_diagonal(rows, len(bases[d - 1]), len(bases[d]))
+        diag = _sparse_diagonal(rows, sizes[d - 1], sizes[d])
         ranks.append(sum(1 for x in diag if x))
         torsion.append(tuple(x for x in diag if x > 1))
     # above the dimension the boundary is zero
     ranks.append(0)
     torsion.append(())
     entries = tuple(
-        (d, len(bases[d]) - ranks[d] - ranks[d + 1], torsion[d + 1]) for d in range(top + 1)
+        (d, sizes[d] - ranks[d] - ranks[d + 1], torsion[d + 1]) for d in range(top + 1)
     )
     return HomologyResult(False, entries)
 
@@ -289,17 +292,12 @@ def _component_count(k: SimplicialComplex) -> int:
 def is_q_acyclic(k: SimplicialComplex, q: int) -> bool:
     """Reduced homology vanishes in degrees <= q (vacuous above the dimension).
 
-    Through degree 0 alone this asks for one connected component, since
-    H~_0 is free of rank (components - 1); ``_component_count``, which also
-    gives ``reduced_homology`` the rank of d_1, answers that without listing
-    a basis.
+    Through degree 0 alone ``reduced_homology`` counts components and sorts no layer.
     """
     if k.is_empty:
         return False
     if q < 0:
         return True
-    if min(q, k.dim) == 0:
-        return _component_count(k) == 1
     hom = reduced_homology(k, max_degree=min(q, k.dim))
     return all(hom.is_trivial(d) for d in range(0, min(q, k.dim) + 1))
 
@@ -372,10 +370,10 @@ def _bounded_vertices(
     cells, on one grid; the cells decide overlap and cover as ``_image_cells`` does.
 
     One ``rays._cell_sets`` call fits the grid to every option's image ray.  A leaf keeps
-    the union of its options' cells and reads its canonical form off
+    the union of its options' cells and reads its canonical pieces off
     ``rays._canonical_grid``: the domain cells are the fitted cells of the cuts 1..B+1.
-    ``houghton._map_of_cells`` builds the vertex with that table, so writing it out
-    computes no table again.
+    ``houghton._map_of_cells`` builds the vertex on that one tuple, as its pieces and its
+    table, so writing it out computes nothing again.
     """
     _check_truncation(k, n, bound)
     cells = grid_cells(k, bound)

@@ -564,11 +564,23 @@ def _entry_from_json(x, ring: str, field: str, n: int):
     return value
 
 
+def _json_list(value, field: str, n: int) -> list:
+    """``value`` when it is a JSON array; a string or an object is not read element by element."""
+    if type(value) is not list:
+        raise ValidationError(f"field {field!r} must be a JSON array, got {value!r} at level {n}")
+    return value
+
+
 def _mat_from_json(rows, ring: str, field: str, n: int) -> Mat:
-    """The matrix of JSON ``rows``.  A row of exact ints is taken whole, on one type
-    test; any other row is read entry by entry by ``_entry_from_json``."""
+    """The matrix of JSON ``rows``, an array of arrays.  A row of exact ints is taken
+    whole, on one type test; any other row is read entry by entry by ``_entry_from_json``."""
+    for row in _json_list(rows, field, n):
+        if type(row) is not list:
+            raise ValidationError(
+                f"field {field!r} must hold JSON arrays as rows, got {row!r} at level {n}"
+            )
     return tuple(
-        tuple(row) if type(row) is list and set(map(type, row)) <= _INT
+        tuple(row) if set(map(type, row)) <= _INT
         else tuple(_entry_from_json(x, ring, field, n) for x in row)
         for row in rows
     )
@@ -608,9 +620,11 @@ def module_from_json(data: dict) -> TruncatedFIModule:
         levels = []
         for n, raw in enumerate(data["levels"]):
             rank = _json_int(raw, "rank")
-            iota = None if n == 0 else _mat_from_json(raw.get("iota") or [], ring, "iota", n)
+            iota = raw.get("iota")
+            iota = None if n == 0 else _mat_from_json([] if iota is None else iota, ring, "iota", n)
             transpositions = tuple(
-                _mat_from_json(s, ring, "transpositions", n) for s in raw["transpositions"]
+                _mat_from_json(s, ring, "transpositions", n)
+                for s in _json_list(raw["transpositions"], "transpositions", n)
             )
             pres = raw.get("presentation")
             if pres is not None:

@@ -14,10 +14,11 @@ labels one grid of the first map's domain, cut also where the second map's
 grid cuts it once pulled back by an offset, and reads its canonical form off
 those labels.
 
-A map's canonical table is ``(t, {(copy, cell): translation})`` in sorted
-cell order, as a read-only mapping.  A map read off canonical cells (by
-``compose``, ``inverse``, ``canonical_form`` or vertex enumeration) is built
-by ``_map_of_cells`` and carries its table from birth.  A map that comes
+A map's canonical table is ``(t, pieces)``: its canonical threshold and its
+canonical pieces ``((MarkedRay, Translation), ...)``, one per t-cell in
+``(copy, dirs, base)`` order.  A map read off canonical cells (by ``compose``,
+``inverse``, ``canonical_form`` or vertex enumeration) is built by
+``_map_of_cells`` and holds its table's tuple as its pieces.  A map that comes
 from outside gets its table from one LRU cache of ``_CANONICAL_CACHE_SIZE``
 maps on its first lookup, and keeps it.  The grid work is done by ``rays``.
 Maps are validated where they enter (the constructors, ``map_from_json``,
@@ -40,7 +41,6 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
 
 from .errors import ValidationError
 from .rays import (
@@ -174,7 +174,7 @@ class HoughtonMap:
     n: int
     pieces: tuple[tuple[MarkedRay, Translation], ...]
     # The canonical table, once known: set by ``_map_of_cells`` or on the first ``_table_of``.
-    _table: tuple[int, MappingProxyType] | None = field(
+    _table: tuple[int, tuple] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -271,51 +271,44 @@ def _validate(f: HoughtonMap) -> tuple[MapDiagnostics, tuple[MarkedRay, ...]]:
 _CANONICAL_CACHE_SIZE = 4096
 
 
-def _map_cells(k: int, m: int, pieces) -> tuple[int, list]:
-    """Minimal grid threshold and the ``(copy, cell, translation)`` cells of the map on
-    ``m`` copies that ``pieces`` describe, read off the grid fitted to the pieces; the
-    pieces must neither overlap nor leave a gap."""
+def _map_cells(k: int, m: int, pieces) -> tuple[int, tuple]:
+    """The canonical table of the map on ``m`` copies that ``pieces`` describe, read off
+    the grid fitted to the pieces; the pieces must neither overlap nor leave a gap."""
     cuts, labels = _label_cells(k, pieces)
     if len(labels) != m * math.prod(map(len, cuts)):
         raise ValidationError("domain pieces do not cover every copy")
     return _canonical_grid(cuts, labels, labels)
 
 
-def _grid_table(grid: tuple[int, list]) -> tuple[int, MappingProxyType]:
-    """The canonical table of ``_map_cells`` or ``_canonical_grid`` output, in its cell order."""
-    t, cells = grid
-    return t, MappingProxyType({(copy, cell): tr for copy, cell, tr in cells})
-
-
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
-def _canonical_table(f: HoughtonMap) -> tuple[int, MappingProxyType]:
-    """Minimal grid threshold and the read-only per-cell translation table of ``f``.
+def _canonical_table(f: HoughtonMap) -> tuple[int, tuple]:
+    """Minimal grid threshold and the canonical pieces ``((MarkedRay, Translation), ...)``
+    of ``f``, one per cell of that grid, in ``(copy, dirs, base)`` order.
 
-    The table is read off the grid fitted to the pieces, so the result depends
-    only on the map as a function.  Entries are in sorted cell order.
+    The pieces are read off the grid fitted to ``f``'s own, so the result depends
+    only on the map as a function.
     """
-    return _grid_table(_map_cells(f.k, f.m, f.pieces))
+    return _map_cells(f.k, f.m, f.pieces)
 
 
-def _table_of(f: HoughtonMap) -> tuple[int, MappingProxyType]:
+def _table_of(f: HoughtonMap) -> tuple[int, tuple]:
     """The canonical table ``f`` carries; one that carries none looks it up in
     ``_canonical_table`` once and keeps the result.  Two threads that race here
-    store equal read-only tables, so no lock is needed."""
+    store equal immutable tables, so no lock is needed."""
     if f._table is None:
         object.__setattr__(f, "_table", _canonical_table(f))
     return f._table
 
 
-def _map_of_cells(k: int, m: int, n: int, grid: tuple[int, list]) -> HoughtonMap:
-    """The map N^k x [m] -> N^k x [n] whose canonical threshold and ``(copy, cell,
-    translation)`` cells are ``grid``, carrying its table.
+def _map_of_cells(k: int, m: int, n: int, table: tuple[int, tuple]) -> HoughtonMap:
+    """The map N^k x [m] -> N^k x [n] whose canonical table is ``table``, carrying it:
+    the map's pieces are the table's own tuple.
 
-    The cells come from ``rays._canonical_grid`` on the grid of a valid map or of a
-    vertex, so they partition the domain and every image lies in N^k; the pieces and
-    the map are built without ``__post_init__``.
+    The table comes from ``rays._canonical_grid`` on the grid of a valid map or of a
+    vertex, so its pieces partition the domain and every image lies in N^k; the map is
+    built without ``__post_init__``.
     """
-    pieces = tuple((_marked(cell, copy), tr) for copy, cell, tr in grid[1])
-    return _unchecked_map(k, m, n, pieces, _grid_table(grid))
+    return _unchecked_map(k, m, n, table[1], table)
 
 
 def _unchecked_map(k: int, m: int, n: int, pieces: tuple, table: tuple | None) -> HoughtonMap:
@@ -332,9 +325,7 @@ def canonical_threshold(f: HoughtonMap) -> int:
 
 
 def canonical_form(f: HoughtonMap) -> HoughtonMap:
-    t, table = _table_of(f)
-    cells = [(copy, cell, tr) for (copy, cell), tr in table.items()]
-    return _map_of_cells(f.k, f.m, f.n, (t, cells))
+    return _map_of_cells(f.k, f.m, f.n, _table_of(f))
 
 
 def equals(f: HoughtonMap, g: HoughtonMap) -> bool:
@@ -350,8 +341,9 @@ def apply_map(f: HoughtonMap, point: tuple[int, ...], copy: int) -> tuple[tuple[
         raise ValidationError(f"{point!r} is not a point of N^{f.k}")
     if not 1 <= copy <= f.m:
         raise ValidationError(f"copy {copy} outside [1, {f.m}]")
-    t, table = _table_of(f)
-    tr = table[(copy, cell_of_point(point, t))]
+    t, pieces = _table_of(f)
+    cell = cell_of_point(point, t)
+    tr = next(label for dom, label in pieces if dom.copy == copy and dom.ray == cell)
     return tuple(x + d for x, d in zip(point, tr.offset)), tr.target_copy
 
 
@@ -367,20 +359,20 @@ def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
         raise ValidationError(
             f"shape mismatch: cannot compose {g.m}->{g.n} after {f.m}->{f.n}"
         )
-    tg, g_table = _table_of(g)
-    tf, f_table = _table_of(f)
-    g_at = {(copy, cell.base): tr for (copy, cell), tr in g_table.items()}
+    tg, g_pieces = _table_of(g)
+    tf, f_pieces = _table_of(f)
+    g_at = {(dom.copy, dom.ray.base): tr for dom, tr in g_pieces}
     cuts = tuple(
         sorted({*range(1, tf + 2)}.union(*(range(max(1, 1 - d), tg + 2 - d) for d in set(ds))))
-        for ds in zip(*(tr.offset for tr in f_table.values()))
+        for ds in zip(*(tr.offset for _, tr in f_pieces))
     )
     labels = {}
-    for (copy, cell), tr1 in f_table.items():
-        for base in _cell_bases(cell, cuts):
+    for dom, tr1 in f_pieces:
+        for base in _cell_bases(dom.ray, cuts):
             moved = tuple(min(b + d, tg + 1) for b, d in zip(base, tr1.offset))
             tr2 = g_at[(tr1.target_copy, moved)]
             offset = tuple(a + b for a, b in zip(tr1.offset, tr2.offset))
-            labels[(copy, base)] = _translation(offset, tr2.target_copy)
+            labels[(dom.copy, base)] = _translation(offset, tr2.target_copy)
     return _map_of_cells(f.k, f.m, g.n, _canonical_grid(cuts, labels, labels))
 
 
@@ -389,17 +381,17 @@ def inverse(g: HoughtonMap) -> HoughtonMap:
 
     The inverse is read off the grid fitted to those pieces, which rejects
     image cells that overlap or leave a gap, and built once.  g is read
-    through its table, as the function it denotes, so a hand-built g that
-    repeats a piece is inverted like the map without the repeat, as
-    ``compose`` and ``equals`` read it.
+    through its canonical pieces, as the function it denotes, so a
+    hand-built g that repeats a piece is inverted like the map without the
+    repeat, as ``compose`` and ``equals`` read it.
     """
     if g.m != g.n:
         raise ValidationError("only m = n maps can be inverted")
     try:
         pieces = []
-        for (copy, cell), tr in _table_of(g)[1].items():
-            image = _marked(_moved(cell, tr.offset), tr.target_copy)
-            pieces.append((image, _translation(tuple(-d for d in tr.offset), copy)))
+        for dom, tr in _table_of(g)[1]:
+            image = _marked(_moved(dom.ray, tr.offset), tr.target_copy)
+            pieces.append((image, _translation(tuple(-d for d in tr.offset), dom.copy)))
         return _map_of_cells(g.k, g.n, g.m, _map_cells(g.k, g.n, pieces))
     except ValidationError as exc:
         raise ValidationError(f"map is not bijective: {exc}") from exc
@@ -683,20 +675,20 @@ def _random_map(k: int, m: int, n: int, bound: int, seed: int) -> HoughtonMap:
 
 
 def map_to_json(f: HoughtonMap) -> dict:
-    """The canonical form of ``f``, written straight from its canonical table."""
+    """The canonical form of ``f``, written straight from its canonical pieces."""
     return {
         "k": f.k,
         "m": f.m,
         "n": f.n,
         "pieces": [
             {
-                "copy": copy,
-                "base": list(cell.base),
-                "dirs": list(cell.dirs),
+                "copy": dom.copy,
+                "base": list(dom.ray.base),
+                "dirs": list(dom.ray.dirs),
                 "offset": list(tr.offset),
                 "target_copy": tr.target_copy,
             }
-            for (copy, cell), tr in _table_of(f)[1].items()
+            for dom, tr in _table_of(f)[1]
         ],
     }
 

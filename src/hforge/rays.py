@@ -22,10 +22,11 @@ bases.  ``_disjoint_cover`` decides overlap and cover on one set of fitted
 cells, for ``Region`` and for ``houghton._validate``; only on a fault are the
 ``_cell_sets`` built, one set per ray, from which ``_overlapping_pair`` and
 ``_first_gap`` name it.  ``_label_cells`` labels the fitted cells and
-``_canonical_grid`` reads map tables, canonical regions and complements off
-them, or off any labelled grid with cuts from 1: ``houghton.compose`` reads a
-product off its own.  Vertex enumeration in ``complexes`` prunes on
-``_cell_sets`` and reads ``_canonical_grid`` too.
+``_canonical_grid`` reads canonical pieces ``((MarkedRay, label), ...)`` off
+them, or off any labelled grid with cuts from 1: a map's, which ``houghton``
+keeps as its table and its pieces, a canonical region's or a complement's
+(``houghton.compose`` labels a grid of its own).  Vertex enumeration in
+``complexes`` prunes on ``_cell_sets`` and reads ``_canonical_grid`` too.
 
 Values are checked where they enter.  The JSON parsers take integers only,
 the constructors check coordinates, directions and copies, and ``Region``
@@ -377,17 +378,17 @@ def _label_cells(k: int, pieces: Iterable[tuple[MarkedRay, object]]) -> tuple[tu
     return cuts, labels
 
 
-def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[int, list]:
+def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[int, tuple]:
     """Minimal threshold t* of a labelled grid and the t*-cells of its cells ``keys``,
-    as ``(copy, cell, label)`` in ``(copy, dirs, base)`` order.
+    as pieces ``((MarkedRay, label), ...)`` in ``(copy, dirs, base)`` order.
 
     The sorted ``cuts`` start at 1; ``labels`` maps ``(copy, base)`` cells of their product,
     every one of a map's or those of a region, to labels.  A level merges exactly when no
     coordinate changes label between t and t+1, so t* + 1 is the largest cut, or 1, across
     which a cell and its neighbour differ, a missing cell reading None.  A t*-cell takes the
     label of the cell holding its base; the threshold grid is built only for output cells.
-    The ``Ray``s are built unchecked (``_ray``): a point of the spans is a product of values
-    from cuts >= 1, and its free directions are listed in increasing order.
+    The rays are built unchecked (``_ray``, ``_marked``): a point of the spans is a product
+    of values from cuts >= 1, and its free directions are listed in increasing order.
     """
     below = [dict(zip(cut[1:], cut)) for cut in cuts]
     above = [dict(zip(cut, cut[1:])) for cut in cuts]
@@ -409,7 +410,8 @@ def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[i
         for point in itertools.product(*(span[b] for span, b in zip(spans, base))):
             cells.append((copy, tuple(j for j, p in enumerate(point, 1) if p == top), point, label))
     cells.sort()  # (copy, dirs, base) names a cell, so labels are never compared
-    return top - 1, [(copy, _ray(base, dirs), label) for copy, dirs, base, label in cells]
+    return top - 1, tuple((_marked(_ray(base, dirs), copy), label)
+                          for copy, dirs, base, label in cells)
 
 
 # -- regions ----------------------------------------------------------------
@@ -532,8 +534,8 @@ def _canonical_cells(rays: Iterable[MarkedRay]) -> tuple[int, tuple[MarkedRay, .
     if not rays:
         return 0, ()
     cuts, labels = _label_cells(rays[0].ray.k, ((m, True) for m in rays))
-    t, cells = _canonical_grid(cuts, labels, labels)
-    return t, tuple(_marked(cell, copy) for copy, cell, _ in cells)
+    t, pieces = _canonical_grid(cuts, labels, labels)
+    return t, tuple(m for m, _ in pieces)
 
 
 def canonicalize_region(reg: Region) -> Region:
@@ -553,8 +555,7 @@ def _complement_cells(k: int, n: int, rays: Iterable[MarkedRay]) -> tuple[Marked
     cuts, labels = _label_cells(k, ((m, True) for m in rays))
     gaps = (key for key in itertools.product(range(1, n + 1), itertools.product(*cuts))
             if key not in labels)
-    _, cells = _canonical_grid(cuts, labels, gaps)
-    return tuple(_marked(cell, copy) for copy, cell, _ in cells)
+    return tuple(m for m, _ in _canonical_grid(cuts, labels, gaps)[1])
 
 
 def region_complement(reg: Region) -> Region:

@@ -485,8 +485,10 @@ def compose_global_grid(g, f):
         raise ValidationError(
             f"shape mismatch: cannot compose {g.m}->{g.n} after {f.m}->{f.n}"
         )
-    tf, f_table = _canonical_table(f)
-    tg, g_table = _canonical_table(g)
+    tf, f_pieces = _canonical_table(f)
+    tg, g_pieces = _canonical_table(g)
+    f_table = {(dom.copy, dom.ray): tr for dom, tr in f_pieces}
+    g_table = {(dom.copy, dom.ray): tr for dom, tr in g_pieces}
     off = max((abs(d) for tr in f_table.values() for d in tr.offset), default=0)
     t = tf + tg + off
     pieces = []

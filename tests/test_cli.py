@@ -428,6 +428,49 @@ def test_complex_parser_takes_arrays_only(capsys, tmp_path, data, field):
     assert field in err and "must be a JSON array" in err
 
 
+@pytest.mark.parametrize("verb", ["validate", "gendeg"])
+@pytest.mark.parametrize(
+    "level, field, value, message",
+    [
+        (1, "iota", "1", "field 'iota' must be a JSON array, got '1' at level 1"),
+        (1, "iota", "", "field 'iota' must be a JSON array, got '' at level 1"),
+        (1, "iota", ["10"], "field 'iota' must hold JSON arrays as rows, got '10' at level 1"),
+        (1, "iota", [{"1": 2}], "field 'iota' must hold JSON arrays as rows, got {'1': 2} at level 1"),
+        (2, "transpositions", "1", "field 'transpositions' must be a JSON array, got '1' at level 2"),
+        (2, "transpositions", ["1"], "field 'transpositions' must be a JSON array, got '1' at level 2"),
+        (2, "presentation", "1", "field 'presentation' must be a JSON array, got '1' at level 2"),
+        (2, "presentation", {"1": [1]},
+         "field 'presentation' must be a JSON array, got {'1': [1]} at level 2"),
+    ],
+    ids=["iota-string", "iota-empty-string", "iota-string-row", "iota-object-row",
+         "transpositions-string", "transposition-string", "presentation-string",
+         "presentation-object"],
+)
+def test_module_parser_takes_arrays_only(capsys, tmp_path, verb, level, field, value, message):
+    """``constant_module(2)`` with a string or object where an array belongs: read
+    element by element, each would pass as a matrix of ones."""
+    from hforge.fimodules import constant_module, module_to_json
+
+    data = module_to_json(constant_module(2))
+    data["levels"][level][field] = value
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "fimod", verb, str(path))
+    assert code == 2
+    assert message in out + err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    argv = ("element", "verify", str(FIXTURES / "generator.json"), "-o", str(target))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"validation failure: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _counting(monkeypatch, counts, target, name):
     """Replace ``target.name`` by a wrapper that counts its calls under ``name``."""
     real = getattr(target, name)

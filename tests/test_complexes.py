@@ -934,6 +934,27 @@ def test_q_acyclic_matches_reduced_homology(raw):
         assert is_q_acyclic(K, q) == all(full.is_trivial(d) for d in range(min(q, K.dim) + 1))
 
 
+def test_reduced_homology_sorts_only_the_layers_a_boundary_indexes(monkeypatch):
+    """d_0 and d_1 come from counts and components, so degrees through 0 sort no layer;
+    degrees through q >= 1 sort layers 1..q+1, the faces and columns of d_2..d_{q+1}."""
+    sorted_layers = []
+    real = SimplicialComplex.simplices_of_dim
+
+    def counted(self, d):
+        sorted_layers.append(d)
+        return real(self, d)
+
+    monkeypatch.setattr(SimplicialComplex, "simplices_of_dim", counted)
+    K = full_simplex(6)
+    for max_degree, layers in ((0, []), (1, [1, 2]), (2, [1, 2, 3]), (None, [1, 2, 3, 4, 5])):
+        sorted_layers.clear()
+        assert reduced_homology(K, max_degree).is_trivial(0)
+        assert sorted_layers == layers, max_degree
+    sorted_layers.clear()
+    assert is_q_acyclic(K, 0) and not is_q_acyclic(boundary_simplex(3), 1)
+    assert sorted_layers == []
+
+
 def test_q_acyclic_degree_zero_examples():
     assert is_q_acyclic(SimplicialComplex.build((0, 1), [(0,)]), 0)
     assert not is_q_acyclic(SimplicialComplex.build((0, 1), [(0,), (1,)]), 0)

@@ -626,9 +626,16 @@ def _mat_outcome(read, rows, ring):
 @given(st.lists(_ROWS, max_size=4), st.sampled_from(("Z", "Q")))
 @settings(max_examples=400, deadline=None)
 def test_whole_row_reader_matches_entry_reader(rows, ring):
-    """Rows of exact ints are taken on one type test; rows with bools, floats,
-    ``"p/q"`` strings or that are not lists read as each entry read alone."""
+    """Rows of exact ints are taken on one type test; rows with bools, floats or
+    ``"p/q"`` strings read as each entry read alone.  A row that is no JSON array,
+    such as a string or an object, is rejected by name with its field and level,
+    before any entry is read."""
     got = _mat_outcome(fimodules_module._mat_from_json, rows, ring)
+    bad = [row for row in rows if type(row) is not list]
+    if bad:
+        message = f"field 'iota' must hold JSON arrays as rows, got {bad[0]!r} at level 2"
+        assert got == ("error", message)
+        return
     assert got == _mat_outcome(mat_from_json_by_entries, rows, ring)
     if got[0] == "ok":
         assert [type(row) for row in got[1]] == [tuple] * len(rows)

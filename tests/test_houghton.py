@@ -217,7 +217,7 @@ def test_compose_matches_global_grid_oracle():
             return "raises", False
         assert _canonical_table(compose(g, f)) == _canonical_table(expected), (g, f)
         tf, tg = canonical_threshold(f), canonical_threshold(g)
-        negative = any(d < 0 for tr in _canonical_table(f)[1].values() for d in tr.offset)
+        negative = any(d < 0 for _, tr in _canonical_table(f)[1] for d in tr.offset)
         return ("tf > tg" if tf > tg else "tf < tg" if tf < tg else "tf = tg"), negative
 
     rng = random.Random(31)
@@ -778,8 +778,8 @@ def test_canonical_table_matches_children_scan_oracle():
             assert str(err.value) == str(exc), f
             seen.add("overlap" if "overlap" in str(exc) else "gap")
             continue
-        t, table = _canonical_table(f)
-        assert (t, tuple(table.items())) == expected
+        t, pieces = _canonical_table(f)
+        assert (t, tuple(((dom.copy, dom.ray), tr) for dom, tr in pieces)) == expected
     assert seen == {"coarser fitted grid", "overlap", "gap"}
 
 
@@ -834,14 +834,13 @@ def test_far_planes_complements_are_one_orthant():
 def test_canonical_table_is_read_only_and_bounded():
     from hforge.houghton import _CANONICAL_CACHE_SIZE, _canonical_table
 
-    _, table = _canonical_table(spec_generator())
-    key = next(iter(table))
+    _, pieces = _canonical_table(spec_generator())
     with pytest.raises(TypeError):
-        table[key] = Translation((0,), 1)
+        pieces[0] = (pieces[0][0], Translation((0,), 1))
     with pytest.raises(TypeError):
-        del table[key]
+        del pieces[0]
     assert _canonical_table.cache_info().maxsize == _CANONICAL_CACHE_SIZE == 4096
-    assert list(table) == sorted(table, key=lambda kv: (kv[0], kv[1].sort_key()))
+    assert list(pieces) == sorted(pieces, key=lambda piece: piece[0].sort_key())
 
 
 def test_inverse_matches_validate_oracle():
@@ -884,7 +883,8 @@ def test_inverse_matches_validate_oracle():
 
 def test_carried_tables_match_tables_recomputed_from_pieces():
     """Every map read off canonical cells carries the table that the uncached
-    ``_map_cells`` recomputes from its pieces, entry for entry and in order:
+    ``_map_cells`` recomputes from its pieces, piece for piece and in order, and
+    its pieces are that table's own tuple, shared by its ``canonical_form``:
     results of ``compose``, ``inverse``, ``canonical_form`` and ``decompose``
     on ``_differential_maps()`` and seeded elements, and enumerated vertices."""
     from collections import Counter
@@ -895,12 +895,11 @@ def test_carried_tables_match_tables_recomputed_from_pieces():
     checked = Counter()
 
     def check(what, f):
-        t, cells = _map_cells(f.k, f.m, f.pieces)
         assert f._table is not None, (what, f)
-        carried_t, carried = f._table
-        assert (carried_t, tuple(carried.items())) == (
-            t, tuple(((copy, cell), tr) for copy, cell, tr in cells)
-        ), (what, f)
+        assert f._table == _map_cells(f.k, f.m, f.pieces), (what, f)
+        assert f._table[1] is f.pieces, (what, f)
+        canon = canonical_form(f)
+        assert canon._table[1] is canon.pieces is f.pieces, (what, f)
         checked[what] += 1
 
     seeded = [random_element(k, n, 2, seed) for k in (1, 2, 3) for n in (1, 2, 3)
