@@ -14,6 +14,12 @@ nonempty and -2 empty; a vertex is B-bounded when its canonical grid
 threshold is at most B and every offset component lies in [-B, B]; sets of
 n vertices count as top simplices only when their images are jointly
 surjective, which is opt-in via ``include_top``.
+
+Values from outside are checked once, where they enter, and maps hforge builds
+itself are built unchecked and never validated again.  The public section
+functions check k and n, and they and ``simplex_test`` check every vertex they
+are given with ``houghton.validate``; the enumerated vertices and the far
+vertices of a section or a probe path (``_far_vertex``) are built unchecked.
 """
 from __future__ import annotations
 
@@ -27,13 +33,15 @@ from .errors import SizeLimitError, ValidationError
 from .houghton import (
     HoughtonMap,
     Translation,
+    _image_rays,
     _k_piece,
     _map_of_cells,
+    _translation,
     canonical_threshold,
     equals,
     map_from_json,
     map_to_json,
-    _validate,
+    validate,
 )
 from .rays import (
     MarkedRay,
@@ -41,7 +49,9 @@ from .rays import (
     _canonical_grid,
     _cell_sets,
     _disjoint_masks,
+    _marked,
     _overlapping_pair,
+    _ray,
     grid_cells,
 )
 from .snf import _sparse_diagonal
@@ -428,10 +438,6 @@ def enumerate_bounded_vertices(
     return _bounded_vertices(k, n, bound, size_limit)[0]
 
 
-def _image_rays(v: HoughtonMap) -> tuple[MarkedRay, ...]:
-    return tuple(v.image_ray(p) for p in v.pieces)
-
-
 def _image_cells(vertices: list[HoughtonMap]) -> tuple[int, list[frozenset]]:
     """Cell count of N^k x [n] and the images' ``rays._cell_sets``; pairwise
     disjoint images cover N^k x [n] exactly when their cells number the count."""
@@ -475,9 +481,9 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
 
     Full-size tuples (as many vertices as copies) must additionally cover
     the whole codomain, matching the top-dimensional automorphism condition.
-    Both are read off the ``_cell_sets`` of the image rays that validating
-    each vertex computed: no two cell sets may meet, and a full-size tuple's
-    cells must number the grid's count, as in ``_image_cells``.
+    Both are read off the ``_cell_sets`` of the image rays of each vertex,
+    once ``validate`` has checked it: no two cell sets may meet, and a
+    full-size tuple's cells must number the grid's count, as in ``_image_cells``.
     """
     if not vertices:
         raise ValidationError("need at least one vertex")
@@ -564,33 +570,23 @@ def build_sn_truncated(
 # -- sections of the copy projection ------------------------------------------
 
 
-def _avoidance_offset(k: int, rays_in_copy: list[Ray]) -> int:
-    """Least uniform offset whose orthant misses every listed ray.
-
-    The orthant based at (M+1, ..., M+1) is disjoint from a ray exactly when
-    some pinned coordinate of the ray stays below M+1; full rays cannot be
-    avoided and are rejected.
-    """
-    m = 0
-    for ray in rays_in_copy:
-        pinned = [b for j, b in enumerate(ray.base, start=1) if j not in ray.dirs]
-        if not pinned:
-            raise ValidationError(f"cannot avoid the full ray {ray}")
-        m = max(m, min(pinned))
-    return m
-
-
 def _checked_rays(v: HoughtonMap, what: str = "vertex") -> tuple[MarkedRay, ...]:
-    """The image rays of ``v``, computed by the one ``_validate`` that checks it."""
-    diag, rays = _validate(v)
+    """The image rays of ``v`` once ``validate`` has checked it."""
+    diag = validate(v)
     if not diag.valid:
         raise ValidationError(f"invalid {what}: {diag.problems}")
-    return rays
+    return _image_rays(v)
+
+
+def _check_ambient(k: int, n: int) -> None:
+    """Reject an ambient N^k x [n] with k < 1 or n < 1, naming k first."""
+    if k < 1 or n < 1:
+        raise ValidationError("need k >= 1" if k < 1 else "need n >= 1")
 
 
 def _s_images(k: int, n: int, s_vertices: list[HoughtonMap]) -> list[tuple[MarkedRay, ...]]:
-    """Each vertex of S checked once, its shape ``(k, 1, n)`` and then one ``_validate``,
-    and the image rays of that pass, which the section's avoidance and its check reuse."""
+    """Each vertex of S checked once, its shape ``(k, 1, n)`` and then ``validate``, and
+    its image rays, which the section's avoidance and its check reuse."""
     images = []
     for v in s_vertices:
         if (v.k, v.m, v.n) != (k, 1, n):
@@ -604,59 +600,66 @@ def build_s_section(k: int, n: int, s_vertices: list[HoughtonMap]) -> list[Hough
 
     f_p lands in copy p beyond everything the given vertices reach there,
     except for vertices whose own full ray already occupies copy p, which a
-    section cannot and need not avoid.  S is checked by ``_s_images``, and
-    the avoidance lists are built from the image rays that check computed.
+    section cannot and need not avoid.  k and n are checked first, then S by
+    ``_s_images``, whose image rays the avoidance lists are built from.
     """
+    _check_ambient(k, n)
     return _s_section(k, n, s_vertices, _s_images(k, n, s_vertices))
 
 
 def _s_section(
     k: int, n: int, s_vertices: list[HoughtonMap], s_images: list[tuple[MarkedRay, ...]]
 ) -> list[HoughtonMap]:
-    """``build_s_section`` on vertices already checked, with their image rays."""
+    """``build_s_section`` on valid vertices, with their image rays."""
     avoid: dict[int, list[Ray]] = {p: [] for p in range(1, n + 1)}
     for v, rays in zip(s_vertices, s_images):
         own = pi_projection(v)
         for m in rays:
             if m.copy != own:
                 avoid[m.copy].append(m.ray)
-    full = MarkedRay(Ray((1,) * k, tuple(range(1, k + 1))), 1)
-    return [
-        HoughtonMap(k, 1, n, ((full, Translation((_avoidance_offset(k, avoid[p]),) * k, p)),))
-        for p in range(1, n + 1)
-    ]
+    return [_far_vertex(k, n, p, avoid[p]) for p in range(1, n + 1)]
+
+
+def _far_vertex(k: int, n: int, copy: int, blockers: list[Ray]) -> HoughtonMap:
+    """The vertex translating N^k into ``copy`` by the least uniform M whose orthant, based
+    at (M+1, ..., M+1), misses ``blockers``: each keeps a pinned coordinate below M+1, and a
+    full ray is rejected.  It is built unchecked, with its table: for k, n >= 1 and ``copy``
+    in [1, n] its one piece is the one threshold-0 cell, and M >= 0."""
+    offset = 0
+    for ray in blockers:
+        pinned = [b for j, b in enumerate(ray.base, start=1) if j not in ray.dirs]
+        if not pinned:
+            raise ValidationError(f"cannot avoid the full ray {ray}")
+        offset = max(offset, min(pinned))
+    full = _marked(_ray((1,) * k, tuple(range(1, k + 1))), 1)
+    return _map_of_cells(k, 1, n, (0, ((full, _translation((offset,) * k, copy)),)))
 
 
 def verify_s_section(
-    k: int,
-    n: int,
-    s_vertices: list[HoughtonMap],
-    rho: list[HoughtonMap],
+    k: int, n: int, s_vertices: list[HoughtonMap], rho: list[HoughtonMap]
 ) -> tuple[bool, tuple | None]:
     """Exhaustively check the link biconditional defining an S-section.
 
     For every simplex sigma spanned by S and every simplex tau of the
     codomain skeleton: tau lies in the link of the projected sigma iff the
     section's image of tau lies in the link of sigma.  Returns the first
-    failing pair, if any.  Every vertex is validated first, the section's
-    and then S's by ``_s_images``, whose image rays the check reuses.
+    failing pair, if any.  k and n are checked first, then every vertex, the
+    section's and then S's by ``_s_images``, whose image rays the check reuses.
     """
+    _check_ambient(k, n)
     for f in rho:
         _checked_rays(f)
     return _verify_s_section(k, n, s_vertices, rho, _s_images(k, n, s_vertices))
 
 
 def _verify_s_section(
-    k: int,
-    n: int,
-    s_vertices: list[HoughtonMap],
-    rho: list[HoughtonMap],
+    k: int, n: int, s_vertices: list[HoughtonMap], rho: list[HoughtonMap],
     s_images: list[tuple[MarkedRay, ...]],
 ) -> tuple[bool, tuple | None]:
-    """``verify_s_section`` on vertices already checked, such as S after
-    ``_s_images`` and the section that ``_s_section`` built from it.
+    """``verify_s_section`` on valid vertices: S, checked by ``_s_images`` or
+    built valid by the caller, and a section such as ``_s_section`` builds.
 
-    ``s_images`` are S's image rays from that check.  One ``_cell_sets``
+    ``s_images`` are S's image rays.  One ``_cell_sets``
     grid is fitted to them and to the section's image rays, the only ones
     computed here.  Simplices are read off one ``_disjoint_masks`` bitmask
     per map, taken over the section (bit p-1 for copy p) and the distinct
@@ -740,9 +743,7 @@ def _intermediate(k: int, n: int, u: HoughtonMap, w: HoughtonMap) -> HoughtonMap
     occupied = {pi_projection(u), pi_projection(w)}
     copy = next(c for c in range(1, n + 1) if c not in occupied)
     blockers = [m.ray for v in (u, w) for m in _image_rays(v) if m.copy == copy]
-    full = Ray((1,) * k, tuple(range(1, k + 1)))
-    offset = _avoidance_offset(k, blockers)
-    return HoughtonMap(k, 1, n, ((MarkedRay(full, 1), Translation((offset,) * k, copy)),))
+    return _far_vertex(k, n, copy, blockers)
 
 
 def connectivity_probe(
@@ -778,7 +779,6 @@ def connectivity_probe(
         return report
     report["claim"] = "sampled pairs connect within the enlarged truncation"
     rng = random.Random(seed)
-    neighbours = list(_disjoint_masks(cells))
     indices = range(len(vertices))  # the same draws as choosing from the list
     intermediates: list[HoughtonMap] = []
     connected = 0
@@ -791,7 +791,7 @@ def connectivity_probe(
             connected += 1
             lengths.append(0)
             continue
-        if neighbours[i] >> j & 1:
+        if cells[i].isdisjoint(cells[j]):
             connected += 1
             lengths.append(1)
             continue

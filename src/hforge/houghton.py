@@ -21,16 +21,16 @@ canonical pieces ``((MarkedRay, Translation), ...)``, one per t-cell in
 ``_map_of_cells`` and holds its table's tuple as its pieces.  A map that comes
 from outside gets its table from one LRU cache of ``_CANONICAL_CACHE_SIZE``
 maps on its first lookup, and keeps it.  The grid work is done by ``rays``.
-Maps are validated where they enter (the constructors, ``map_from_json``,
-``validate``); arithmetic relies on the table's own check, which rejects
-overlapping or missing domain pieces.  The cells, translations and maps
-that arithmetic builds are valid by construction, so they skip
-``__post_init__``.  So do the pieces and map of an element read from JSON:
-``_parse_map`` tests each field once and builds them unchecked, and hands
-any input that fails a test to the constructors, whose messages name the
-fault.  ``validate`` decides the domain partition and the disjointness and
-cover of the images on one set of grid cells each, and builds the per-ray
-cell sets that name a fault only when there is one.
+Values from outside are checked once, where they enter, and maps hforge builds
+itself are built unchecked and never validated again.  The constructors check
+fields; ``validate``, the one check of a whole map, runs on maps from JSON
+(``map_from_json``) and on those handed to the public functions that need a
+valid map.  Arithmetic relies on the table's own check, which rejects
+overlapping or missing domain pieces.  The cells, translations and maps that
+arithmetic and the seeded generators build skip ``__post_init__``.  So do the
+pieces and map of an element read from JSON: ``_parse_map`` tests each field
+once and builds them unchecked, and hands any input that fails a test to the
+constructors, whose messages name the fault.
 
 Everything is immutable and pure; seeded generators are deterministic.
 """
@@ -53,12 +53,12 @@ from .rays import (
     _cell_sets,
     _complement_cells,
     _disjoint_cover,
-    _first_gap,
     _json_int,
     _json_ints,
     _label_cells,
     _marked,
     _overlapping_pair,
+    _partition_fault,
     _ray,
     cell_of_point,
     grid_cells,
@@ -224,44 +224,43 @@ def identity_map(k: int, n: int) -> HoughtonMap:
     return HoughtonMap(k, n, n, pieces)
 
 
+def _image_rays(f: HoughtonMap) -> tuple[MarkedRay, ...]:
+    return tuple(f.image_ray(p) for p in f.pieces)
+
+
 def image_region(f: HoughtonMap) -> Region:
-    return Region(f.k, f.n, tuple(f.image_ray(p) for p in f.pieces))
+    return Region(f.k, f.n, _image_rays(f))
 
 
 def validate(f: HoughtonMap) -> MapDiagnostics:
-    """Domain partition, positivity, injectivity; bijectivity when m = n.  ``_validate``
-    does the work and also hands back the image rays, for callers that use them next."""
-    return _validate(f)[0]
+    """Domain partition, positivity, injectivity; bijectivity when m = n.
 
-
-def _validate(f: HoughtonMap) -> tuple[MapDiagnostics, tuple[MarkedRay, ...]]:
-    """``validate`` and the image rays it checked, one per piece in piece order.
-
-    Domain and images are decided on one cell set each (``_disjoint_cover``); only a
-    fault builds the per-ray ``_cell_sets`` from which ``_overlapping_pair`` and
-    ``_first_gap`` name it.  A map with no pieces leaves all of N^k uncovered, which is
-    said without fitting a grid or writing out the k coordinates of its cell.
+    The one check of a whole map, for maps from outside; maps built here are not passed
+    to it.  Domain and images are decided on one cell set each (``_disjoint_cover``); only
+    a fault builds the per-ray ``_cell_sets`` that name it, a domain fault as
+    ``partition_validate`` names it over the full domain.  That domain is listed only on
+    the copies that hold pieces and the least copy that holds none, where the first gap
+    lies, so a huge m costs nothing.  A map with no pieces leaves all of N^k uncovered,
+    which is said without fitting a grid or writing out the k coordinates of its cell.
     """
     if not f.pieces:
         gap = f"uncovered cell N^{f.k} on copy 1: the map has no pieces"
-        return MapDiagnostics(False, False, (f"domain is not a ray partition: {gap}",)), ()
+        return MapDiagnostics(False, False, (f"domain is not a ray partition: {gap}",))
     problems: list[str] = []
     domain = [dom for dom, _ in f.pieces]
     if not all(_disjoint_cover(f.k, f.m, domain)):
-        cuts, cells = _cell_sets(f.k, [(m,) for m in domain])
-        if (pair := _overlapping_pair(domain, cells)) is not None:
-            fault = f"cells overlap: {pair[0]} and {pair[1]}"
-        else:
-            gap = _first_gap(f.m, cuts, cells)
-            fault = f"uncovered cell {gap.ray} on copy {gap.copy}"
+        copies = {dom.copy for dom in domain}
+        copies.add(min(set(range(1, len(copies) + 2)) - copies))
+        full = _ray((1,) * f.k, tuple(range(1, f.k + 1)))
+        fault = _partition_fault(f.k, domain, [_marked(full, c) for c in copies if c <= f.m])
         problems.append(f"domain is not a ray partition: {fault}")
-    images = tuple(f.image_ray(p) for p in f.pieces)
+    images = _image_rays(f)
     disjoint, covers = _disjoint_cover(f.k, f.n, images)
     if not disjoint:
         pair = _overlapping_pair(images, _cell_sets(f.k, [(m,) for m in images])[1])
         problems.append(f"image rays overlap: {pair[0]} and {pair[1]}")
     bijective = not problems and f.m == f.n and covers
-    return MapDiagnostics(not problems, bijective, tuple(problems)), images
+    return MapDiagnostics(not problems, bijective, tuple(problems))
 
 
 # -- canonical form ----------------------------------------------------------
@@ -512,7 +511,7 @@ def fi_map(f_images: tuple[int, ...], n: int, g: HoughtonMap) -> HoughtonMap:
 
 def image_complement(f: HoughtonMap) -> Region:
     """The codomain minus the image, canonical; the one ``Region`` built."""
-    return Region(f.k, f.n, _complement_cells(f.k, f.n, (f.image_ray(p) for p in f.pieces)))
+    return Region(f.k, f.n, _complement_cells(f.k, f.n, _image_rays(f)))
 
 
 def complement_subobject(f: HoughtonMap) -> RayPartition:
@@ -650,7 +649,10 @@ def _random_map(k: int, m: int, n: int, bound: int, seed: int) -> HoughtonMap:
     """The first m domain copies of ``random_element(k, n, bound, seed)``.
 
     The random draws are those of the whole element, so every m gives the
-    same pieces on the copies it keeps; pieces are built only for those.
+    same pieces on the copies it keeps; pieces are built only for those.  They
+    and the map are built unchecked: each piece moves a grid cell onto a grid
+    cell of its own direction class, so the pieces partition the domain and
+    every image lies in N^k.
     """
     if bound < 0:
         raise ValidationError("bound must be >= 0")
@@ -667,8 +669,10 @@ def _random_map(k: int, m: int, n: int, bound: int, seed: int) -> HoughtonMap:
         rng.shuffle(targets)
         for (copy, src), (dst_copy, dst) in zip(slots[: m * len(cells)], targets):
             offset = tuple(b - a for a, b in zip(src.base, dst.base))
-            pieces.append((MarkedRay(src, copy), Translation(offset, dst_copy)))
-    return HoughtonMap(k, m, n, tuple(pieces))
+            pieces.append((_marked(src, copy), _translation(offset, dst_copy)))
+    if n < 1:
+        raise ValidationError("need k, m, n >= 1")
+    return _unchecked_map(k, m, n, tuple(pieces), None)
 
 
 # -- JSON --------------------------------------------------------------------

@@ -19,25 +19,26 @@ forms are read off grid cells named by their least points: ``_cell_bases``
 lists a ray's cells on per-coordinate cuts, either the threshold grid or the
 grid ``_cuts_for`` fits to a set of rays, whose size does not grow with the
 bases.  ``_disjoint_cover`` decides overlap and cover on one set of fitted
-cells, for ``Region`` and for ``houghton._validate``; only on a fault are the
+cells, for ``Region`` and for ``houghton.validate``; only on a fault are the
 ``_cell_sets`` built, one set per ray, from which ``_overlapping_pair`` and
-``_first_gap`` name it.  ``_label_cells`` labels the fitted cells and
+``_partition_fault`` name it.  ``_label_cells`` labels the fitted cells and
 ``_canonical_grid`` reads canonical pieces ``((MarkedRay, label), ...)`` off
 them, or off any labelled grid with cuts from 1: a map's, which ``houghton``
 keeps as its table and its pieces, a canonical region's or a complement's
 (``houghton.compose`` labels a grid of its own).  Vertex enumeration in
 ``complexes`` prunes on ``_cell_sets`` and reads ``_canonical_grid`` too.
 
-Values are checked where they enter.  The JSON parsers take integers only,
-the constructors check coordinates, directions and copies, and ``Region``
-checks that its rays are disjoint (a region of fewer than two rays fits no
-cuts).  ``houghton``'s element reader tests the same fields in one pass and
-builds its rays with ``_ray`` and ``_marked``; it leaves input that fails a
-test to the parsers here, for their messages.  The grid code takes rays as
-already checked: ``_canonical_cells`` and ``_complement_cells`` work on bare
-rays and build no ``Region``, so a complement or a canonical form builds one
-``Region``, its result.  The cells it builds itself are valid by construction
-and skip the constructors' checks (``_ray``, ``_marked``).
+Values from outside are checked once, where they enter; values hforge builds
+itself are built unchecked and never validated again.  The JSON parsers take
+integers only, the constructors check coordinates, directions and copies, and
+``Region`` checks that its rays are disjoint (a region of fewer than two rays
+fits no cuts).  ``houghton``'s element reader tests the same fields in one
+pass and builds its rays with ``_ray`` and ``_marked``; it leaves input that
+fails a test to the parsers here, for their messages.  The grid code takes
+rays as already checked: ``_canonical_cells`` and ``_complement_cells`` work
+on bare rays and build no ``Region``, so a complement or a canonical form
+builds one ``Region``, its result.  The cells it builds itself skip the
+constructors' checks (``_ray``, ``_marked``).
 
 All values are immutable and all functions are pure; everything is safe to
 share between threads.
@@ -351,18 +352,6 @@ def _overlapping_pair(rays: Sequence, cells: list[frozenset]) -> tuple | None:
     return None
 
 
-def _first_gap(n: int, cuts: tuple, cells: list[frozenset]) -> MarkedRay | None:
-    """The first cell of N^k x [n] that disjoint rays with these ``_cell_sets`` miss, or None:
-    the t-cell at the least uncovered base, copy by copy, for t+1 the largest cut.  All cuts
-    lie in [1, t+1], so a walk over every threshold cell would find this same cell first."""
-    if sum(map(len, cells)) == n * math.prod(map(len, cuts)):
-        return None
-    covered = frozenset().union(*cells)
-    keys = ((copy, base) for copy in range(1, n + 1) for base in itertools.product(*cuts))
-    copy, base = next(key for key in keys if key not in covered)
-    return MarkedRay(cell_of_point(base, max(cut[-1] for cut in cuts) - 1), copy)
-
-
 def _label_cells(k: int, pieces: Iterable[tuple[MarkedRay, object]]) -> tuple[tuple, dict]:
     """The ``_cuts_for`` cuts of the pieces' rays and ``{(copy, base): label}`` on them;
     no label is None.  A label may repeat on a cell; two raise, naming the first such
@@ -489,25 +478,31 @@ def grid_partition(k: int, t: int, n: int) -> RayPartition:
 
 
 def partition_validate(p: RayPartition) -> PartitionDiagnostics:
-    """Check disjointness and exact coverage of the region by the cells.
+    """Check disjointness and exact coverage of the region by the cells."""
+    why = _partition_fault(p.region.k, p.cells, p.region.rays)
+    return PartitionDiagnostics(why is None, why)
 
-    Cells and region rays are ``_cell_sets`` on one grid.  A cell leaving the region is named
-    at its least base outside it, a gap as in ``_first_gap`` but region ray by region ray.
-    """
-    cuts, sets = _cell_sets(p.region.k, [(m,) for m in (*p.cells, *p.region.rays)])
-    own, held = sets[: len(p.cells)], sets[len(p.cells):]
-    if (pair := _overlapping_pair(p.cells, own)) is not None:
-        return PartitionDiagnostics(False, f"cells overlap: {pair[0]} and {pair[1]}")
-    region, covered = frozenset().union(*held), frozenset().union(*own)
-    for m, keys in sorted(zip(p.cells, own), key=lambda item: item[0].copy):
-        if not keys <= region:
-            why = f"cell {m.ray} on copy {m.copy} leaves the region near {min(keys - region)[1]}"
-            return PartitionDiagnostics(False, why)
-    for m, keys in sorted(zip(p.region.rays, held), key=lambda item: item[0].copy):
+
+def _partition_fault(
+    k: int, cells: Sequence[MarkedRay], region: Sequence[MarkedRay]
+) -> str | None:
+    """What keeps ``cells`` from partitioning the disjoint rays ``region``, or None, read
+    off their ``_cell_sets`` on one grid: the first pair of cells that meet, a cell at its
+    least base outside the region, or the threshold cell (t+1 the largest cut) at the least
+    base no cell holds, copy by copy, which a walk over the threshold grid finds first."""
+    cuts, sets = _cell_sets(k, [(m,) for m in (*cells, *region)])
+    own, held = sets[: len(cells)], sets[len(cells):]
+    if (pair := _overlapping_pair(cells, own)) is not None:
+        return f"cells overlap: {pair[0]} and {pair[1]}"
+    inside, covered = frozenset().union(*held), frozenset().union(*own)
+    for m, keys in sorted(zip(cells, own), key=lambda item: item[0].copy):
+        if not keys <= inside:
+            return f"cell {m.ray} on copy {m.copy} leaves the region near {min(keys - inside)[1]}"
+    for m, keys in sorted(zip(region, held), key=lambda item: item[0].copy):
         if not keys <= covered:
             gap = cell_of_point(min(keys - covered)[1], max(cut[-1] for cut in cuts) - 1)
-            return PartitionDiagnostics(False, f"uncovered cell {gap} on copy {m.copy}")
-    return PartitionDiagnostics(True)
+            return f"uncovered cell {gap} on copy {m.copy}"
+    return None
 
 
 def common_refinement(p1: RayPartition, p2: RayPartition) -> RayPartition:

@@ -7,6 +7,7 @@ through the code paths under test.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from math import gcd
@@ -1079,12 +1080,26 @@ def parse_map_by_constructors(data):
     return HoughtonMap(k, m, n, pieces)
 
 
+def _first_gap(n, cuts, cells):
+    """The first cell of N^k x [n] that disjoint rays with these ``_cell_sets`` miss, or None:
+    the t-cell at the least uncovered base, copy by copy, for t+1 the largest cut.  All cuts
+    lie in [1, t+1], so a walk over every threshold cell would find this same cell first."""
+    from hforge.rays import MarkedRay, cell_of_point
+
+    if sum(map(len, cells)) == n * math.prod(map(len, cuts)):
+        return None
+    covered = frozenset().union(*cells)
+    keys = ((copy, base) for copy in range(1, n + 1) for base in itertools.product(*cuts))
+    copy, base = next(key for key in keys if key not in covered)
+    return MarkedRay(cell_of_point(base, max(cut[-1] for cut in cuts) - 1), copy)
+
+
 def validate_by_cell_sets(f):
-    """``houghton._validate`` as it was before it decided on one cell set: one
-    ``frozenset`` of cells per ray, domain and images, and the fault-naming
-    ``_overlapping_pair`` and ``_first_gap`` run on every map."""
+    """``houghton.validate`` as it was before it decided on one cell set, with the
+    image rays it checked: one ``frozenset`` of cells per ray, domain and images,
+    and the fault-naming ``_overlapping_pair`` and ``_first_gap`` run on every map."""
     from hforge.houghton import MapDiagnostics
-    from hforge.rays import _cell_sets, _first_gap, _overlapping_pair
+    from hforge.rays import _cell_sets, _overlapping_pair
 
     problems: list[str] = []
     domain = [dom for dom, _ in f.pieces]

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -495,8 +496,8 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
 
     counts = Counter()
     for module in (hforge.houghton, hforge.complexes, hforge.cli):
-        if hasattr(module, "_validate"):  # every binding of the function that does the check
-            _counting(monkeypatch, counts, module, "_validate")
+        if hasattr(module, "validate"):  # every binding of the one whole-map check
+            _counting(monkeypatch, counts, module, "validate")
     _counting(monkeypatch, counts, Region, "__post_init__")
     for name in ("validate_fimodule", "surjectivity_table"):
         _counting(monkeypatch, counts, hforge.fimodules, name)
@@ -509,8 +510,8 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
         assert code == 0
         return dict(counts)
 
-    assert run("element", "invert", str(FIXTURES / "generator.json")) == {"_validate": 1}
-    assert run("element", "verify", str(FIXTURES / "generator.json")) == {"_validate": 1}
+    assert run("element", "invert", str(FIXTURES / "generator.json")) == {"validate": 1}
+    assert run("element", "verify", str(FIXTURES / "generator.json")) == {"validate": 1}
     module = tmp_path / "module.json"
     module.write_text(json.dumps(_h1_module_json(5, "Z")))
     assert run("fimod", "gendeg", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 1}
@@ -519,9 +520,9 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
     assert run("fimod", "report", str(module)) == {"validate_fimodule": 1, "surjectivity_table": 1}
     # a module the CLI built itself is not validated again
     assert run("fimod", "houghton-h1", "--N", "5") == {"surjectivity_table": 1}
-    # the three S vertices, once each; not the section built from them
+    # the S vertices and the section are drawn and built by the CLI, so none is validated
     section = ("complex", "section-check", "--k", "1", "--n", "3", "--trials", "1", "--set-size", "3")
-    assert run(*section) == {"_validate": 3}
+    assert run(*section) == {}
 
     reg = image_region(random_injection(2, 2, 3, 2, 7))
     counts.clear()
@@ -530,8 +531,8 @@ def test_each_object_is_checked_once(capsys, tmp_path, monkeypatch):
 
 
 def test_section_check_computes_each_image_ray_once(capsys, monkeypatch):
-    """One trial maps each S piece once, in the check of its vertex, and each
-    section vertex's one piece once; avoidance and the grid reuse them."""
+    """One trial maps each S piece once and each section vertex's one piece
+    once; avoidance and the grid reuse them."""
     from hforge.houghton import HoughtonMap, random_injection
 
     real = HoughtonMap.image_ray
@@ -634,6 +635,27 @@ def test_complex_section_check(capsys):
     )
     assert code == 0
     assert json.loads(out)["all_sections_verified"] is True
+
+
+@pytest.mark.parametrize("k, n", [(k, n) for k in (1, 2) for n in range(1, 5)])
+def test_section_check_matches_the_checking_section_functions(capsys, k, n):
+    """section-check draws its members and builds its section unchecked; each
+    trial's ``ok`` is what the validating public functions say on the same members."""
+    from hforge.complexes import build_s_section, verify_s_section
+    from hforge.houghton import random_injection
+
+    for set_size, seed in itertools.product(range(7), (0, 5, 11)):
+        argv = ("--k", str(k), "--n", str(n), "--set-size", str(set_size), "--seed", str(seed))
+        code, out, _ = run_cli(capsys, "complex", "section-check", *argv, "--trials", "2")
+        trials = json.loads(out)["trials"]
+        assert code == (0 if all(t["ok"] for t in trials) else 2)
+        for t in trials:
+            # the CLI's seed rule, at its default --bound 2
+            members = [
+                random_injection(k, 1, n, 2, seed=seed + 7 * t["trial"] + i + 1)
+                for i in range(set_size)
+            ]
+            assert t["ok"] == verify_s_section(k, n, members, build_s_section(k, n, members))[0]
 
 
 def test_complex_probe(capsys):
@@ -1017,3 +1039,88 @@ def test_far_planes_invert_and_compose_answer_quickly():
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == identity, argv
+
+
+# -- mutated input files through every file-reading verb -----------------------
+
+# far bases and huge integers stay out until the canonical grid has a size guard
+_FUZZ_FIXTURES = ("boundary_delta3.json", "broken.json", "generator.json", "identity_n2.json",
+                  "rp2.json")
+_FUZZ_SWAPS = (True, False, 2.5, None, "1", "x", [], [1], {}, {"k": 1})
+_FILE_VERBS = {
+    "element": ("verify", "compose", "invert", "project", "decompose", "tvector"),
+    "complex": ("homology", "wcm"),
+    "fimod": ("validate", "gendeg", "report"),
+}
+
+
+def _mutate_json(data, draw):
+    """A copy of ``data`` with one node changed: a field or entry dropped or
+    duplicated, a value swapped for another type, or an integer nudged by up to 2."""
+    from hypothesis import strategies as st
+
+    data = json.loads(json.dumps(data))
+    parents = []
+
+    def walk(node):
+        if isinstance(node, (dict, list)) and node:
+            parents.append(node)
+            for child in (node.values() if isinstance(node, dict) else node):
+                walk(child)
+
+    walk(data)
+    if not parents:
+        return draw(st.sampled_from(_FUZZ_SWAPS))
+    node = draw(st.sampled_from(parents))
+    key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+    kind = draw(st.sampled_from(("drop", "duplicate", "swap", "nudge")))
+    if kind == "drop":
+        del node[key]
+    elif kind == "duplicate" and isinstance(node, list):
+        node.insert(key, json.loads(json.dumps(node[key])))
+    elif kind == "duplicate":  # a field takes a copy of another field's value
+        node[key] = json.loads(json.dumps(node[draw(st.sampled_from(sorted(node)))]))
+    elif kind == "nudge" and type(node[key]) is int:
+        node[key] += draw(st.sampled_from((-2, -1, 1, 2)))
+    else:
+        node[key] = draw(st.sampled_from(_FUZZ_SWAPS))
+    return data
+
+
+def _fuzz_inputs():
+    inputs = [json.loads((FIXTURES / name).read_text()) for name in _FUZZ_FIXTURES]
+    return inputs + [_h1_module_json(3, "Z"), _h1_module_json(3, "Q")]
+
+
+def test_mutated_input_files_never_raise():
+    """Every file-reading verb answers a mutated fixture with an exit code of 0-3 and
+    no traceback: whatever is wrong is reported, never raised."""
+    import contextlib
+    import io
+    import tempfile
+    from unittest import mock
+
+    from hypothesis import given, settings, strategies as st
+
+    generator = str(FIXTURES / "generator.json")
+
+    @given(st.sampled_from(_fuzz_inputs()), st.integers(1, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def check(data, rounds, draw):
+        for _ in range(rounds):
+            data = _mutate_json(data, draw.draw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            for group, verbs in _FILE_VERBS.items():
+                for verb in verbs:
+                    files = [path, generator] if verb == "compose" else [path]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = main([group, verb, *files])
+                    assert code in (0, 1, 2, 3), (group, verb, data)
+                    assert "Traceback" not in err.getvalue(), (group, verb, data)
+
+    with mock.patch.dict(os.environ, {"HFORGE_SIZE_LIMIT": "2000"}):
+        check()

@@ -709,6 +709,28 @@ def seeded_s_sets():
         yield k, n, S
 
 
+@pytest.mark.parametrize("public, k, n, message", [
+    (build_s_section, 1, -1, "need n >= 1"),
+    (build_s_section, 1, 0, "need n >= 1"),
+    (build_s_section, 0, 2, "need k >= 1"),
+    (build_s_section, 0, 0, "need k >= 1"),
+    (verify_s_section, 2, 0, "need n >= 1"),
+    (verify_s_section, 1, -3, "need n >= 1"),
+    (verify_s_section, 0, 2, "need k >= 1"),
+    (verify_s_section, -1, -1, "need k >= 1"),
+], ids=["build-n-neg", "build-n0", "build-k0", "build-k0-n0",
+        "verify-n0", "verify-n-neg", "verify-k0", "verify-k-neg-n-neg"])
+def test_section_functions_check_k_and_n_before_any_work(public, k, n, message):
+    """k < 1 and n < 1 are named before any vertex is read: an empty S or section
+    is not accepted, and a vertex that fails ``validate`` is not reached."""
+    broken = HoughtonMap(1, 1, 2, ())
+    for vertices in ([], [broken]):
+        args = (k, n, vertices) if public is build_s_section else (k, n, vertices, vertices)
+        with pytest.raises(ValidationError) as info:
+            public(*args)
+        assert str(info.value) == message
+
+
 def test_s_section_property_seeded():
     for k, n, S in seeded_s_sets():
         fs = build_s_section(k, n, S)
@@ -1217,6 +1239,24 @@ def test_far_offset_vertices_match_oracles(k):
 def test_probe_rejects_negative_trials():
     with pytest.raises(ValidationError, match="trials must be >= 0"):
         connectivity_probe(1, 3, 1, 3, trials=-3, seed=0)
+
+
+def test_probe_builds_neighbour_masks_once(monkeypatch):
+    """A trial's adjacency lookup reads two vertices' cell sets; the one
+    ``_disjoint_masks`` build is over the pool, for its component."""
+    sizes = []
+    masks = complexes_module._disjoint_masks
+
+    def counting(cells):
+        sizes.append(len(cells))
+        return masks(cells)
+
+    monkeypatch.setattr(complexes_module, "_disjoint_masks", counting)
+    for seed in (3, 4, 5):
+        sizes.clear()
+        report = connectivity_probe(1, 3, 1, 3, trials=30, seed=seed)
+        assert report["connected_pairs"] == 30
+        assert len(sizes) == 1 and sizes[0] > report["bounded_vertices"]
 
 
 def test_probe_rejects_negative_slack():

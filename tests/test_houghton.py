@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from hforge.errors import ValidationError
 from hforge.houghton import (
     _parse_map,
-    _validate,
     HoughtonMap,
     MarkedRay,
     PermutationN,
@@ -963,6 +962,38 @@ def test_random_injection_draws_match_restricted_element():
         assert got.pieces == random_injection_by_restriction(k, n, n, bound, seed).pieces
 
 
+def test_seeded_generators_build_what_the_constructors_check():
+    """The generators build their pieces and map unchecked; each result is the map
+    the checking constructor builds from its pieces, and ``validate`` passes it."""
+    for k, n, bound, seed in itertools.product((1, 2, 3), range(1, 5), range(4), (0, 7, 31)):
+        drawn = [random_element(k, n, bound, seed)]
+        drawn += [random_injection(k, m, n, bound, seed) for m in range(1, n + 1)]
+        for f in drawn:
+            assert f == HoughtonMap(k, f.m, n, f.pieces)
+            diag = validate(f)
+            assert diag.valid and diag.bijective == (f.m == n), diag.problems
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: random_element(0, 2, 1, 0), "need k >= 1 and t >= 0"),
+    (lambda: random_element(0, 0, 1, 0), "need k >= 1 and t >= 0"),
+    (lambda: random_element(1, 0, 1, 0), "need k, m, n >= 1"),
+    (lambda: random_element(2, -1, 2, 0), "need k, m, n >= 1"),
+    (lambda: random_element(1, 2, -1, 0), "bound must be >= 0"),
+    (lambda: random_element(0, 0, -1, 0), "bound must be >= 0"),
+    (lambda: random_injection(0, 1, 2, 1, 0), "need k >= 1 and t >= 0"),
+    (lambda: random_injection(1, 0, 2, 1, 0), "need 1 <= m <= n"),
+    (lambda: random_injection(1, 3, 2, 1, 0), "need 1 <= m <= n"),
+    (lambda: random_injection(1, 1, 0, 1, 0), "need 1 <= m <= n"),
+    (lambda: random_injection(1, 1, 2, -1, 0), "bound must be >= 0"),
+], ids=["k0", "k0-n0", "n0", "n-neg", "bound", "bound-first", "inj-k0", "inj-m0", "inj-m>n",
+        "inj-n0", "inj-bound"])
+def test_seeded_generators_keep_their_error_messages(make, message):
+    with pytest.raises(ValidationError) as info:
+        make()
+    assert str(info.value) == message
+
+
 # -- the one-pass element reader against the constructors ---------------------
 
 _JUNK = (True, False, 1.0, 2.5, None, "1", "x", [], [1], {}, 0, -1, 2, 3, 10**20)
@@ -1022,6 +1053,11 @@ def _mutate(data, draw):
     return data
 
 
+def _validate_and_images(f):
+    """``validate`` and the image rays, one per piece, that the oracle also returns."""
+    return validate(f), tuple(f.image_ray(p) for p in f.pieces)
+
+
 def _read_element(parse, check, data):
     """What a parser and a validator make of ``data``: the error text, or the pieces
     with the diagnostics and image rays."""
@@ -1040,14 +1076,14 @@ def test_one_pass_reader_matches_constructors(fixture, rounds, data):
     """Mutated fixture elements: bools, floats, None and strings in any field or
     entry, deleted and duplicated pieces and fields, unsorted and repeated
     ``dirs``, non-dict pieces and nudged integers.  The one-pass reader and the
-    one-cell-set ``_validate`` agree with the constructors and the per-ray cell
+    one-cell-set ``validate`` agree with the constructors and the per-ray cell
     sets, in the pieces, the diagnostics and image rays, or the error text."""
     for _ in range(rounds):
         fixture = _mutate(fixture, data.draw)
-    got = _read_element(_parse_map, _validate, fixture)
+    got = _read_element(_parse_map, _validate_and_images, fixture)
     assert got == _read_element(parse_map_by_constructors, validate_by_cell_sets, fixture)
     if got[0] != "error" and not got[2]:
-        diag, images = _validate(_parse_map(fixture))
+        diag, images = _validate_and_images(_parse_map(fixture))
         assert (diag.valid, diag.bijective, images) == (False, False, ())
         assert diag.problems == (
             f"domain is not a ray partition: uncovered cell N^{fixture['k']} on copy 1: "
@@ -1063,9 +1099,9 @@ def test_validate_decides_without_naming_on_valid_maps(monkeypatch):
     def unused(*args):
         raise AssertionError("a fault was named on a valid map")
 
-    for name in ("_cell_sets", "_overlapping_pair", "_first_gap"):
+    for name in ("_cell_sets", "_overlapping_pair", "_partition_fault"):
         monkeypatch.setattr(hforge.houghton, name, unused)
     for f in (random_element(2, 3, 2, 5), random_injection(3, 2, 4, 1, 8), spec_generator()):
-        assert _validate(f)[0].valid
+        assert validate(f).valid
     for path in ("generator.json", "identity_n2.json", "far_planes.json"):
         assert map_from_json(json.loads((FIXTURES / path).read_text())).pieces

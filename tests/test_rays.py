@@ -13,7 +13,7 @@ from hforge.rays import (
     _cell_sets,
     _complement_cells,
     _cuts_for,
-    _first_gap,
+    _partition_fault,
     Ray,
     RayPartition,
     Region,
@@ -615,8 +615,8 @@ def test_region_decides_disjointness_on_one_cell_set(monkeypatch):
 
 
 def test_first_gap_is_the_first_uncovered_threshold_cell():
-    """On disjoint rays, ``_first_gap`` names the first threshold cell that no
-    ray contains: copy by copy, least base first."""
+    """On disjoint rays, ``_partition_fault`` over the full N^k x [n] names the
+    first threshold cell that no ray contains: copy by copy, least base first."""
     from hforge.houghton import image_region, random_injection
 
     rng = random.Random(67)
@@ -633,9 +633,9 @@ def test_first_gap_is_the_first_uncovered_threshold_cell():
     cases.append((1, 2, [*gaps, MarkedRay(R((2,), 1), 2)]))
     copies = set()
     for k, n, rays in cases:
-        cuts, cells = _cell_sets(k, [(m,) for m in rays])
-        gap = _first_gap(n, cuts, cells)
-        assert gap == next(uncovered_cells_by_containment(k, n, rays), None), rays
+        gap = next(uncovered_cells_by_containment(k, n, rays), None)
+        fault = _partition_fault(k, rays, Region.full(k, n).rays)
+        assert fault == (gap and f"uncovered cell {gap.ray} on copy {gap.copy}"), rays
         copies.add(gap and gap.copy)
     assert copies == {None, 1, 2, 3}
 
