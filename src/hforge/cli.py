@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _size_limit(args) -> int:
+def _size_limit() -> int:
     env = os.environ.get("HFORGE_SIZE_LIMIT")
     if env is None:
         return DEFAULT_SIZE_LIMIT
@@ -177,7 +177,7 @@ def _cmd_element(args) -> int:
 
 
 def _cmd_complex(args) -> int:
-    limit = _size_limit(args)
+    limit = _size_limit()
     verb = args.verb
     if verb == "build-sn":
         k = build_sn_truncated(

@@ -20,6 +20,8 @@ itself are built unchecked and never validated again.  The public section
 functions check k and n, and they and ``simplex_test`` check every vertex they
 are given with ``houghton.validate``; the enumerated vertices and the far
 vertices of a section or a probe path (``_far_vertex``) are built unchecked.
+The probe knows vertices by enumeration index and far vertices by ``(copy,
+offset)``, and a far vertex whose offset is within the bound is enumerated.
 """
 from __future__ import annotations
 
@@ -37,7 +39,6 @@ from .houghton import (
     _k_piece,
     _map_of_cells,
     _translation,
-    canonical_threshold,
     equals,
     map_from_json,
     map_to_json,
@@ -617,20 +618,25 @@ def _s_section(
         for m in rays:
             if m.copy != own:
                 avoid[m.copy].append(m.ray)
-    return [_far_vertex(k, n, p, avoid[p]) for p in range(1, n + 1)]
+    return [_far_vertex(k, n, p, _far_offset(avoid[p])) for p in range(1, n + 1)]
 
 
-def _far_vertex(k: int, n: int, copy: int, blockers: list[Ray]) -> HoughtonMap:
-    """The vertex translating N^k into ``copy`` by the least uniform M whose orthant, based
-    at (M+1, ..., M+1), misses ``blockers``: each keeps a pinned coordinate below M+1, and a
-    full ray is rejected.  It is built unchecked, with its table: for k, n >= 1 and ``copy``
-    in [1, n] its one piece is the one threshold-0 cell, and M >= 0."""
+def _far_offset(blockers: list[Ray]) -> int:
+    """The least uniform M >= 0 whose orthant, based at (M+1, ..., M+1), misses
+    ``blockers``: each keeps a pinned coordinate below M+1, and a full ray is rejected."""
     offset = 0
     for ray in blockers:
         pinned = [b for j, b in enumerate(ray.base, start=1) if j not in ray.dirs]
         if not pinned:
             raise ValidationError(f"cannot avoid the full ray {ray}")
         offset = max(offset, min(pinned))
+    return offset
+
+
+def _far_vertex(k: int, n: int, copy: int, offset: int) -> HoughtonMap:
+    """The vertex translating N^k by (offset, ..., offset) into ``copy``, built unchecked
+    with its table: for ``copy`` in [1, n] and ``offset`` >= 0 its one piece is the one
+    threshold-0 cell."""
     full = _marked(_ray((1,) * k, tuple(range(1, k + 1))), 1)
     return _map_of_cells(k, 1, n, (0, ((full, _translation((offset,) * k, copy)),)))
 
@@ -737,13 +743,12 @@ def simplexwise_injective_check(
     return True
 
 
-def _intermediate(k: int, n: int, u: HoughtonMap, w: HoughtonMap) -> HoughtonMap:
-    """The vertex sending N^k past every ray of u and w in a copy neither
-    full ray occupies, so that it misses both images."""
+def _intermediate(k: int, n: int, u: HoughtonMap, w: HoughtonMap) -> tuple[int, int]:
+    """The ``(copy, offset)`` of the far vertex sending N^k past every ray of u and w
+    in a copy neither full ray occupies, so that it misses both images."""
     occupied = {pi_projection(u), pi_projection(w)}
     copy = next(c for c in range(1, n + 1) if c not in occupied)
-    blockers = [m.ray for v in (u, w) for m in _image_rays(v) if m.copy == copy]
-    return _far_vertex(k, n, copy, blockers)
+    return copy, _far_offset([m.ray for v in (u, w) for m in _image_rays(v) if m.copy == copy])
 
 
 def connectivity_probe(
@@ -760,9 +765,12 @@ def connectivity_probe(
     Pairs of B-bounded vertices are joined either directly or through a far
     translate into a copy that neither endpoint's full ray occupies.  That
     intermediate misses both endpoints by construction, so it is not tested
-    against them; it must stay (B+slack)-bounded.  The report also gives the
-    size of the first vertex's component in the ``_disjoint_masks`` graph of
-    the vertices and intermediates, read by ``_component``.
+    against them; its offset must stay within B+slack.  No map is compared:
+    vertices are known by enumeration index and far vertices by ``(copy,
+    offset)``, and one with offset at most B is enumerated, so each distinct
+    key above B adds one vertex to the pool, in first-seen order.  The report
+    also gives the size of the first vertex's component in the
+    ``_disjoint_masks`` graph of the pool, read by ``_component``.
     """
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
@@ -780,38 +788,28 @@ def connectivity_probe(
     report["claim"] = "sampled pairs connect within the enlarged truncation"
     rng = random.Random(seed)
     indices = range(len(vertices))  # the same draws as choosing from the list
-    intermediates: list[HoughtonMap] = []
-    connected = 0
-    lengths = []
+    far: dict[tuple[int, int], None] = {}
+    lengths = []  # one per connected pair
     failures = []
     for _ in range(trials):
         i, j = rng.choice(indices), rng.choice(indices)
+        if i == j or cells[i].isdisjoint(cells[j]):
+            lengths.append(0 if i == j else 1)
+            continue
         u, w = vertices[i], vertices[j]
-        if equals(u, w):
-            connected += 1
-            lengths.append(0)
-            continue
-        if cells[i].isdisjoint(cells[j]):
-            connected += 1
-            lengths.append(1)
-            continue
-        z = _intermediate(k, n, u, w)
-        offset = max(z.pieces[0][1].offset)
-        if canonical_threshold(z) <= bound + slack and offset <= bound + slack:
-            connected += 1
+        copy, offset = _intermediate(k, n, u, w)
+        if offset <= bound + slack:
             lengths.append(2)
-            intermediates.append(z)
+            if offset > bound:
+                far[copy, offset] = None
         else:
             failures.append((map_to_json(u), map_to_json(w)))
-    report["connected_pairs"] = connected
-    report["disconnected_pairs"] = trials - connected
+    report["connected_pairs"] = len(lengths)
+    report["disconnected_pairs"] = len(failures)
     report["max_path_length"] = max(lengths, default=0)
     report["failures"] = failures
 
-    pool = list(vertices)
-    for z in intermediates:
-        if not any(equals(z, v) for v in pool):
-            pool.append(z)
+    pool = vertices + [_far_vertex(k, n, copy, offset) for copy, offset in far]
     component = _component(list(_disjoint_masks(_image_cells(pool)[1])), 0)
     report["component_size"] = component.bit_count()
     # reduced H_0 of a connected component is zero

@@ -21,7 +21,6 @@ elimination; over Q each row is first cleared of denominators.  Only
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -509,27 +508,14 @@ def houghton_h1_fimodule(N: int, ring: str = "Z") -> TruncatedFIModule:
     levels = [Level(0, None, ())]
     for n in range(1, N + 1):
         r = n - 1
-        prev = max(n - 2, 0)
-        iota = tuple(tuple(1 if i == j else 0 for j in range(prev)) for i in range(r))
+        identity = identity_matrix(r)
+        # s_j is the identity with row j replaced by 1, -1, 1 at columns j-1, j, j+1
         transpositions = []
         for j in range(1, n):
-            cols = []
-            for c in range(1, r + 1):
-                col = [0] * r
-                if c == j - 1:
-                    col[c - 1] = 1
-                    col[c] = 1
-                elif c == j:
-                    col[c - 1] = -1
-                elif c == j + 1:
-                    col[c - 2] = 1
-                    col[c - 1] = 1
-                else:
-                    col[c - 1] = 1
-                cols.append(col)
-            transpositions.append(
-                tuple(tuple(cols[c][rr] for c in range(r)) for rr in range(r))
-            )
+            rows = list(identity)
+            rows[j - 1] = tuple({j - 2: 1, j - 1: -1, j: 1}.get(c, 0) for c in range(r))
+            transpositions.append(tuple(rows))
+        iota = tuple(row[:-1] for row in identity)
         levels.append(Level(r, iota, tuple(transpositions)))
     return TruncatedFIModule(N, ring, tuple(levels))
 

@@ -266,7 +266,8 @@ def validate(f: HoughtonMap) -> MapDiagnostics:
 # -- canonical form ----------------------------------------------------------
 
 # Bound on the maps whose canonical tables are kept; one benchmark pass computes
-# at most about 1,400 of them (1,435 on `group`, 541 on `sn-build` at seed 3).
+# at most about 400 of them (370-377 on `group`, 7-10 on `sn-build` and 0 on
+# `homology` at seeds 1-3).
 _CANONICAL_CACHE_SIZE = 4096
 
 

@@ -101,21 +101,6 @@ def apply_raw(pieces, point, copy):
     return hits[0]
 
 
-def map_graph_in_box(pieces, k: int, hi: int) -> dict:
-    """Graph of a piecewise-translation map on box points of its domain.
-
-    ``pieces`` is a list of (base, dirs, copy, offset, target_copy); the
-    translation of the first piece containing a point is applied directly.
-    """
-    graph = {}
-    for base, dirs, copy, offset, target in pieces:
-        for p in ray_points_in_box(base, dirs, k, hi):
-            assert (p, copy) not in graph, "oracle fed overlapping pieces"
-            image = tuple(x + d for x, d in zip(p, offset))
-            graph[(p, copy)] = (image, target)
-    return graph
-
-
 def det_cofactor(rows) -> int:
     """Determinant by cofactor expansion; exact, independent of elimination."""
     n = len(rows)
@@ -1124,3 +1109,76 @@ def mat_from_json_by_entries(rows, ring: str, field: str, n: int):
     from hforge.fimodules import _entry_from_json
 
     return tuple(tuple(_entry_from_json(x, ring, field, n) for x in row) for row in rows)
+
+
+def connectivity_probe_by_comparison(k, n, bound, slack, trials, seed, size_limit=200_000):
+    """``complexes.connectivity_probe`` as it was before it knew its vertices by
+    construction: the length-0 path decided by ``equals``, the intermediate
+    built as a map and tested by ``canonical_threshold``, and the pool
+    deduplicated by an ``equals`` scan over every vertex already in it."""
+    import random
+
+    from hforge.complexes import (
+        _bounded_vertices,
+        _component,
+        _far_vertex,
+        _image_cells,
+        _intermediate,
+    )
+    from hforge.errors import ValidationError
+    from hforge.houghton import canonical_threshold, equals, map_to_json
+    from hforge.rays import _disjoint_masks
+
+    if trials < 0:
+        raise ValidationError(f"trials must be >= 0, got {trials}")
+    if slack < 0:
+        raise ValidationError(f"slack must be >= 0, got {slack}")
+    report: dict = {"k": k, "n": n, "bound": bound, "slack": slack, "trials": trials}
+    vertices, _, cells = _bounded_vertices(k, n, bound, size_limit)
+    report["bounded_vertices"] = len(vertices)
+    if n < 3:
+        report["claim"] = (
+            "only (-1)-connectivity (nonempty) is asserted for n < 3"
+        )
+        report["nonempty"] = bool(vertices)
+        return report
+    report["claim"] = "sampled pairs connect within the enlarged truncation"
+    rng = random.Random(seed)
+    indices = range(len(vertices))  # the same draws as choosing from the list
+    intermediates = []
+    connected = 0
+    lengths = []
+    failures = []
+    for _ in range(trials):
+        i, j = rng.choice(indices), rng.choice(indices)
+        u, w = vertices[i], vertices[j]
+        if equals(u, w):
+            connected += 1
+            lengths.append(0)
+            continue
+        if cells[i].isdisjoint(cells[j]):
+            connected += 1
+            lengths.append(1)
+            continue
+        z = _far_vertex(k, n, *_intermediate(k, n, u, w))
+        offset = max(z.pieces[0][1].offset)
+        if canonical_threshold(z) <= bound + slack and offset <= bound + slack:
+            connected += 1
+            lengths.append(2)
+            intermediates.append(z)
+        else:
+            failures.append((map_to_json(u), map_to_json(w)))
+    report["connected_pairs"] = connected
+    report["disconnected_pairs"] = trials - connected
+    report["max_path_length"] = max(lengths, default=0)
+    report["failures"] = failures
+
+    pool = list(vertices)
+    for z in intermediates:
+        if not any(equals(z, v) for v in pool):
+            pool.append(z)
+    component = _component(list(_disjoint_masks(_image_cells(pool)[1])), 0)
+    report["component_size"] = component.bit_count()
+    # reduced H_0 of a connected component is zero
+    report["component_betti0"] = 0
+    return report

@@ -49,6 +49,7 @@ from hforge.snf import mat_mul, snf_diagonal, zero_matrix
 from _oracles import (
     boundary_matrices_from_facets,
     bounded_vertex_census,
+    connectivity_probe_by_comparison,
     component_roots_by_union_find,
     disjoint_pairs_by_buckets,
     enumerate_bounded_vertices_by_meets,
@@ -1269,16 +1270,85 @@ def test_probe_intermediates_miss_both_endpoints(monkeypatch):
     intermediate = complexes_module._intermediate
 
     def recording(k, n, u, w):
-        z = intermediate(k, n, u, w)
-        built.append((u, w, z))
-        return z
+        copy, offset = intermediate(k, n, u, w)
+        built.append((u, w, copy, offset))
+        return copy, offset
 
     monkeypatch.setattr(complexes_module, "_intermediate", recording)
     for seed in range(50):
         connectivity_probe(1, 3, 1, 3, trials=20, seed=seed)
     assert len(built) > 300
-    for u, w, z in built:
+    for u, w, copy, offset in built:
         # only a pair whose images meet needs one
         assert not images_disjoint_all_pairs(_images(u), _images(w))
+        z = complexes_module._far_vertex(1, 3, copy, offset)
         assert images_disjoint_all_pairs(_images(z), _images(u))
         assert images_disjoint_all_pairs(_images(z), _images(w))
+
+
+PROBE_TRUNCATIONS = [(1, 3, 0), (1, 3, 1), (1, 3, 2), (1, 4, 1), (2, 3, 0)]
+
+
+@pytest.mark.parametrize(
+    "params", PROBE_TRUNCATIONS, ids=["".join(map(str, p)) for p in PROBE_TRUNCATIONS]
+)
+def test_probe_matches_comparison_oracle(params):
+    """Knowing vertices by index and far vertices by (copy, offset) gives the
+    whole report that comparing maps with ``equals`` gave."""
+    for slack in range(4):
+        for trials in (0, 5, 40):
+            for seed in (1, 2, 3):
+                args = (*params, slack, trials, seed)
+                assert connectivity_probe(*args) == connectivity_probe_by_comparison(*args)
+
+
+@pytest.mark.parametrize(
+    "params",
+    BOUNDED_TRUNCATIONS + [(2, 3, 0)],
+    ids=["".join(map(str, p)) for p in BOUNDED_TRUNCATIONS + [(2, 3, 0)]],
+)
+def test_far_vertex_is_enumerated_exactly_within_the_bound(params):
+    """The probe's identity rule: N^k translated by (M, ..., M) into a copy is a
+    B-bounded vertex if and only if M <= B."""
+    k, n, bound = params
+    by_copy: dict[int, list] = {}
+    for v in enumerate_bounded_vertices(*params, size_limit=None):
+        by_copy.setdefault(pi_projection(v), []).append(v)
+    for copy in range(1, n + 1):
+        for offset in range(bound + 3):
+            z = complexes_module._far_vertex(k, n, copy, offset)
+            enumerated = any(equals(z, v) for v in by_copy[copy])
+            assert enumerated == (offset <= bound), (copy, offset)
+
+
+def test_probe_builds_one_far_vertex_per_key_and_compares_no_maps(monkeypatch):
+    """The probe never calls ``equals``; it builds one far vertex per distinct
+    (copy, offset) with B < offset <= B + slack, in first-seen order."""
+    keys, built = [], []
+    intermediate = complexes_module._intermediate
+    far_vertex = complexes_module._far_vertex
+
+    def recording(k, n, u, w):
+        keys.append(intermediate(k, n, u, w))
+        return keys[-1]
+
+    def counting(k, n, copy, offset):
+        built.append((copy, offset))
+        return far_vertex(k, n, copy, offset)
+
+    def refuse(u, w):
+        raise AssertionError("the probe compared two maps")
+
+    monkeypatch.setattr(complexes_module, "_intermediate", recording)
+    monkeypatch.setattr(complexes_module, "_far_vertex", counting)
+    monkeypatch.setattr(complexes_module, "equals", refuse)
+    far_seen = 0
+    for bound, slack in ((0, 3), (1, 1), (1, 3), (2, 1)):
+        for seed in (3, 4, 5):
+            keys.clear()
+            built.clear()
+            connectivity_probe(1, 3, bound, slack, trials=30, seed=seed)
+            expected = [key for key in keys if bound < key[1] <= bound + slack]
+            assert built == list(dict.fromkeys(expected))
+            far_seen += len(built)
+    assert far_seen > 0
