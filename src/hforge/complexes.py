@@ -18,10 +18,11 @@ surjective, which is opt-in via ``include_top``.
 Values from outside are checked once, where they enter, and maps hforge builds
 itself are built unchecked and never validated again.  The public section
 functions check k and n, and they and ``simplex_test`` check every vertex they
-are given with ``houghton.validate``; the enumerated vertices and the far
-vertices of a section or a probe path (``_far_vertex``) are built unchecked.
-The probe knows vertices by enumeration index and far vertices by ``(copy,
-offset)``, and a far vertex whose offset is within the bound is enumerated.
+are given with ``houghton.validate``; the enumerated vertices and a section's far
+vertices (``_far_vertex``) are built unchecked.  A truncation vertex is its enumeration
+leaf, one translation per threshold-B domain cell; ``_vertex_map`` builds its map after
+the size guards, where output needs it, and the probe only for a failing pair.  A far
+vertex of the probe is its ``(copy, offset)`` and its cells on the enumeration grid.
 """
 from __future__ import annotations
 
@@ -49,9 +50,9 @@ from .rays import (
     Ray,
     _canonical_grid,
     _cell_sets,
+    _disjoint_cover,
     _disjoint_masks,
     _marked,
-    _overlapping_pair,
     _ray,
     grid_cells,
 )
@@ -376,18 +377,15 @@ def _check_truncation(k: int, n: int, bound: int) -> None:
 
 def _bounded_vertices(
     k: int, n: int, bound: int, size_limit: int | None
-) -> tuple[list[HoughtonMap], int, list[frozenset]]:
-    """``enumerate_bounded_vertices``, the cell count of N^k x [n] and each vertex's image
-    cells, on one grid; the cells decide overlap and cover as ``_image_cells`` does.
-
-    One ``rays._cell_sets`` call fits the grid to every option's image ray.  A leaf keeps
-    the union of its options' cells and reads its canonical pieces off
-    ``rays._canonical_grid``: the domain cells are the fitted cells of the cuts 1..B+1.
-    ``houghton._map_of_cells`` builds the vertex on that one tuple, as its pieces and its
-    table, so writing it out computes nothing again.
+) -> tuple[tuple[Ray, ...], list[tuple], tuple, list[frozenset]]:
+    """The threshold-B domain cells, each B-bounded vertex as its leaf (the translations
+    picked, one per domain cell) and the cuts and leaves' image cells the backtracking
+    prunes on.  One ``rays._cell_sets`` call fits those cuts to every option's image ray:
+    1..2B+1 in every coordinate, since the full cell's translates hit every value and a
+    pinned one is at most 2B.  The vertex guard counts leaves, before ``_vertex_map``.
     """
     _check_truncation(k, n, bound)
-    cells = grid_cells(k, bound)
+    domain = grid_cells(k, bound)
     translations = [
         [
             Translation(off, target)
@@ -395,28 +393,25 @@ def _bounded_vertices(
             for off in itertools.product(range(-bound, bound + 1), repeat=k)
             if all(b + d >= 1 for b, d in zip(cell.base, off))
         ]
-        for cell in cells
+        for cell in domain
     ]
     cuts, image_cells = _cell_sets(k, [
         (MarkedRay(cell.translate(tr.offset), tr.target_copy),)
-        for cell, trs in zip(cells, translations)
+        for cell, trs in zip(domain, translations)
         for tr in trs
     ])
     image_cells = iter(image_cells)
     options = [[(tr, next(image_cells)) for tr in trs] for trs in translations]
-    domain_cuts = (list(range(1, bound + 2)),) * k
-    found: list[HoughtonMap] = []
-    found_cells: list[frozenset] = []
+    leaves, cells = [], []
 
     def backtrack(i: int, used: frozenset, chosen: tuple) -> None:
-        if i == len(cells):
-            labels = {(1, cell.base): tr for cell, tr in zip(cells, chosen)}
-            found.append(_map_of_cells(k, 1, n, _canonical_grid(domain_cuts, labels, labels)))
-            found_cells.append(used)
-            if size_limit is not None and len(found) > size_limit:
+        if i == len(domain):
+            leaves.append(chosen)
+            cells.append(used)
+            if size_limit is not None and len(leaves) > size_limit:
                 raise SizeLimitError(
                     f"vertex enumeration exceeds the size limit {size_limit}: "
-                    f"{len(found)} vertices"
+                    f"{len(leaves)} vertices"
                 )
             return
         for tr, image in options[i]:
@@ -424,7 +419,14 @@ def _bounded_vertices(
                 backtrack(i + 1, used | image, chosen + (tr,))
 
     backtrack(0, frozenset(), ())
-    return found, n * math.prod(map(len, cuts)), found_cells
+    return domain, leaves, cuts, cells
+
+
+def _vertex_map(k: int, n: int, bound: int, domain: tuple[Ray, ...], leaf: tuple) -> HoughtonMap:
+    """The vertex of a leaf, built by ``houghton._map_of_cells`` on the canonical pieces and
+    table ``rays._canonical_grid`` reads off the domain cells, the cells of the cuts 1..B+1."""
+    labels = {(1, cell.base): tr for cell, tr in zip(domain, leaf)}
+    return _map_of_cells(k, 1, n, _canonical_grid((list(range(1, bound + 2)),) * k, labels, labels))
 
 
 def enumerate_bounded_vertices(
@@ -436,16 +438,8 @@ def enumerate_bounded_vertices(
     to each cell of the threshold-B grid of the domain, with pairwise
     disjoint images.  Backtracking prunes on shared image cells.
     """
-    return _bounded_vertices(k, n, bound, size_limit)[0]
-
-
-def _image_cells(vertices: list[HoughtonMap]) -> tuple[int, list[frozenset]]:
-    """Cell count of N^k x [n] and the images' ``rays._cell_sets``; pairwise
-    disjoint images cover N^k x [n] exactly when their cells number the count."""
-    if not vertices:
-        return 0, []
-    cuts, cells = _cell_sets(vertices[0].k, [_image_rays(v) for v in vertices])
-    return vertices[0].n * math.prod(len(c) for c in cuts), cells
+    domain, leaves, _, _ = _bounded_vertices(k, n, bound, size_limit)
+    return [_vertex_map(k, n, bound, domain, leaf) for leaf in leaves]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -482,9 +476,8 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
 
     Full-size tuples (as many vertices as copies) must additionally cover
     the whole codomain, matching the top-dimensional automorphism condition.
-    Both are read off the ``_cell_sets`` of the image rays of each vertex,
-    once ``validate`` has checked it: no two cell sets may meet, and a
-    full-size tuple's cells must number the grid's count, as in ``_image_cells``.
+    Both are decided by one ``_disjoint_cover`` over the image rays of all the
+    vertices, once ``validate`` has checked each one, so that its own rays are disjoint.
     """
     if not vertices:
         raise ValidationError("need at least one vertex")
@@ -495,9 +488,8 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
         raise ValidationError(f"at most {n} vertices can span a simplex")
     if len({id(v) for v in vertices}) != len(vertices):
         raise ValidationError("repeated vertex")
-    cuts, cells = _cell_sets(k, [_checked_rays(v) for v in vertices])
-    disjoint = _overlapping_pair(vertices, cells) is None
-    return disjoint and (len(vertices) < n or sum(map(len, cells)) == n * math.prod(map(len, cuts)))
+    disjoint, covers = _disjoint_cover(k, n, [m for v in vertices for m in _checked_rays(v)])
+    return disjoint and (len(vertices) < n or covers)
 
 
 def build_sn_truncated(
@@ -519,23 +511,24 @@ def build_sn_truncated(
     above it; for n >= 3 its vertices and edges are counted
     against ``size_limit`` as each mask is formed, before any layer is
     listed.  (For n = 2 the only edge layer is the top one, which keeps just
-    the covering pairs, so there the layer count guards it.)  A clique grows
+    the covering pairs, so there the layer count guards it.)  The vertex maps
+    are built from the leaves after that guard, before the layers.  A clique grows
     by the set bits, ascending, of the AND of its vertices' masks, and a top
     simplex is kept by its cell total.  The simplices come out layer by
     layer, already face-closed and counted against ``size_limit``, so no
     second closure pass runs.
     """
-    candidates, cells_total, cells = _bounded_vertices(k, n, bound, size_limit)
+    domain, leaves, cuts, cells = _bounded_vertices(k, n, bound, size_limit)
+    cells_total = n * math.prod(map(len, cuts))
     max_dim = n - 1 if include_top else n - 2
     if include_top and n == 1:
-        candidates = [v for v, c in zip(candidates, cells) if len(c) == cells_total]
-    count = len(candidates)
+        leaves = [leaf for leaf, c in zip(leaves, cells) if len(c) == cells_total]
+    count = len(leaves)
     limit = math.inf if size_limit is None else size_limit
-    layers = [[(i,) for i in range(count)]]
+    # later[v]: the neighbours of v above it, enough to grow sorted cliques
+    later: list[int] = []
+    total = count
     if max_dim >= 1:
-        # later[v]: the neighbours of v above it, enough to grow sorted cliques
-        later: list[int] = []
-        total = count
         for v, mask in enumerate(_disjoint_masks(cells)):
             later.append(mask >> (v + 1) << (v + 1))
             if n >= 3:
@@ -545,27 +538,29 @@ def build_sn_truncated(
                         f"disjointness graph exceeds the size limit {size_limit}: "
                         f"{total} vertices and edges"
                     )
-        total = count
-        for dim in range(1, max_dim + 1):
-            next_layer = []
-            for s in layers[-1]:
-                common = later[s[0]]
-                for v in s[1:]:
-                    common &= later[v]
-                for w in _bits(common):
-                    t = s + (w,)
-                    if dim == n - 1 and sum(len(cells[v]) for v in t) != cells_total:
-                        continue
-                    next_layer.append(t)
-                    total += 1
-                    if total > limit:
-                        raise SizeLimitError(
-                            f"simplex layers exceed the size limit {size_limit}: "
-                            f"{total} simplices at dimension {dim}"
-                        )
-            layers.append(next_layer)
+    labels = tuple(_vertex_map(k, n, bound, domain, leaf) for leaf in leaves)
+    layers = [[(i,) for i in range(count)]]
+    total = count
+    for dim in range(1, max_dim + 1):
+        next_layer = []
+        for s in layers[-1]:
+            common = later[s[0]]
+            for v in s[1:]:
+                common &= later[v]
+            for w in _bits(common):
+                t = s + (w,)
+                if dim == n - 1 and sum(len(cells[v]) for v in t) != cells_total:
+                    continue
+                next_layer.append(t)
+                total += 1
+                if total > limit:
+                    raise SizeLimitError(
+                        f"simplex layers exceed the size limit {size_limit}: "
+                        f"{total} simplices at dimension {dim}"
+                    )
+        layers.append(next_layer)
     simplices = {d: frozenset(layer) for d, layer in enumerate(layers) if layer}
-    return SimplicialComplex(tuple(candidates), simplices)
+    return SimplicialComplex(labels, simplices)
 
 
 # -- sections of the copy projection ------------------------------------------
@@ -743,12 +738,20 @@ def simplexwise_injective_check(
     return True
 
 
-def _intermediate(k: int, n: int, u: HoughtonMap, w: HoughtonMap) -> tuple[int, int]:
-    """The ``(copy, offset)`` of the far vertex sending N^k past every ray of u and w
-    in a copy neither full ray occupies, so that it misses both images."""
-    occupied = {pi_projection(u), pi_projection(w)}
+def _intermediate(n: int, domain: tuple[Ray, ...], u: tuple, w: tuple) -> tuple[int, int]:
+    """The ``(copy, offset)`` of the far vertex missing both images of the leaves u and w,
+    in a copy neither's full domain cell is sent to, past their translated cells there."""
+    pieces = [(cell, tr) for v in (u, w) for cell, tr in zip(domain, v)]
+    occupied = {tr.target_copy for cell, tr in pieces if cell.is_full}
     copy = next(c for c in range(1, n + 1) if c not in occupied)
-    return copy, _far_offset([m.ray for v in (u, w) for m in _image_rays(v) if m.copy == copy])
+    return copy, _far_offset([cell.translate(tr.offset) for cell, tr in pieces if tr.target_copy == copy])
+
+
+def _far_cells(k: int, bound: int, copy: int, offset: int) -> frozenset:
+    """The cells on the enumeration's cuts 1..2B+1 that the far vertex ``(copy, offset)``
+    meets, for an offset M above B: bases >= M+1 in every coordinate, past 2B the top one."""
+    span = range(min(offset, 2 * bound) + 1, 2 * bound + 2)
+    return frozenset((copy, base) for base in itertools.product(span, repeat=k))
 
 
 def connectivity_probe(
@@ -765,29 +768,27 @@ def connectivity_probe(
     Pairs of B-bounded vertices are joined either directly or through a far
     translate into a copy that neither endpoint's full ray occupies.  That
     intermediate misses both endpoints by construction, so it is not tested
-    against them; its offset must stay within B+slack.  No map is compared:
-    vertices are known by enumeration index and far vertices by ``(copy,
-    offset)``, and one with offset at most B is enumerated, so each distinct
-    key above B adds one vertex to the pool, in first-seen order.  The report
-    also gives the size of the first vertex's component in the
-    ``_disjoint_masks`` graph of the pool, read by ``_component``.
+    against them; its offset must stay within B+slack.  Only a failing pair's
+    maps are built, and none is compared: vertices are known by their leaves and
+    far vertices by ``(copy, offset)``; one with offset at most B is enumerated,
+    and each distinct key above B adds its ``_far_cells`` to the pool, in
+    first-seen order.  The report also gives the size of the first vertex's
+    component in the ``_disjoint_masks`` graph of the pool, read by ``_component``.
     """
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
     if slack < 0:
         raise ValidationError(f"slack must be >= 0, got {slack}")
     report: dict = {"k": k, "n": n, "bound": bound, "slack": slack, "trials": trials}
-    vertices, _, cells = _bounded_vertices(k, n, bound, size_limit)
-    report["bounded_vertices"] = len(vertices)
+    domain, leaves, _, cells = _bounded_vertices(k, n, bound, size_limit)
+    report["bounded_vertices"] = len(leaves)
     if n < 3:
-        report["claim"] = (
-            "only (-1)-connectivity (nonempty) is asserted for n < 3"
-        )
-        report["nonempty"] = bool(vertices)
+        report["claim"] = "only (-1)-connectivity (nonempty) is asserted for n < 3"
+        report["nonempty"] = bool(leaves)
         return report
     report["claim"] = "sampled pairs connect within the enlarged truncation"
     rng = random.Random(seed)
-    indices = range(len(vertices))  # the same draws as choosing from the list
+    indices = range(len(leaves))  # the same draws as choosing from the list
     far: dict[tuple[int, int], None] = {}
     lengths = []  # one per connected pair
     failures = []
@@ -796,22 +797,21 @@ def connectivity_probe(
         if i == j or cells[i].isdisjoint(cells[j]):
             lengths.append(0 if i == j else 1)
             continue
-        u, w = vertices[i], vertices[j]
-        copy, offset = _intermediate(k, n, u, w)
+        copy, offset = _intermediate(n, domain, leaves[i], leaves[j])
         if offset <= bound + slack:
             lengths.append(2)
             if offset > bound:
                 far[copy, offset] = None
         else:
-            failures.append((map_to_json(u), map_to_json(w)))
+            pair = (_vertex_map(k, n, bound, domain, leaves[x]) for x in (i, j))
+            failures.append(tuple(map(map_to_json, pair)))
     report["connected_pairs"] = len(lengths)
     report["disconnected_pairs"] = len(failures)
     report["max_path_length"] = max(lengths, default=0)
     report["failures"] = failures
 
-    pool = vertices + [_far_vertex(k, n, copy, offset) for copy, offset in far]
-    component = _component(list(_disjoint_masks(_image_cells(pool)[1])), 0)
-    report["component_size"] = component.bit_count()
+    pool = cells + [_far_cells(k, bound, copy, offset) for copy, offset in far]
+    report["component_size"] = _component(list(_disjoint_masks(pool)), 0).bit_count()
     # reduced H_0 of a connected component is zero
     report["component_betti0"] = 0
     return report

@@ -657,6 +657,8 @@ def _random_map(k: int, m: int, n: int, bound: int, seed: int) -> HoughtonMap:
     """
     if bound < 0:
         raise ValidationError("bound must be >= 0")
+    if k < 1 or n < 1:
+        raise ValidationError("need k, m, n >= 1")
     rng = random.Random(seed)
     t = rng.randint(0, bound)
     by_dirs: dict[tuple[int, ...], list[Ray]] = {}
@@ -671,8 +673,6 @@ def _random_map(k: int, m: int, n: int, bound: int, seed: int) -> HoughtonMap:
         for (copy, src), (dst_copy, dst) in zip(slots[: m * len(cells)], targets):
             offset = tuple(b - a for a, b in zip(src.base, dst.base))
             pieces.append((_marked(src, copy), _translation(offset, dst_copy)))
-    if n < 1:
-        raise ValidationError("need k, m, n >= 1")
     return _unchecked_map(k, m, n, tuple(pieces), None)
 
 

@@ -777,11 +777,38 @@ def enumerate_bounded_vertices_by_meets(k, n, bound):
     return found
 
 
+# -- vertex images and probe intermediates read off maps, before leaves -------
+
+
+def image_cells_by_refit(vertices) -> tuple:
+    """Cell count of N^k x [n] and the vertices' image cells on one grid fitted again to
+    their image rays (``complexes._image_cells`` as it was); pairwise disjoint images
+    cover N^k x [n] exactly when their cells number the count."""
+    from hforge.houghton import _image_rays
+    from hforge.rays import _cell_sets
+
+    if not vertices:
+        return 0, []
+    cuts, cells = _cell_sets(vertices[0].k, [_image_rays(v) for v in vertices])
+    return vertices[0].n * math.prod(len(c) for c in cuts), cells
+
+
+def intermediate_on_maps(k, n, u, w) -> tuple:
+    """The probe's ``(copy, offset)`` for the vertex maps u and w, read off their
+    canonical image rays (``complexes._intermediate`` as it was before it took leaves)."""
+    from hforge.complexes import _far_offset, pi_projection
+    from hforge.houghton import _image_rays
+
+    occupied = {pi_projection(u), pi_projection(w)}
+    copy = next(c for c in range(1, n + 1) if c not in occupied)
+    return copy, _far_offset([m.ray for v in (u, w) for m in _image_rays(v) if m.copy == copy])
+
+
 # -- disjointness, sections and random draws as they were before bitmasks ----
 
 
 def disjoint_pairs_by_buckets(vertices, cells) -> list:
-    """Index pairs i < j of vertices whose ``_image_cells`` sets are disjoint.
+    """Index pairs i < j of vertices whose ``image_cells_by_refit`` sets are disjoint.
 
     Pairs with equal ``pi_projection`` are skipped untested: both images
     contain a translated orthant of N^k in that copy, and any two orthants
@@ -804,7 +831,7 @@ def disjoint_pairs_by_buckets(vertices, cells) -> list:
 def verify_s_section_by_pairs(k, n, s_vertices, rho):
     """``_verify_s_section`` testing every pair of image-cell sets again for
     each sigma + rho(tau), with S deduplicated by ``equals`` alone."""
-    from hforge.complexes import _image_cells, pi_projection
+    from hforge.complexes import pi_projection
     from hforge.errors import ValidationError
     from hforge.houghton import equals, map_to_json
 
@@ -816,7 +843,7 @@ def verify_s_section_by_pairs(k, n, s_vertices, rho):
             raise ValidationError(
                 f"not a section: assigned vertex for copy {p} projects to {pi_projection(f)}"
             )
-    image = {id(v): c for v, c in zip(all_maps, _image_cells(all_maps)[1])}
+    image = {id(v): c for v, c in zip(all_maps, image_cells_by_refit(all_maps)[1])}
 
     def is_simplex(maps):
         pairs = itertools.combinations(maps, 2)
@@ -1115,16 +1142,11 @@ def connectivity_probe_by_comparison(k, n, bound, slack, trials, seed, size_limi
     """``complexes.connectivity_probe`` as it was before it knew its vertices by
     construction: the length-0 path decided by ``equals``, the intermediate
     built as a map and tested by ``canonical_threshold``, and the pool
-    deduplicated by an ``equals`` scan over every vertex already in it."""
+    deduplicated by an ``equals`` scan over every vertex already in it.  Every
+    vertex is a map, and the pool's cells are fitted again to its images."""
     import random
 
-    from hforge.complexes import (
-        _bounded_vertices,
-        _component,
-        _far_vertex,
-        _image_cells,
-        _intermediate,
-    )
+    from hforge.complexes import _component, _far_vertex, enumerate_bounded_vertices
     from hforge.errors import ValidationError
     from hforge.houghton import canonical_threshold, equals, map_to_json
     from hforge.rays import _disjoint_masks
@@ -1134,7 +1156,8 @@ def connectivity_probe_by_comparison(k, n, bound, slack, trials, seed, size_limi
     if slack < 0:
         raise ValidationError(f"slack must be >= 0, got {slack}")
     report: dict = {"k": k, "n": n, "bound": bound, "slack": slack, "trials": trials}
-    vertices, _, cells = _bounded_vertices(k, n, bound, size_limit)
+    vertices = enumerate_bounded_vertices(k, n, bound, size_limit)
+    cells = image_cells_by_refit(vertices)[1]
     report["bounded_vertices"] = len(vertices)
     if n < 3:
         report["claim"] = (
@@ -1160,7 +1183,7 @@ def connectivity_probe_by_comparison(k, n, bound, slack, trials, seed, size_limi
             connected += 1
             lengths.append(1)
             continue
-        z = _far_vertex(k, n, *_intermediate(k, n, u, w))
+        z = _far_vertex(k, n, *intermediate_on_maps(k, n, u, w))
         offset = max(z.pieces[0][1].offset)
         if canonical_threshold(z) <= bound + slack and offset <= bound + slack:
             connected += 1
@@ -1177,7 +1200,7 @@ def connectivity_probe_by_comparison(k, n, bound, slack, trials, seed, size_limi
     for z in intermediates:
         if not any(equals(z, v) for v in pool):
             pool.append(z)
-    component = _component(list(_disjoint_masks(_image_cells(pool)[1])), 0)
+    component = _component(list(_disjoint_masks(image_cells_by_refit(pool)[1])), 0)
     report["component_size"] = component.bit_count()
     # reduced H_0 of a connected component is zero
     report["component_betti0"] = 0

@@ -81,8 +81,9 @@ def test_element_invert_project_decompose(capsys):
 
 
 def test_build_sn_writes_vertices_without_recomputing_tables(capsys, monkeypatch):
-    """Enumerated vertices carry their canonical tables, so writing the
-    (1,4,1) report adds no ``_canonical_table`` miss after enumeration."""
+    """Vertex maps built from the enumerated leaves carry their canonical tables,
+    so writing the (1,4,1) report adds no ``_canonical_table`` miss after
+    enumeration."""
     from hforge import complexes, houghton
 
     enumerated = []
@@ -90,7 +91,7 @@ def test_build_sn_writes_vertices_without_recomputing_tables(capsys, monkeypatch
 
     def recorded(*args, **kwargs):
         out = inner(*args, **kwargs)
-        enumerated.append((len(out[0]), houghton._canonical_table.cache_info().misses))
+        enumerated.append((len(out[1]), houghton._canonical_table.cache_info().misses))
         return out
 
     monkeypatch.setattr(complexes, "_bounded_vertices", recorded)

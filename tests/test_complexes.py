@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from hforge.houghton import (
     random_injection,
     validate,
 )
-from hforge.rays import MarkedRay, Ray, _disjoint_masks
+from hforge.rays import MarkedRay, Ray, _disjoint_masks, grid_cells
 from hforge.snf import mat_mul, snf_diagonal, zero_matrix
 
 from _oracles import (
@@ -53,7 +54,9 @@ from _oracles import (
     component_roots_by_union_find,
     disjoint_pairs_by_buckets,
     enumerate_bounded_vertices_by_meets,
+    image_cells_by_refit,
     images_disjoint_all_pairs,
+    intermediate_on_maps,
     link_by_closure,
     maximal_simplices_quadratic,
     minor_gcd_diagonal,
@@ -791,7 +794,7 @@ def mask_pairs(cells):
 )
 def test_disjoint_masks_match_bucket_oracle(params):
     vertices = enumerate_bounded_vertices(*params)
-    cells = complexes_module._image_cells(vertices)[1]
+    cells = image_cells_by_refit(vertices)[1]
     assert mask_pairs(cells) == sorted(disjoint_pairs_by_buckets(vertices, cells))
 
 
@@ -800,8 +803,11 @@ def test_disjoint_masks_match_bucket_oracle(params):
 )
 def test_enumerated_cells_match_image_cells(params):
     """The cells the enumeration pruned on give the same graph and cover verdicts."""
-    vertices, count, cells = complexes_module._bounded_vertices(*params, size_limit=None)
-    image_count, image_cells = complexes_module._image_cells(vertices)
+    _, leaves, cuts, cells = complexes_module._bounded_vertices(*params, size_limit=None)
+    vertices = enumerate_bounded_vertices(*params, size_limit=None)
+    assert len(leaves) == len(vertices)
+    count = params[1] * math.prod(map(len, cuts))
+    image_count, image_cells = image_cells_by_refit(vertices)
     assert list(_disjoint_masks(cells)) == list(_disjoint_masks(image_cells))
     covers = [len(c) == count for c in cells]
     assert covers == [len(c) == image_count for c in image_cells]
@@ -810,30 +816,35 @@ def test_enumerated_cells_match_image_cells(params):
 
 
 def test_disjoint_masks_match_bucket_oracle_on_probe_pools(monkeypatch):
-    lists = []
-    bounded_vertices = complexes_module._bounded_vertices
-    image_cells = complexes_module._image_cells
+    """The probe's pool masks, over the enumeration's cells and its far cells, are those
+    of one grid fitted again to the vertex maps and the ``_far_vertex`` maps of its keys."""
+    pools, keys = [], []
+    masks = complexes_module._disjoint_masks
+    intermediate = complexes_module._intermediate
 
-    def recording_vertices(*args, **kwargs):
-        found = bounded_vertices(*args, **kwargs)
-        lists.append(list(found[0]))
-        return found
+    def recording_masks(cells):
+        pools.append(list(cells))
+        return masks(cells)
 
-    def recording(maps):
-        lists.append(list(maps))
-        return image_cells(maps)
+    def recording(*args):
+        keys.append(intermediate(*args))
+        return keys[-1]
 
-    monkeypatch.setattr(complexes_module, "_bounded_vertices", recording_vertices)
-    monkeypatch.setattr(complexes_module, "_image_cells", recording)
+    monkeypatch.setattr(complexes_module, "_disjoint_masks", recording_masks)
+    monkeypatch.setattr(complexes_module, "_intermediate", recording)
+    vertices = enumerate_bounded_vertices(1, 3, 1)
     for seed in (3, 4, 5):
-        lists.clear()
+        pools.clear()
+        keys.clear()
         report = connectivity_probe(1, 3, 1, 3, trials=30, seed=seed)
-        assert len(lists) == 2  # the enumeration, then the pool
-        vertices, pool = lists
-        assert len(pool) > len(vertices)  # intermediates joined the pool
-        cells = image_cells(pool)[1]
-        pairs = disjoint_pairs_by_buckets(pool, cells)
-        assert mask_pairs(cells) == sorted(pairs)
+        [cells] = pools
+        far_keys = dict.fromkeys(key for key in keys if 1 < key[1] <= 4)
+        pool = vertices + [complexes_module._far_vertex(1, 3, *key) for key in far_keys]
+        assert len(cells) == len(pool) > len(vertices)  # intermediates joined the pool
+        refit = image_cells_by_refit(pool)[1]
+        assert list(masks(cells)) == list(masks(refit))
+        pairs = disjoint_pairs_by_buckets(pool, refit)
+        assert mask_pairs(refit) == sorted(pairs)
         # the reported component is vertex 0's union-find class, and it is
         # connected: exact elimination finds its reduced H_0 zero
         roots = component_roots_by_union_find(range(len(pool)), pairs)
@@ -1041,7 +1052,9 @@ def test_build_sn_truncated_matches_brute_force(k, n, bound, include_top):
 
 
 def test_build_sn_truncated_without_vertices(monkeypatch):
-    monkeypatch.setattr(complexes_module, "_bounded_vertices", lambda *a, **kw: ([], 0, []))
+    monkeypatch.setattr(
+        complexes_module, "_bounded_vertices", lambda *a, **kw: ((), [], ([1, 2, 3],), [])
+    )
     for n, include_top in ((1, True), (2, True), (3, False), (3, True)):
         K = build_sn_truncated(1, n, 1, include_top=include_top)
         assert K.vertices == ()
@@ -1100,7 +1113,7 @@ def test_image_cells_match_all_pairs_oracle():
     for k in (1, 2, 3):
         for n in (2, 3):
             vertices = _random_vertices(rng, k, n, 14)
-            _, cells = complexes_module._image_cells(vertices)
+            _, cells = image_cells_by_refit(vertices)
             images = [_images(v) for v in vertices]
             for i, j in itertools.combinations(range(len(vertices)), 2):
                 expected = images_disjoint_all_pairs(images[i], images[j])
@@ -1269,16 +1282,17 @@ def test_probe_intermediates_miss_both_endpoints(monkeypatch):
     built = []
     intermediate = complexes_module._intermediate
 
-    def recording(k, n, u, w):
-        copy, offset = intermediate(k, n, u, w)
-        built.append((u, w, copy, offset))
+    def recording(n, domain, u, w):
+        copy, offset = intermediate(n, domain, u, w)
+        built.append((domain, u, w, copy, offset))
         return copy, offset
 
     monkeypatch.setattr(complexes_module, "_intermediate", recording)
     for seed in range(50):
         connectivity_probe(1, 3, 1, 3, trials=20, seed=seed)
     assert len(built) > 300
-    for u, w, copy, offset in built:
+    for domain, u, w, copy, offset in built:
+        u, w = (complexes_module._vertex_map(1, 3, 1, domain, leaf) for leaf in (u, w))
         # only a pair whose images meet needs one
         assert not images_disjoint_all_pairs(_images(u), _images(w))
         z = complexes_module._far_vertex(1, 3, copy, offset)
@@ -1322,33 +1336,132 @@ def test_far_vertex_is_enumerated_exactly_within_the_bound(params):
 
 
 def test_probe_builds_one_far_vertex_per_key_and_compares_no_maps(monkeypatch):
-    """The probe never calls ``equals``; it builds one far vertex per distinct
-    (copy, offset) with B < offset <= B + slack, in first-seen order."""
-    keys, built = [], []
+    """The probe never calls ``equals`` and builds no far-vertex map.  Its pool gains
+    one cell set per distinct (copy, offset) with B < offset <= B + slack, in
+    first-seen order and in that copy, and a vertex map is built only for each
+    vertex of a failing pair."""
+    keys, pools, maps = [], [], []
     intermediate = complexes_module._intermediate
+    masks = complexes_module._disjoint_masks
     far_vertex = complexes_module._far_vertex
+    vertex_map_of_leaf = complexes_module._vertex_map
 
-    def recording(k, n, u, w):
-        keys.append(intermediate(k, n, u, w))
+    def recording(*args):
+        keys.append(intermediate(*args))
         return keys[-1]
 
-    def counting(k, n, copy, offset):
-        built.append((copy, offset))
-        return far_vertex(k, n, copy, offset)
+    def recording_masks(cells):
+        pools.append(list(cells))
+        return masks(cells)
 
-    def refuse(u, w):
-        raise AssertionError("the probe compared two maps")
+    def counting(*args):
+        maps.append(args)
+        return vertex_map_of_leaf(*args)
 
-    monkeypatch.setattr(complexes_module, "_intermediate", recording)
-    monkeypatch.setattr(complexes_module, "_far_vertex", counting)
-    monkeypatch.setattr(complexes_module, "equals", refuse)
-    far_seen = 0
+    def refuse(*args):
+        raise AssertionError("the probe compared two maps or built a far vertex")
+
+    far_seen = failures = 0
     for bound, slack in ((0, 3), (1, 1), (1, 3), (2, 1)):
-        for seed in (3, 4, 5):
-            keys.clear()
-            built.clear()
-            connectivity_probe(1, 3, bound, slack, trials=30, seed=seed)
-            expected = [key for key in keys if bound < key[1] <= bound + slack]
-            assert built == list(dict.fromkeys(expected))
-            far_seen += len(built)
-    assert far_seen > 0
+        vertices = enumerate_bounded_vertices(1, 3, bound)
+        with monkeypatch.context() as patch:
+            patch.setattr(complexes_module, "_intermediate", recording)
+            patch.setattr(complexes_module, "_disjoint_masks", recording_masks)
+            patch.setattr(complexes_module, "_vertex_map", counting)
+            patch.setattr(complexes_module, "_far_vertex", refuse)
+            patch.setattr(complexes_module, "equals", refuse)
+            for seed in (3, 4, 5):
+                keys.clear()
+                pools.clear()
+                maps.clear()
+                report = connectivity_probe(1, 3, bound, slack, trials=30, seed=seed)
+                expected = list(dict.fromkeys(k for k in keys if bound < k[1] <= bound + slack))
+                [pool] = pools
+                tail = pool[len(vertices):]
+                assert [{copy for copy, _ in c} for c in tail] == [{copy} for copy, _ in expected]
+                far = [far_vertex(1, 3, *key) for key in expected]
+                assert list(masks(pool)) == list(masks(image_cells_by_refit(vertices + far)[1]))
+                assert len(maps) == 2 * report["disconnected_pairs"]
+                far_seen += len(expected)
+                failures += report["disconnected_pairs"]
+    assert far_seen > 0 and failures > 0
+
+
+ENUMERATION_GRIDS = BOUNDED_TRUNCATIONS + [(2, 3, 0), (2, 3, 1)]
+
+
+@pytest.mark.parametrize(
+    "params", ENUMERATION_GRIDS, ids=["".join(map(str, p)) for p in ENUMERATION_GRIDS]
+)
+def test_enumeration_grid_cuts_are_one_to_twice_the_bound_plus_one(params):
+    """The full cell's translates by [-B, B] hit every value 1..2B+1, and a pinned
+    coordinate is at most 2B, so the fitted cuts are 1..2B+1 in every coordinate."""
+    k, _, bound = params
+    domain, leaves, cuts, cells = complexes_module._bounded_vertices(*params, size_limit=None)
+    assert domain == grid_cells(k, bound)
+    assert cuts == (list(range(1, 2 * bound + 2)),) * k
+    assert len(leaves) == len(cells)
+
+
+FAR_POOLS = [p for p in BOUNDED_TRUNCATIONS if p[1] >= 2]
+
+
+@pytest.mark.parametrize("params", FAR_POOLS, ids=["".join(map(str, p)) for p in FAR_POOLS])
+def test_far_cells_on_the_enumeration_grid_match_the_refit(params):
+    """Far vertices as ``_far_cells`` beside the enumeration's cells give the masks of
+    one grid fitted again to the vertex maps and the far ``_far_vertex`` maps, for
+    every copy and every offset B+1..B+4, so past 2B as well."""
+    k, n, bound = params
+    cells = complexes_module._bounded_vertices(*params, size_limit=None)[3]
+    keys = [(copy, offset) for copy in range(1, n + 1) for offset in range(bound + 1, bound + 5)]
+    assert any(offset > 2 * bound for _, offset in keys)
+    far_cells = [complexes_module._far_cells(k, bound, *key) for key in keys]
+    far = [complexes_module._far_vertex(k, n, *key) for key in keys]
+    refit = image_cells_by_refit(enumerate_bounded_vertices(*params, size_limit=None) + far)[1]
+    assert list(_disjoint_masks(cells + far_cells)) == list(_disjoint_masks(refit))
+
+
+MEETING_PAIRS = [(1, 3, 1), (1, 4, 1), (2, 3, 0)]
+
+
+@pytest.mark.parametrize(
+    "params", MEETING_PAIRS, ids=["".join(map(str, p)) for p in MEETING_PAIRS]
+)
+def test_intermediate_on_leaves_matches_the_maps(params):
+    """On every ordered pair whose images meet, the leaves' translated domain cells give
+    the (copy, offset) that the vertex maps' canonical image rays give."""
+    k, n, bound = params
+    domain, leaves, _, cells = complexes_module._bounded_vertices(*params, size_limit=None)
+    vertices = enumerate_bounded_vertices(*params, size_limit=None)
+    offsets = set()
+    for i, j in itertools.product(range(len(leaves)), repeat=2):
+        if not cells[i].isdisjoint(cells[j]):
+            got = complexes_module._intermediate(n, domain, leaves[i], leaves[j])
+            assert got == intermediate_on_maps(k, n, vertices[i], vertices[j]), (i, j)
+            offsets.add(got[1])
+    assert len(offsets) > 1 or bound == 0
+
+
+def test_size_guards_and_a_passing_probe_build_no_vertex_map(monkeypatch):
+    """The vertex guard and the graph guard fire before any vertex map is built, and a
+    probe with no failing pair builds none; a build that passes builds one per vertex."""
+    calls = []
+    vertex_map_of_leaf = complexes_module._vertex_map
+
+    def counting(*args):
+        calls.append(args)
+        return vertex_map_of_leaf(*args)
+
+    def refuse(*args):
+        raise AssertionError("the probe built a far vertex")
+
+    monkeypatch.setattr(complexes_module, "_vertex_map", counting)
+    monkeypatch.setattr(complexes_module, "_far_vertex", refuse)
+    with pytest.raises(SizeLimitError, match="disjointness graph exceeds the size limit 1000"):
+        build_sn_truncated(1, 4, 1, size_limit=1000)
+    with pytest.raises(SizeLimitError, match="vertex enumeration exceeds the size limit 10"):
+        enumerate_bounded_vertices(1, 3, 1, size_limit=10)
+    report = connectivity_probe(1, 3, 1, 3, trials=60, seed=9)
+    assert (report["connected_pairs"], report["disconnected_pairs"]) == (60, 0)
+    assert calls == []
+    assert len(build_sn_truncated(1, 3, 1).vertices) == len(calls) == 45

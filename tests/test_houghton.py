@@ -975,20 +975,23 @@ def test_seeded_generators_build_what_the_constructors_check():
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: random_element(0, 2, 1, 0), "need k >= 1 and t >= 0"),
-    (lambda: random_element(0, 0, 1, 0), "need k >= 1 and t >= 0"),
+    (lambda: random_element(0, 2, 1, 0), "need k, m, n >= 1"),
+    (lambda: random_element(0, 0, 1, 0), "need k, m, n >= 1"),
     (lambda: random_element(1, 0, 1, 0), "need k, m, n >= 1"),
     (lambda: random_element(2, -1, 2, 0), "need k, m, n >= 1"),
     (lambda: random_element(1, 2, -1, 0), "bound must be >= 0"),
     (lambda: random_element(0, 0, -1, 0), "bound must be >= 0"),
-    (lambda: random_injection(0, 1, 2, 1, 0), "need k >= 1 and t >= 0"),
+    (lambda: random_injection(0, 1, 2, 1, 0), "need k, m, n >= 1"),
+    (lambda: random_injection(0, 1, 0, 1, 0), "need 1 <= m <= n"),
     (lambda: random_injection(1, 0, 2, 1, 0), "need 1 <= m <= n"),
     (lambda: random_injection(1, 3, 2, 1, 0), "need 1 <= m <= n"),
     (lambda: random_injection(1, 1, 0, 1, 0), "need 1 <= m <= n"),
     (lambda: random_injection(1, 1, 2, -1, 0), "bound must be >= 0"),
-], ids=["k0", "k0-n0", "n0", "n-neg", "bound", "bound-first", "inj-k0", "inj-m0", "inj-m>n",
+], ids=["k0", "k0-n0", "n0", "n-neg", "bound", "bound-first", "inj-k0", "inj-k0-n0", "inj-m0", "inj-m>n",
         "inj-n0", "inj-bound"])
 def test_seeded_generators_keep_their_error_messages(make, message):
+    """A bad k or n is named as the map constructor names it, before any draw; only the
+    bound is checked first, and ``random_injection`` checks m against n before both."""
     with pytest.raises(ValidationError) as info:
         make()
     assert str(info.value) == message
