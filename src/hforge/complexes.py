@@ -1,13 +1,17 @@
 """Finite simplicial complexes, exact homology, and the stability complexes.
 
 The complexes here are finite, face-closed simplex sets over an indexed
-vertex list; homology is integral and reduced, computed from the connected
-components (the ranks of d_0 and d_1) and the Smith normal forms of the
-higher boundary matrices.  On top of that sit the bounded truncations
-of the complexes S_n whose vertices are ray injections N^k -> N^k x [n] with
-pairwise disjoint images, the projection recording where each vertex sends
-its full-dimensional ray, section construction and verification for that
-projection, homological connectivity, and weak Cohen-Macaulay certification.
+vertex list; homology is integral and reduced.  It is read off the Morse
+complex of an acyclic matching (Forman's discrete Morse theory, with the
+iterated element matchings of Jonsson; see Kozlov, "Combinatorial Algebraic
+Topology", and Skoldberg's algebraic form): the connected components give the
+ranks in degrees 0 and 1, and only the Morse boundaries between adjacent
+critical degrees from 2 up reach a Smith normal form.  On top of that sit the
+bounded truncations of the complexes S_n whose vertices are ray injections
+N^k -> N^k x [n] with pairwise disjoint images, the projection recording where
+each vertex sends its full-dimensional ray, section construction and
+verification for that projection, homological connectivity, and weak
+Cohen-Macaulay certification.
 
 Conventions: connectivity is measured homologically (q-acyclicity), -1 means
 nonempty and -2 empty; a vertex is B-bounded when its canonical grid
@@ -218,14 +222,102 @@ def skeleton(k: SimplicialComplex, d: int) -> SimplicialComplex:
 # -- homology ----------------------------------------------------------------
 
 
-def _boundary_rows(bases, d: int) -> list[dict[int, int]]:
-    """The rows of the degree-``d`` boundary (d >= 1), one per face in
-    ``bases[d - 1]``, as ``{simplex index: +-1}``."""
-    index = {s: i for i, s in enumerate(bases[d - 1])}
-    rows = [{} for _ in bases[d - 1]]
-    for col, s in enumerate(bases[d]):
-        for omit in range(len(s)):
-            rows[index[s[:omit] + s[omit + 1 :]]][col] = -1 if omit % 2 else 1
+def _faces(s: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The codimension-1 faces of a sorted simplex with their boundary signs."""
+    return [(s[:omit] + s[omit + 1 :], -1 if omit % 2 else 1) for omit in range(len(s))]
+
+
+def _matching(
+    k: SimplicialComplex, last: int, masks: list[int]
+) -> tuple[list[list[tuple[int, ...]]], dict[tuple[int, ...], tuple[int, ...]], list[list]]:
+    """Iterated element matchings on the cells of degree <= ``last`` and the empty simplex.
+
+    The vertices are taken by degree in the 1-skeleton (the bit counts of ``masks``),
+    descending, ties by index, and each cell is relabelled by the ranks of its vertices
+    in that order.  At rank r every unmatched cell holding r is paired with its face
+    without r when that face is unmatched too.  A sequence of element matchings is
+    acyclic (Jonsson, LNM 1928, 2008).  A cell waits in the bucket of its next vertex
+    whose face is not yet matched; a matched cell stays matched, so the faces skipped
+    on the way would fail at their ranks too.  Returns the relabelled cells by degree,
+    each matched face's up partner, and the critical cells of each degree.
+    """
+    order = sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    at = rank.__getitem__
+    cells = [[tuple(sorted(map(at, s))) for s in k.simplices.get(d, ())] for d in range(last + 1)]
+    buckets: list[list | None] = [[] for _ in order]
+    for layer in cells:
+        for s in layer:
+            buckets[s[0]].append(s)
+    up: dict[tuple[int, ...], tuple[int, ...]] = {}
+    matched: set[tuple[int, ...]] = set()
+    for r in range(len(order)):
+        for s in buckets[r]:
+            if s in matched:
+                continue
+            i = s.index(r)
+            face = s[:i] + s[i + 1 :]
+            if face not in matched:
+                up[face] = s
+                matched.add(face)
+                matched.add(s)
+                continue
+            for j in range(i + 1, len(s)):
+                if s[:j] + s[j + 1 :] not in matched:
+                    buckets[s[j]].append(s)
+                    break
+        buckets[r] = None
+    critical = [[s for s in layer if s not in matched] for layer in cells]
+    return cells, up, critical
+
+
+def _morse_rows(
+    cells: list[tuple[int, ...]], below: list[tuple[int, ...]], up: dict
+) -> dict[int, dict[int, int]]:
+    """The Morse boundary from the critical ``cells`` to the critical cells ``below``,
+    one degree down, as sparse rows ``{index in below: {index in cells: x}}``.
+
+    Each cell's boundary flows down the gradient paths: a face with an up partner is
+    replaced by the rest of its partner's boundary, with its own +-1 sign, so the
+    entries stay integers.  The faces are flowed in a topological order of the gradient
+    cells reachable from the cell, so each one is flowed once, with its final
+    coefficient (Forman, Adv. Math. 1998; Skoldberg, Trans. AMS 2006).
+    """
+    index = {t: i for i, t in enumerate(below)}
+    rows: dict[int, dict[int, int]] = {}
+    for col, sigma in enumerate(cells):
+        coeff: dict[tuple[int, ...], int] = dict(_faces(sigma))
+        partner_faces: dict[tuple[int, ...], list] = {}
+        finished: list[tuple[int, ...]] = []
+        for start in coeff:
+            if start in partner_faces or start not in up:
+                continue
+            partner_faces[start] = _faces(up[start])
+            stack = [(start, iter(partner_faces[start]))]
+            while stack:
+                t, todo = stack[-1]
+                for f, _ in todo:
+                    if f not in partner_faces and f in up:
+                        partner_faces[f] = _faces(up[f])
+                        stack.append((f, iter(partner_faces[f])))
+                        break
+                else:
+                    stack.pop()
+                    finished.append(t)
+        for t in reversed(finished):
+            a = coeff.pop(t, 0)
+            if a:
+                pairs = partner_faces[t]
+                # dividing by t's +-1 sign in its partner's boundary is multiplying by it
+                a *= next(sign for f, sign in pairs if f == t)
+                for f, sign in pairs:
+                    if f != t:
+                        coeff[f] = coeff.get(f, 0) - a * sign
+        for t, x in coeff.items():
+            if x and t in index:
+                rows.setdefault(index[t], {})[col] = x
     return rows
 
 
@@ -253,46 +345,61 @@ class HomologyResult:
 
 
 def reduced_homology(k: SimplicialComplex, max_degree: int | None = None) -> HomologyResult:
-    """Betti numbers and torsion from the ranks and Smith diagonals of the boundaries.
+    """Betti numbers and torsion of the Morse complex of an acyclic matching.
 
-    d_0 (the augmentation) and d_1 (the incidence matrix of the 1-skeleton)
-    are totally unimodular, so their Smith diagonals are all units: rank
-    d_0 = 1 and rank d_1 = V - c for V vertices in c components, counted by
-    ``_component_count``, and degrees 0 and 1 have no torsion.  Only d_2 and
-    up are assembled and eliminated, and degrees through ``max_degree`` need
-    no boundary above d_{max_degree+1}.  Only the layers those boundaries index
-    are sorted into bases, so degree 0 alone reads counts and components.
+    Degrees through ``top`` (``max_degree``, capped at the dimension) need the cells
+    through ``last = min(top + 1, dim)``.  From ``last = 2`` on, ``_matching`` pairs
+    them, the empty simplex included, and the critical cells left span a chain
+    complex with the same reduced homology.  Below that nothing is matched and every
+    cell is critical, the empty one too, so degree 0 alone reads only layers 0 and 1.
+    rank d_0 is 1 if the empty cell is critical and 0 if not.  Reduced H_0 is free of
+    rank (components - 1), counted by ``_component_count``, so rank d_1 = c_0 -
+    rank d_0 - (components - 1) for c_0 critical vertices.  A Morse boundary d_j with
+    j >= 2 is zero when degree j or j - 1 has no critical cell; otherwise
+    ``_morse_rows`` builds it and ``_sparse_diagonal`` gives its rank and torsion.
     """
     if k.is_empty:
         return HomologyResult(True, ())
     top = k.dim if max_degree is None else min(max_degree, k.dim)
     last = min(top + 1, k.dim)
-    sizes = [len(k.simplices.get(d, ())) for d in range(last + 1)]
-    bases = {d: k.simplices_of_dim(d) for d in range(1, last + 1)} if last >= 2 else {}
-    ranks = [1, sizes[0] - _component_count(k)]
+    masks = _neighbour_masks(k)
+    if last >= 2:
+        _, up, critical = _matching(k, last, masks)
+        empty = 0
+    else:
+        up, critical, empty = {}, [k.simplices.get(d, ()) for d in range(last + 1)], 1
+    counts = [len(c) for c in critical]
+    ranks = [empty, counts[0] - empty - _component_count(k, masks) + 1]
     torsion = [(), ()]
     for d in range(2, last + 1):
-        rows = dict(enumerate(_boundary_rows(bases, d)))
-        diag = _sparse_diagonal(rows, sizes[d - 1], sizes[d])
+        diag = []
+        if critical[d] and critical[d - 1]:
+            rows = _morse_rows(sorted(critical[d]), sorted(critical[d - 1]), up)
+            diag = _sparse_diagonal(rows, counts[d - 1], counts[d])
         ranks.append(sum(1 for x in diag if x))
         torsion.append(tuple(x for x in diag if x > 1))
     # above the dimension the boundary is zero
     ranks.append(0)
     torsion.append(())
     entries = tuple(
-        (d, sizes[d] - ranks[d] - ranks[d + 1], torsion[d + 1]) for d in range(top + 1)
+        (d, counts[d] - ranks[d] - ranks[d + 1], torsion[d + 1]) for d in range(top + 1)
     )
     return HomologyResult(False, entries)
 
 
-def _component_count(k: SimplicialComplex) -> int:
-    """The number of connected components of a nonempty complex, by repeated
-    ``_component`` searches over one neighbour mask per vertex index; vertex
-    labels that carry no 0-simplex are not counted."""
+def _neighbour_masks(k: SimplicialComplex) -> list[int]:
+    """One bitmask of 1-skeleton neighbours per vertex index."""
     masks = [0] * len(k.vertices)
     for a, b in k.simplices.get(1, ()):
         masks[a] |= 1 << b
         masks[b] |= 1 << a
+    return masks
+
+
+def _component_count(k: SimplicialComplex, masks: list[int]) -> int:
+    """The number of connected components of a nonempty complex, by repeated
+    ``_component`` searches over its ``_neighbour_masks``; vertex labels that
+    carry no 0-simplex are not counted."""
     left = sum(1 << v for (v,) in k.simplices[0])
     count = 0
     while left:
@@ -304,7 +411,8 @@ def _component_count(k: SimplicialComplex) -> int:
 def is_q_acyclic(k: SimplicialComplex, q: int) -> bool:
     """Reduced homology vanishes in degrees <= q (vacuous above the dimension).
 
-    Through degree 0 alone ``reduced_homology`` counts components and sorts no layer.
+    Through degree 0 alone ``reduced_homology`` counts components and matches no cell;
+    from q = 1 on it matches the cells through degree min(q + 1, dim) when that is 2 or more.
     """
     if k.is_empty:
         return False

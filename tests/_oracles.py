@@ -942,6 +942,17 @@ def sigma1_by_words(v, n):
 # -- reduced homology with every boundary eliminated ---------------------------
 
 
+def boundary_rows_by_faces(bases, d):
+    """The rows of the degree-``d`` boundary (d >= 1), one per face in
+    ``bases[d - 1]``, as ``{simplex index: +-1}``."""
+    index = {s: i for i, s in enumerate(bases[d - 1])}
+    rows = [{} for _ in bases[d - 1]]
+    for col, s in enumerate(bases[d]):
+        for omit in range(len(s)):
+            rows[index[s[:omit] + s[omit + 1 :]]][col] = -1 if omit % 2 else 1
+    return rows
+
+
 def reduced_homology_by_elimination(k, max_degree=None):
     """``reduced_homology`` as it first was: d_0 (the augmentation row) and
     every boundary through d_{top+1} written out as sparse rows and reduced
@@ -958,11 +969,7 @@ def reduced_homology_by_elimination(k, max_degree=None):
         if d == 0:
             rows, nrows = {0: dict.fromkeys(range(len(basis)), 1)}, 1
         else:
-            index = {s: i for i, s in enumerate(bases[d - 1])}
-            rows, nrows = {i: {} for i in range(len(index))}, len(index)
-            for col, s in enumerate(basis):
-                for omit in range(len(s)):
-                    rows[index[s[:omit] + s[omit + 1 :]]][col] = -1 if omit % 2 else 1
+            rows, nrows = dict(enumerate(boundary_rows_by_faces(bases, d))), len(bases[d - 1])
         diag = _sparse_diagonal(rows, nrows, len(basis))
         ranks.append(sum(1 for x in diag if x))
         torsion.append(tuple(x for x in diag if x > 1))
@@ -972,6 +979,53 @@ def reduced_homology_by_elimination(k, max_degree=None):
         (d, len(bases[d]) - ranks[d] - ranks[d + 1], torsion[d + 1]) for d in range(top + 1)
     )
     return HomologyResult(False, entries)
+
+
+def morse_matching_faults(cells, up, critical):
+    """What keeps ``up`` from being an acyclic matching on ``cells`` (sorted simplices
+    by degree, with the empty simplex below them) whose unpaired cells are ``critical``.
+
+    [] when every pair is a face and a coface one degree up, no cell is paired twice,
+    the empty simplex is paired, the unpaired cells of each degree are ``critical``,
+    and the face graph with the matched edges reversed has no directed cycle, found by
+    peeling off cells with no edge left into them (Kahn's algorithm).
+    """
+    present = {(): -1}
+    for d, layer in enumerate(cells):
+        present.update(dict.fromkeys(layer, d))
+    faults = []
+    partner = {}
+    for t, s in up.items():
+        if t not in present or s not in present or len(s) != len(t) + 1 or not set(t) < set(s):
+            faults.append(f"{t} -> {s} is not a face and a coface one degree up")
+        for c in (t, s):
+            if c in partner:
+                faults.append(f"{c} is paired twice")
+        partner[t], partner[s] = s, t
+    if () not in partner:
+        faults.append("the empty simplex is unpaired")
+    for d, layer in enumerate(cells):
+        if sorted(s for s in layer if s not in partner) != sorted(critical[d]):
+            faults.append(f"the critical cells of degree {d} are not the unpaired ones")
+    succ = {c: [] for c in present}
+    into = dict.fromkeys(present, 0)
+    for s in present:
+        for omit in range(len(s)):
+            f = s[:omit] + s[omit + 1 :]
+            a, b = (f, s) if up.get(f) == s else (s, f)
+            succ[a].append(b)
+            into[b] += 1
+    ready = [c for c, n in into.items() if n == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for b in succ[ready.pop()]:
+            into[b] -= 1
+            if not into[b]:
+                ready.append(b)
+    if peeled != len(present):
+        faults.append(f"{len(present) - peeled} cells lie on or behind a directed cycle")
+    return faults
 
 
 # -- FI-module relations and surjectivity on dense matrices --------------------

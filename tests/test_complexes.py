@@ -49,6 +49,7 @@ from hforge.snf import mat_mul, snf_diagonal, zero_matrix
 
 from _oracles import (
     boundary_matrices_from_facets,
+    boundary_rows_by_faces,
     bounded_vertex_census,
     connectivity_probe_by_comparison,
     component_roots_by_union_find,
@@ -60,6 +61,7 @@ from _oracles import (
     link_by_closure,
     maximal_simplices_quadratic,
     minor_gcd_diagonal,
+    morse_matching_faults,
     reduced_homology_by_elimination,
     s_section_holds_by_pairs,
     skeleton_by_closure,
@@ -104,6 +106,21 @@ def pseudo_projective_plane(m, circle=3):
             (inner[i], inner[j], centre),
         ]
     return SimplicialComplex.build(tuple(range(centre + 1)), triangles)
+
+
+def strip_beside_rp2(length):
+    """A band of the triangles (i, i+1, i+3), (i, i+2, i+3), (i, i+3, i+4) and
+    (i+2, i+3, i+4) for i < ``length``, beside a disjoint RP^2 on the last six
+    vertices.  The band's critical triangles and RP^2's critical edges lie in adjacent
+    degrees, so the Morse flow runs, and the band's gradient paths branch and merge:
+    their number grows exponentially with the length."""
+    band = {(i, i + 1, i + 3) for i in range(length)}
+    band |= {(i, i + 2, i + 3) for i in range(length)}
+    band |= {(i, i + 3, i + 4) for i in range(length)}
+    band |= {(i + 2, i + 3, i + 4) for i in range(length)}
+    n = length + 4
+    rp2 = [tuple(n + v - 1 for v in f) for f in RP2_FACETS]
+    return SimplicialComplex.build(tuple(range(n + 6)), sorted(band) + rp2)
 
 
 def rp2_complex():
@@ -218,10 +235,10 @@ def test_random_boundaries_square_to_zero(triangles, extra):
 
 def dense_boundary(bases, d):
     """The face rows of the degree-d boundary, written out with their zeros;
-    degree 0 is the augmentation row, which the library never assembles."""
+    degree 0 is the augmentation row."""
     if d == 0:
         return [[1] * len(bases[0])]
-    rows = complexes_module._boundary_rows(bases, d)
+    rows = boundary_rows_by_faces(bases, d)
     return [[row.get(j, 0) for j in range(len(bases[d]))] for row in rows]
 
 
@@ -269,57 +286,101 @@ def test_homology_projective_plane_vs_hand_built_matrices():
 
 
 def test_max_degree_assembles_no_higher_boundary(monkeypatch):
-    """d_0 and d_1 are never assembled or eliminated (their ranks come from the
-    components), and nothing above d_{max_degree+1} is either."""
-    assembled, eliminated = [], []
-    rows, diagonal = complexes_module._boundary_rows, complexes_module._sparse_diagonal
+    """No cell above degree max_degree + 1 enters the matching, none at all below
+    ``last = 2``, and ``_sparse_diagonal`` runs only on the Morse rows between adjacent
+    critical degrees >= 2 that both hold cells.  (1,4,1) leaves critical cells in
+    degree 2 alone and never eliminates; RP^2 and the pseudo-projective planes do."""
+    matched, eliminated = [], []
+    matching, diagonal = complexes_module._matching, complexes_module._sparse_diagonal
 
-    def counting_rows(bases, d):
-        assembled.append(d)
-        return rows(bases, d)
+    def recording_matching(k, last, masks):
+        cells, up, critical = matching(k, last, masks)
+        matched.append((last, [len(layer) for layer in cells], [len(c) for c in critical]))
+        return cells, up, critical
 
-    def counting_diagonal(matrix, nrows, ncols):
-        eliminated.append(ncols)
-        return diagonal(matrix, nrows, ncols)
+    def counting_diagonal(rows, nrows, ncols):
+        eliminated.append((nrows, ncols))
+        return diagonal(rows, nrows, ncols)
 
-    monkeypatch.setattr(complexes_module, "_boundary_rows", counting_rows)
+    def expected(K, max_degree):
+        top = K.dim if max_degree is None else min(max_degree, K.dim)
+        last = min(top + 1, K.dim)
+        if last < 2:
+            assert matched == [], max_degree
+            return []
+        [(got_last, sizes, counts)] = matched
+        assert got_last == last
+        assert sizes == [len(K.simplices[d]) for d in range(last + 1)]
+        adjacent = [d for d in range(2, last + 1) if counts[d] and counts[d - 1]]
+        return [(counts[d - 1], counts[d]) for d in adjacent]
+
+    monkeypatch.setattr(complexes_module, "_matching", recording_matching)
     monkeypatch.setattr(complexes_module, "_sparse_diagonal", counting_diagonal)
     rp2 = rp2_complex()
     delta3 = complex_from_json(json.loads((FIXTURES / "boundary_delta3.json").read_text()))
     points = SimplicialComplex.build(tuple(range(4)), [(0,), (2,)])
-    cases = [points, delta3, rp2, boundary_simplex(5)] + [
+    planes = [pseudo_projective_plane(m) for m in (2, 3, 5)]
+    sn141 = build_sn_truncated(1, 4, 1)
+    cases = [points, delta3, rp2, boundary_simplex(5), sn141, *planes] + [
         build_sn_truncated(*params, include_top=top)
         for params, top in (((1, 2, 1), True), ((1, 3, 1), False), ((1, 3, 1), True))
     ]
+    eliminating = set()
     for K in cases:
-        assembled.clear()
+        matched.clear()
         eliminated.clear()
         full = reduced_homology(K)
-        assert assembled == list(range(2, K.dim + 1))
-        assert eliminated == [len(K.simplices[d]) for d in assembled]
+        assert eliminated == expected(K, None)
+        if eliminated:
+            eliminating.add(id(K))
         for q in range(K.dim + 1):
-            assembled.clear()
+            matched.clear()
             eliminated.clear()
             assert reduced_homology(K, max_degree=q).entries == full.entries[: q + 1]
-            assert assembled == list(range(2, min(q + 1, K.dim) + 1)), (q, K.dim)
-            assert eliminated == [len(K.simplices[d]) for d in assembled]
+            assert eliminated == expected(K, q), (q, K.dim)
+    assert id(sn141) not in eliminating
+    assert {id(rp2), *map(id, planes)} <= eliminating
     assert reduced_homology(rp2, max_degree=1).torsion(1) == (2,)
 
 
+def assert_acyclic_matching(K):
+    """At every ``last`` up to the dimension, ``_matching`` lists each layer through
+    ``last`` and none above, passes the acyclicity oracle, and its critical counts
+    keep the reduced Euler characteristic of the ``last``-skeleton."""
+    masks = complexes_module._neighbour_masks(K)
+    for last in range(K.dim + 1):
+        cells, up, critical = complexes_module._matching(K, last, masks)
+        assert [len(layer) for layer in cells] == [len(K.simplices[d]) for d in range(last + 1)]
+        assert morse_matching_faults(cells, up, critical) == []
+        euler = -1 + sum((-1) ** d * len(K.simplices[d]) for d in range(last + 1))
+        assert sum((-1) ** d * len(c) for d, c in enumerate(critical)) == euler
+
+
 def test_reduced_homology_matches_elimination_oracle_on_fixtures():
-    """RP^2, the pseudo-projective planes and two stability truncations, at
-    every ``max_degree``: the same result as eliminating every boundary."""
+    """RP^2, the pseudo-projective planes and every bounded truncation, with and
+    without its top simplices, at every ``max_degree``: the same result as
+    eliminating every boundary.  A truncation is eliminated once, in full: through
+    degree q the elimination reads d_0..d_{q+1} only, so its entries through q are
+    the full ones, as the torsion fixtures check at every ``max_degree``.  The
+    torsion fixtures' matchings also pass the acyclicity oracle."""
     torsion = [(rp2_complex(), 2)] + [(pseudo_projective_plane(m), m) for m in (2, 3, 5, 7)]
     for K, order in torsion:
         assert reduced_homology(K).entries == ((0, 0, ()), (1, 0, (order,)), (2, 0, ()))
-    cases = [K for K, _ in torsion] + [
-        build_sn_truncated(1, 3, 1, include_top=True),
-        build_sn_truncated(1, 4, 1),
-    ]
-    for K in cases:
+        assert_acyclic_matching(K)
+        full = reduced_homology_by_elimination(K)
         for max_degree in (None, *range(K.dim + 2)):
-            got = reduced_homology(K, max_degree)
-            assert got == reduced_homology_by_elimination(K, max_degree), max_degree
+            want = reduced_homology_by_elimination(K, max_degree)
+            assert want.entries == full.entries[: len(want.entries)]
+            assert reduced_homology(K, max_degree) == want, max_degree
+    for params in BOUNDED_TRUNCATIONS:
+        for top in (False, True):
+            K = build_sn_truncated(*params, include_top=top)
+            full = reduced_homology_by_elimination(K)
+            for max_degree in (None, *range(K.dim + 2)):
+                got = reduced_homology(K, max_degree)
+                cut = K.dim if max_degree is None else min(max_degree, K.dim)
+                assert got.entries == full.entries[: cut + 1], (params, top, max_degree)
+                assert got.is_empty == full.is_empty
 
 
 SMALL_TORSION = (None, rp2_complex(), pseudo_projective_plane(2), pseudo_projective_plane(3))
@@ -335,13 +396,71 @@ SMALL_TORSION = (None, rp2_complex(), pseudo_projective_plane(2), pseudo_project
 def test_reduced_homology_matches_elimination_oracle(base, raw, unused, max_degree):
     """A random complex on labels 0..7, beside a torsion complex or alone,
     with ``unused`` labels that no simplex carries: single-vertex lists give
-    isolated vertices, and labels no list draws go unused too."""
+    isolated vertices, and labels no list draws go unused too.  Its matchings
+    also pass the acyclicity oracle."""
     shift = len(base.vertices) if base else 0
     simplices = [tuple(v + shift for v in s) for s in raw]
     if base:
         simplices += base.maximal_simplices()
     K = SimplicialComplex.build(tuple(range(shift + 8 + unused)), simplices)
     assert reduced_homology(K, max_degree) == reduced_homology_by_elimination(K, max_degree)
+    assert_acyclic_matching(K)
+
+
+def gradient_path_counts(sigma, up):
+    """For each face reached from the boundary of ``sigma`` along gradient paths (a
+    face with an up partner steps on to the partner's other faces), the number of
+    paths that reach it, summed over its in-edges by memoised recursion."""
+    starts = [t for t, _ in complexes_module._faces(sigma)]
+    into = {}
+    todo = list(starts)
+    seen = set(starts)
+    while todo:
+        t = todo.pop()
+        if t in up:
+            for f, _ in complexes_module._faces(up[t]):
+                if f != t:
+                    into.setdefault(f, []).append(t)
+                    if f not in seen:
+                        seen.add(f)
+                        todo.append(f)
+    counts = {}
+
+    def paths(t):
+        if t not in counts:
+            counts[t] = (t in starts) + sum(paths(u) for u in into.get(t, ()))
+        return counts[t]
+
+    return {t: paths(t) for t in seen}
+
+
+def test_morse_flow_expands_each_gradient_cell_once_per_critical_cell(monkeypatch):
+    """On the strip the paths from one critical triangle to one edge number in the
+    tens of thousands, yet each gradient edge it reaches is flowed once: its partner's
+    faces are listed once, after the critical triangle's own."""
+    K = strip_beside_rp2(20)
+    assert_acyclic_matching(K)
+    _, up, critical = complexes_module._matching(K, 2, complexes_module._neighbour_masks(K))
+    reached = {sigma: gradient_path_counts(sigma, up) for sigma in critical[2]}
+    assert max(n for counts in reached.values() for n in counts.values()) > 10_000
+    listed = []
+    faces = complexes_module._faces
+
+    def recording(s):
+        listed.append(s)
+        return faces(s)
+
+    monkeypatch.setattr(complexes_module, "_faces", recording)
+    assert reduced_homology(K) == reduced_homology_by_elimination(K)
+    runs = []
+    for s in listed:
+        if s in reached:
+            runs.append([s])
+        else:
+            runs[-1].append(s)
+    assert [run[0] for run in runs] == sorted(critical[2])
+    for sigma, *partners in runs:
+        assert sorted(partners) == sorted(up[t] for t in reached[sigma] if t in up)
 
 
 def test_homology_cones_are_acyclic():
@@ -955,7 +1074,7 @@ def test_size_guard_messages_name_stage_and_count():
 @settings(max_examples=300, deadline=None)
 def test_q_acyclic_matches_reduced_homology(raw):
     """Degree 0 is decided by the mask search of ``_component``, higher
-    degrees by elimination; single-vertex lists put isolated vertices in
+    degrees by the Morse complex; single-vertex lists put isolated vertices in
     many of the complexes."""
     K = SimplicialComplex.build(tuple(range(8)), raw)
     if K.is_empty:
@@ -968,25 +1087,47 @@ def test_q_acyclic_matches_reduced_homology(raw):
         assert is_q_acyclic(K, q) == all(full.is_trivial(d) for d in range(min(q, K.dim) + 1))
 
 
-def test_reduced_homology_sorts_only_the_layers_a_boundary_indexes(monkeypatch):
-    """d_0 and d_1 come from counts and components, so degrees through 0 sort no layer;
-    degrees through q >= 1 sort layers 1..q+1, the faces and columns of d_2..d_{q+1}."""
-    sorted_layers = []
-    real = SimplicialComplex.simplices_of_dim
+class RecordingLayers(dict):
+    """Simplex layers that note in ``read`` every degree looked up or iterated."""
 
-    def counted(self, d):
-        sorted_layers.append(d)
-        return real(self, d)
+    def __init__(self, layers, read):
+        super().__init__(layers)
+        self.read = read
 
-    monkeypatch.setattr(SimplicialComplex, "simplices_of_dim", counted)
-    K = full_simplex(6)
-    for max_degree, layers in ((0, []), (1, [1, 2]), (2, [1, 2, 3]), (None, [1, 2, 3, 4, 5])):
-        sorted_layers.clear()
+    def __getitem__(self, d):
+        self.read.add(d)
+        return super().__getitem__(d)
+
+    def get(self, d, default=None):
+        self.read.add(d)
+        return super().get(d, default)
+
+    def items(self):
+        self.read.update(self)
+        return super().items()
+
+    def values(self):
+        self.read.update(self)
+        return super().values()
+
+
+def test_reduced_homology_reads_only_the_layers_the_matching_needs():
+    """d_0 and d_1 come from counts and components, so degrees through 0 read layers
+    0 and 1 only; degrees through q >= 1 read layers 0..q+1, the matching's cells."""
+    read = set()
+
+    def recording(K):
+        return SimplicialComplex(K.vertices, RecordingLayers(K.simplices, read))
+
+    K = recording(full_simplex(6))
+    expected = ((0, {0, 1}), (1, {0, 1, 2}), (2, {0, 1, 2, 3}), (None, set(range(6))))
+    for max_degree, layers in expected:
+        read.clear()
         assert reduced_homology(K, max_degree).is_trivial(0)
-        assert sorted_layers == layers, max_degree
-    sorted_layers.clear()
-    assert is_q_acyclic(K, 0) and not is_q_acyclic(boundary_simplex(3), 1)
-    assert sorted_layers == []
+        assert read == layers, max_degree
+    read.clear()
+    assert is_q_acyclic(K, 0) and not is_q_acyclic(recording(boundary_simplex(3)), 1)
+    assert read == {0, 1}
 
 
 def test_q_acyclic_degree_zero_examples():
