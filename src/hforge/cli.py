@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .complexes import (
@@ -124,9 +125,66 @@ def _is_scalar_list(value) -> bool:
     )
 
 
+_INT = frozenset({int})
+
+
+def _json_text(data) -> str:
+    """``json.dumps(data, sort_keys=True, indent=2)``, byte for byte, without the
+    pure-Python encoder that ``indent`` makes ``json`` fall back to."""
+    out: list[str] = []
+    _write_json(data, "\n", out)
+    return "".join(out)
+
+
+def _write_json(x, pad: str, out: list[str]) -> None:
+    """Append the text of ``x`` at indent ``pad`` to ``out``, testing types in
+    ``json``'s order; bool, None, floats and what ``json`` rejects go to ``json.dumps``.
+    A list of plain ints, and each such row of a list, is written as one join."""
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif isinstance(x, int) and not isinstance(x, bool):
+        out.append(int.__repr__(x))
+    elif not isinstance(x, (list, tuple, dict)):
+        out.append(json.dumps(x))
+    elif not x:
+        out.append("{}" if isinstance(x, dict) else "[]")
+    elif isinstance(x, dict):
+        inner = pad + "  "
+        lead = "{" + inner
+        for key, value in sorted(x.items()):
+            if not isinstance(key, str):
+                if not isinstance(key, (int, float)) and key is not None:
+                    name = key.__class__.__name__
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {name}")
+                key = json.dumps(key)
+            out.append(lead + encode_basestring_ascii(key) + ": ")
+            lead = "," + inner
+            if type(value) is int:
+                out.append(int.__repr__(value))
+            else:
+                _write_json(value, inner, out)
+        out.append(pad + "}")
+    else:
+        inner = pad + "  "
+        if set(map(type, x)) == _INT:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x)) + pad + "]")
+            return
+        deeper = inner + "  "
+        lead = "[" + inner
+        for item in x:
+            if type(item) is list and item and set(map(type, item)) == _INT:
+                row = ("," + deeper).join(map(int.__repr__, item))
+                out.append(lead + "[" + deeper + row + inner + "]")
+            else:
+                out.append(lead)
+                _write_json(item, inner, out)
+            lead = "," + inner
+        out.append(pad + "]")
+
+
 def _emit(data, args) -> None:
     if args.format == "json":
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        text = _json_text(data) + "\n"
     else:
         text = _render_text(data) + "\n"
     if args.output:

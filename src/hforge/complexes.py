@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Iterator
+import re
 from dataclasses import dataclass
 
 from .errors import SizeLimitError, ValidationError
@@ -550,12 +550,14 @@ def enumerate_bounded_vertices(
     return [_vertex_map(k, n, bound, domain, leaf) for leaf in leaves]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_ONE = re.compile("1")
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask`` >= 0, ascending, read in one pass
+    over its binary digits: O(width + bits), where peeling the low bit off one at a
+    time copies the whole int for every bit."""
+    return [m.start() for m in _ONE.finditer(bin(mask)[:1:-1])]
 
 
 def _component(masks: list[int], start: int) -> int:
@@ -620,11 +622,14 @@ def build_sn_truncated(
     against ``size_limit`` as each mask is formed, before any layer is
     listed.  (For n = 2 the only edge layer is the top one, which keeps just
     the covering pairs, so there the layer count guards it.)  The vertex maps
-    are built from the leaves after that guard, before the layers.  A clique grows
-    by the set bits, ascending, of the AND of its vertices' masks, and a top
-    simplex is kept by its cell total.  The simplices come out layer by
-    layer, already face-closed and counted against ``size_limit``, so no
-    second closure pass runs.
+    are built from the leaves after that guard, before the layers.  A clique's
+    extensions are the set bits, ascending, of the AND of its vertices' masks;
+    they are counted against ``size_limit`` by ``int.bit_count`` before any is
+    listed.  A top simplex needs disjoint images whose cell counts sum to the
+    cell total, that is, which cover every cell, so a top-layer clique's AND
+    also keeps only the vertices with the one cell count that fills it.  The
+    simplices come out layer by layer, already face-closed, so no second
+    closure pass runs.
     """
     domain, leaves, cuts, cells = _bounded_vertices(k, n, bound, size_limit)
     cells_total = n * math.prod(map(len, cuts))
@@ -647,6 +652,11 @@ def build_sn_truncated(
                         f"{total} vertices and edges"
                     )
     labels = tuple(_vertex_map(k, n, bound, domain, leaf) for leaf in leaves)
+    # by_count[c]: the vertices whose images have c cells, for the top layer
+    by_count: dict[int, int] = {}
+    if include_top:
+        for v, c in enumerate(cells):
+            by_count[len(c)] = by_count.get(len(c), 0) | 1 << v
     layers = [[(i,) for i in range(count)]]
     total = count
     for dim in range(1, max_dim + 1):
@@ -655,17 +665,15 @@ def build_sn_truncated(
             common = later[s[0]]
             for v in s[1:]:
                 common &= later[v]
-            for w in _bits(common):
-                t = s + (w,)
-                if dim == n - 1 and sum(len(cells[v]) for v in t) != cells_total:
-                    continue
-                next_layer.append(t)
-                total += 1
-                if total > limit:
-                    raise SizeLimitError(
-                        f"simplex layers exceed the size limit {size_limit}: "
-                        f"{total} simplices at dimension {dim}"
-                    )
+            if dim == n - 1:
+                common &= by_count.get(cells_total - sum(len(cells[v]) for v in s), 0)
+            total += common.bit_count()
+            if total > limit:
+                raise SizeLimitError(
+                    f"simplex layers exceed the size limit {size_limit}: "
+                    f"{limit + 1} simplices at dimension {dim}"
+                )
+            next_layer += [s + (w,) for w in _bits(common)]
         layers.append(next_layer)
     simplices = {d: frozenset(layer) for d, layer in enumerate(layers) if layer}
     return SimplicialComplex(labels, simplices)

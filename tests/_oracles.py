@@ -1259,3 +1259,62 @@ def connectivity_probe_by_comparison(k, n, bound, slack, trials, seed, size_limi
     # reduced H_0 of a connected component is zero
     report["component_betti0"] = 0
     return report
+
+
+def set_bits_by_peeling(mask):
+    """The set bits of ``mask`` >= 0, ascending, peeled off one low bit at a time."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def sn_layers_bit_by_bit(k, n, bound, include_top=False, size_limit=200_000):
+    """The simplices of ``complexes.build_sn_truncated`` as it listed them before it
+    listed in bulk: each clique grows one set bit at a time, peeled off the AND of
+    its masks low bit first, every n-vertex candidate is kept or dropped by its
+    cell total, and the layer guard counts one simplex at a time.  The vertex and
+    graph guards fire as the build's do."""
+    from hforge.complexes import _bounded_vertices
+    from hforge.errors import SizeLimitError
+    from hforge.rays import _disjoint_masks
+
+    _, leaves, cuts, cells = _bounded_vertices(k, n, bound, size_limit)
+    cells_total = n * math.prod(map(len, cuts))
+    max_dim = n - 1 if include_top else n - 2
+    if include_top and n == 1:
+        leaves = [leaf for leaf, c in zip(leaves, cells) if len(c) == cells_total]
+    limit = math.inf if size_limit is None else size_limit
+    later = []
+    total = len(leaves)
+    if max_dim >= 1:
+        for v, mask in enumerate(_disjoint_masks(cells)):
+            later.append(mask >> (v + 1) << (v + 1))
+            if n >= 3:
+                total += later[v].bit_count()
+                if total > limit:
+                    raise SizeLimitError(
+                        f"disjointness graph exceeds the size limit {size_limit}: "
+                        f"{total} vertices and edges"
+                    )
+    layers = [[(i,) for i in range(len(leaves))]]
+    total = len(leaves)
+    for dim in range(1, max_dim + 1):
+        next_layer = []
+        for s in layers[-1]:
+            common = later[s[0]]
+            for v in s[1:]:
+                common &= later[v]
+            for w in set_bits_by_peeling(common):
+                t = s + (w,)
+                if dim == n - 1 and sum(len(cells[v]) for v in t) != cells_total:
+                    continue
+                next_layer.append(t)
+                total += 1
+                if total > limit:
+                    raise SizeLimitError(
+                        f"simplex layers exceed the size limit {size_limit}: "
+                        f"{total} simplices at dimension {dim}"
+                    )
+        layers.append(next_layer)
+    return {d: frozenset(layer) for d, layer in enumerate(layers) if layer}

@@ -19,9 +19,19 @@ from _oracles import RP2_FACETS
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def assert_json_dumps_bytes(out):
+    """CLI JSON is exactly what ``json.dumps(..., sort_keys=True, indent=2)`` writes."""
+    if isinstance(out, bytes):
+        out = out.decode("utf-8")
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
+    text_format = "--format" in argv and argv[argv.index("--format") + 1] == "text"
+    if out.out and not text_format:
+        assert_json_dumps_bytes(out.out)
     return code, out.out, out.err
 
 
@@ -949,6 +959,7 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["sigma"] == [1, 2]
+    assert_json_dumps_bytes(proc.stdout)
 
 
 def test_cross_process_byte_identity():
@@ -975,6 +986,7 @@ def test_cross_process_byte_identity():
                 cwd=str(FIXTURES.parent.parent),
             )
             assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            assert_json_dumps_bytes(proc.stdout)
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1], f"build-sn --n {n} differs across hash seeds"
 
@@ -1018,6 +1030,7 @@ def test_element_verify_far_gap_answers_quickly():
     assert json.loads(proc.stdout)["problems"] == [
         "domain is not a ray partition: uncovered cell Ray(base=(1, 1, 2), dirs=()) on copy 1"
     ]
+    assert_json_dumps_bytes(proc.stdout)
 
 
 def test_far_planes_invert_and_compose_answer_quickly():
@@ -1040,6 +1053,7 @@ def test_far_planes_invert_and_compose_answer_quickly():
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == identity, argv
+        assert_json_dumps_bytes(proc.stdout)
 
 
 # -- mutated input files through every file-reading verb -----------------------
@@ -1122,6 +1136,72 @@ def test_mutated_input_files_never_raise():
                         code = main([group, verb, *files])
                     assert code in (0, 1, 2, 3), (group, verb, data)
                     assert "Traceback" not in err.getvalue(), (group, verb, data)
+                    if out.getvalue():
+                        assert_json_dumps_bytes(out.getvalue())
 
     with mock.patch.dict(os.environ, {"HFORGE_SIZE_LIMIT": "2000"}):
         check()
+
+
+# -- the JSON writer against json.dumps -----------------------------------------
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def _dumps_outcome(write, data):
+    """The text ``write`` gives for ``data``, or the type and words of what it raised."""
+    try:
+        return write(data)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_json_writer_matches_json_dumps():
+    """``cli._json_text`` gives ``json.dumps(x, sort_keys=True, indent=2)`` byte for
+    byte, and raises what it raises for a key or a value that ``json`` rejects."""
+    import enum
+
+    from hypothesis import given, settings, strategies as st
+
+    Level = enum.IntEnum("Level", "LOW HIGH")
+    strings = st.text() | st.text(alphabet='"\\/\x00\x1f\x7fé \ud800\U0001f600ab')
+    keys = st.one_of(
+        strings, st.integers(), st.sampled_from([True, False, None, 1.5, float("nan"), (1, 2)])
+    )
+    scalars = st.one_of(
+        st.integers(),
+        st.sampled_from([2**64, -(2**64), 10**1000, -(10**1000), 0, -1, Level.HIGH]),
+        st.booleans(),
+        st.none(),
+        strings,
+        st.floats(),
+        st.sampled_from([object(), {1, 2}, b"x"]),
+    )
+
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.lists(children, max_size=4).map(_List),
+            st.lists(st.integers(), max_size=6),
+            st.lists(st.lists(st.integers() | st.booleans(), max_size=4), max_size=4),
+            st.dictionaries(strings, children, max_size=4),
+            st.dictionaries(st.integers(), children, max_size=4),
+            st.dictionaries(strings, children, max_size=4).map(_Dict),
+            st.dictionaries(keys, children, max_size=3),
+        )
+
+    @given(st.recursive(scalars, containers, max_leaves=25))
+    @settings(max_examples=800, deadline=None)
+    def check(data):
+        assert _dumps_outcome(cli_module._json_text, data) == _dumps_outcome(
+            lambda x: json.dumps(x, sort_keys=True, indent=2), data
+        )
+
+    check()

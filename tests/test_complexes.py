@@ -64,7 +64,9 @@ from _oracles import (
     morse_matching_faults,
     reduced_homology_by_elimination,
     s_section_holds_by_pairs,
+    set_bits_by_peeling,
     skeleton_by_closure,
+    sn_layers_bit_by_bit,
     sn_simplices_brute_force,
     star_by_closure,
     uncovered_cells_by_containment,
@@ -1201,6 +1203,36 @@ def test_build_sn_truncated_without_vertices(monkeypatch):
         assert K.vertices == ()
         assert K.simplices == {}
         assert K.is_empty
+
+
+@pytest.mark.parametrize("include_top", [False, True], ids=["", "top"])
+@pytest.mark.parametrize(
+    "params", BOUNDED_TRUNCATIONS, ids=["".join(map(str, p)) for p in BOUNDED_TRUNCATIONS]
+)
+def test_layers_match_bit_by_bit_oracle(params, include_top):
+    """Listing each clique's extensions in bulk, and the top layer through the
+    cell-count masks, gives the layers that growing one bit at a time gave.  At
+    each layer's cumulative count - 1, and halfway through the layer, where one
+    clique's extensions overshoot the limit, both stop at the same guard in the
+    same words."""
+    expected = sn_layers_bit_by_bit(*params, include_top=include_top, size_limit=None)
+    built = build_sn_truncated(*params, include_top=include_top, size_limit=None)
+    assert built.simplices == expected
+    total = 0
+    for d in sorted(expected):
+        below, total = total, total + len(expected[d])
+        for limit in sorted({total - 1, below + len(expected[d]) // 2}):
+            with pytest.raises(SizeLimitError) as want:
+                sn_layers_bit_by_bit(*params, include_top=include_top, size_limit=limit)
+            with pytest.raises(SizeLimitError) as got:
+                build_sn_truncated(*params, include_top=include_top, size_limit=limit)
+            assert str(got.value) == str(want.value)
+
+
+@given(st.integers(0, 2**300) | st.sampled_from([0, 1, 2**4000, 2**4000 - 1]))
+@settings(max_examples=300, deadline=None)
+def test_bits_match_peeling(mask):
+    assert complexes_module._bits(mask) == list(set_bits_by_peeling(mask))
 
 
 def test_pair_test_matches_all_pairs_oracle():
