@@ -20,12 +20,15 @@ n vertices count as top simplices only when their images are jointly
 surjective, which is opt-in via ``include_top``.
 
 Values from outside are checked once, where they enter, and maps hforge builds
-itself are built unchecked and never validated again.  The public section
-functions check k and n, and they and ``simplex_test`` check every vertex they
-are given with ``houghton.validate``; the enumerated vertices and a section's far
-vertices (``_far_vertex``) are built unchecked.  A truncation vertex is its enumeration
-leaf, one translation per threshold-B domain cell; ``_vertex_map`` builds its map after
-the size guards, where output needs it, and the probe only for a failing pair.  A far
+itself are built unchecked and never validated again.  ``SimplicialComplex.build``
+checks simplex entries for every caller, the JSON reader included.  Maximal simplices
+are found layer by layer, a simplex's cofaces in the layers above it, and a matching
+ranks only the complex's own vertices.  The public section functions check k and n,
+and they and ``simplex_test`` check every vertex they are given with
+``houghton.validate``; the enumerated vertices and a section's far vertices
+(``_far_vertex``) are built unchecked.  A truncation vertex is its enumeration leaf,
+one translation per threshold-B domain cell; ``_vertex_map`` builds its map after the
+size guards, where output needs it, and the probe only for a failing pair.  A far
 vertex of the probe is its ``(copy, offset)`` and its cells on the enumeration grid.
 """
 from __future__ import annotations
@@ -89,20 +92,14 @@ __all__ = [
 DEFAULT_SIZE_LIMIT = 200_000
 
 
-def _close_faces(
-    simplices: set[tuple[int, ...]], size_limit: int | None
-) -> dict[int, set[tuple[int, ...]]]:
-    """Every nonempty face of the given sorted simplices, by dimension.
+def _close_faces(by_dim: dict[int, set[tuple[int, ...]]], size_limit: int | None) -> None:
+    """Add to ``by_dim``, sorted simplices by dimension, every nonempty face of them.
 
     Faces are added one dimension at a time from the top down, and the count
     is checked after every face, so an oversized closure stops as soon as it
     passes ``size_limit`` rather than after it has been built.
     """
     limit = math.inf if size_limit is None else size_limit
-    by_dim: dict[int, set[tuple[int, ...]]] = {}
-    for s in simplices:
-        if s:
-            by_dim.setdefault(len(s) - 1, set()).add(s)
     total = sum(len(v) for v in by_dim.values())
     if total > limit:
         raise SizeLimitError(
@@ -120,7 +117,6 @@ def _close_faces(
                         f"{rest + len(lower)} simplices at dimension {d - 1}"
                     )
         total = rest + len(lower)
-    return by_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,16 +128,25 @@ class SimplicialComplex:
 
     @classmethod
     def build(cls, vertices, simplices, size_limit: int | None = DEFAULT_SIZE_LIMIT):
-        """Face closure of arbitrary index tuples; every listed simplex is kept."""
-        raw = set()
+        """Face closure of arbitrary index tuples; every listed simplex is kept.
+
+        The one check of simplex entries, for every caller, simplex by simplex: exact
+        ints (no bool or float), no repeats, within the vertex range.
+        """
+        by_dim: dict[int, set[tuple[int, ...]]] = {}
         for s in simplices:
+            if not set(map(type, s)) <= {int}:
+                raise ValidationError(
+                    f"simplex entries must be integer vertex indices, got {list(s)!r}"
+                )
             t = tuple(sorted(set(s)))
             if len(t) != len(s):
                 raise ValidationError(f"simplex with repeated vertices: {s!r}")
-            if t and (t[0] < 0 or t[-1] >= len(vertices)):
-                raise ValidationError(f"simplex {s!r} outside vertex range")
-            raw.add(t)
-        by_dim = _close_faces(raw, size_limit)
+            if t:
+                if t[0] < 0 or t[-1] >= len(vertices):
+                    raise ValidationError(f"simplex {s!r} outside vertex range")
+                by_dim.setdefault(len(t) - 1, set()).add(t)
+        _close_faces(by_dim, size_limit)
         return cls(tuple(vertices), {d: frozenset(v) for d, v in sorted(by_dim.items())})
 
     @property
@@ -170,47 +175,48 @@ class SimplicialComplex:
         return sum((-1) ** d * len(v) for d, v in self.simplices.items())
 
     def maximal_simplices(self) -> list[tuple[int, ...]]:
-        """Simplices that are no codimension-1 face of another, by (size, tuple).
+        """Simplices that are no face of another, by (size, tuple): each layer's
+        ``_maximal`` simplices sorted, concatenated by dimension."""
+        return [s for d in sorted(self.simplices) for s in sorted(self._maximal(d))]
+
+    def _maximal(self, d: int) -> frozenset[tuple[int, ...]]:
+        """The d-simplices that are no face of a (d+1)-simplex.
 
         In a face-closed complex a simplex lies in a larger one exactly when
         it is a codimension-1 face of some simplex one dimension up.
         """
-        out = []
-        for d, layer in self.simplices.items():
-            covered = {
-                s[:omit] + s[omit + 1 :]
-                for s in self.simplices.get(d + 1, ())
-                for omit in range(d + 2)
-            }
-            out.extend(layer - covered)
-        return sorted(out, key=lambda s: (len(s), s))
+        covered = {
+            s[:omit] + s[omit + 1 :] for s in self.simplices.get(d + 1, ()) for omit in range(d + 2)
+        }
+        return self.simplices[d] - covered
 
 
-def _cofaces(k: SimplicialComplex, simplex) -> tuple[set, list[tuple[int, ...]]]:
-    """The vertex set of ``simplex`` and the simplices of ``k`` containing it."""
+def _cofaces(k: SimplicialComplex, simplex) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The sorted ``simplex`` and the simplices of ``k`` that properly contain it,
+    read from the layers above its own."""
     s = tuple(sorted(simplex))
     if s not in k:
         raise ValidationError(f"{simplex!r} is not a simplex of the complex")
     sset = set(s)
-    layers = (layer for d, layer in k.simplices.items() if d >= len(s) - 1)
-    return sset, [rho for layer in layers for rho in layer if sset.issubset(rho)]
+    layers = (layer for d, layer in k.simplices.items() if d >= len(s))
+    return s, [rho for layer in layers for rho in layer if sset.issubset(rho)]
 
 
 def link(k: SimplicialComplex, simplex) -> SimplicialComplex:
     """Lk(s) = { t : t disjoint from s, t u s in K }, over the same labels;
     face-closed as found, since a face of such a t again joins s in K."""
-    sset, cofaces = _cofaces(k, simplex)
+    s, cofaces = _cofaces(k, simplex)
     by_dim: dict[int, set[tuple[int, ...]]] = {}
     for rho in cofaces:
-        if len(rho) > len(sset):
-            t = tuple(v for v in rho if v not in sset)
-            by_dim.setdefault(len(t) - 1, set()).add(t)
+        t = tuple(v for v in rho if v not in s)
+        by_dim.setdefault(len(t) - 1, set()).add(t)
     return SimplicialComplex(k.vertices, {d: frozenset(by_dim[d]) for d in sorted(by_dim)})
 
 
 def star(k: SimplicialComplex, simplex) -> SimplicialComplex:
     """Closed star: all simplices joining with ``simplex``, plus faces."""
-    return SimplicialComplex.build(k.vertices, _cofaces(k, simplex)[1], size_limit=None)
+    s, cofaces = _cofaces(k, simplex)
+    return SimplicialComplex.build(k.vertices, [s, *cofaces], size_limit=None)
 
 
 def skeleton(k: SimplicialComplex, d: int) -> SimplicialComplex:
@@ -232,20 +238,18 @@ def _matching(
 ) -> tuple[list[list[tuple[int, ...]]], dict[tuple[int, ...], tuple[int, ...]], list[list]]:
     """Iterated element matchings on the cells of degree <= ``last`` and the empty simplex.
 
-    The vertices are taken by degree in the 1-skeleton (the bit counts of ``masks``),
-    descending, ties by index, and each cell is relabelled by the ranks of its vertices
-    in that order.  At rank r every unmatched cell holding r is paired with its face
+    The complex's 0-simplices are taken by degree in the 1-skeleton (the bit counts of
+    ``masks``), descending, ties by index, and each cell is relabelled by the ranks of
+    its vertices in that order, through a dict, so unused vertex labels cost nothing.
+    At rank r every unmatched cell holding r is paired with its face
     without r when that face is unmatched too.  A sequence of element matchings is
     acyclic (Jonsson, LNM 1928, 2008).  A cell waits in the bucket of its next vertex
     whose face is not yet matched; a matched cell stays matched, so the faces skipped
     on the way would fail at their ranks too.  Returns the relabelled cells by degree,
     each matched face's up partner, and the critical cells of each degree.
     """
-    order = sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
-    rank = [0] * len(order)
-    for r, v in enumerate(order):
-        rank[v] = r
-    at = rank.__getitem__
+    order = sorted((v for (v,) in k.simplices[0]), key=lambda v: (-masks[v].bit_count(), v))
+    at = {v: r for r, v in enumerate(order)}.__getitem__
     cells = [[tuple(sorted(map(at, s))) for s in k.simplices.get(d, ())] for d in range(last + 1)]
     buckets: list[list | None] = [[] for _ in order]
     for layer in cells:
@@ -443,7 +447,8 @@ def wcm_check(k: SimplicialComplex, n: int) -> tuple[bool, str | None]:
     p-simplex link; thresholds at or below -2 are vacuous, -1 means nonempty.
     The threshold falls as p grows, so the scan stops at the first vacuous
     one; at -1 the link of s is empty exactly when s is maximal, so links
-    are built only at thresholds 0 and up.
+    are built only at thresholds 0 and up, and that layer's ``_maximal``
+    simplices are the only ones computed.
     """
     def meets(complex_, target, what):
         if target <= -2:
@@ -461,7 +466,7 @@ def wcm_check(k: SimplicialComplex, n: int) -> tuple[bool, str | None]:
         target = n - d - 2
         if target <= -2:
             break
-        maximal = set(k.maximal_simplices()) if target == -1 else ()
+        maximal = k._maximal(d) if target == -1 else ()
         for s in sorted(k.simplices[d]):
             if target >= 0:
                 problem = meets(link(k, s), target, f"link of {s}")
@@ -960,17 +965,9 @@ def complex_from_json(data: dict, size_limit: int | None = DEFAULT_SIZE_LIMIT) -
             raise ValidationError(f"{field} must be a JSON array, got {type(value).__name__}")
     if not all(isinstance(s, (list, tuple)) for s in maximal):
         raise ValidationError("every entry of maximal_simplices must be a JSON array")
-    maximal = [tuple(s) for s in maximal]
-    for s in maximal:
-        if any(not isinstance(i, int) or isinstance(i, bool) for i in s):
-            raise ValidationError(f"simplex entries must be integer vertex indices, got {list(s)!r}")
-    labels = []
-    for v in vertices:
-        if isinstance(v, dict) and "pieces" in v:
-            labels.append(map_from_json(v))
-        else:
-            labels.append(v)
-    return SimplicialComplex.build(tuple(labels), maximal, size_limit)
+    labels = tuple(map_from_json(v) if isinstance(v, dict) and "pieces" in v else v for v in vertices)
+    # ``build`` checks each simplex's entries; as tuples, its messages read as they always have
+    return SimplicialComplex.build(labels, map(tuple, maximal), size_limit)
 
 
 def homology_to_json(hom: HomologyResult) -> list[dict]:

@@ -217,11 +217,7 @@ class MapDiagnostics:
 
 
 def identity_map(k: int, n: int) -> HoughtonMap:
-    full = Ray((1,) * k, tuple(range(1, k + 1)))
-    pieces = tuple(
-        (MarkedRay(full, c), Translation((0,) * k, c)) for c in range(1, n + 1)
-    )
-    return HoughtonMap(k, n, n, pieces)
+    return embed_symmetric(PermutationN.identity(n), k)
 
 
 def _image_rays(f: HoughtonMap) -> tuple[MarkedRay, ...]:

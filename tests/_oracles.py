@@ -700,6 +700,33 @@ def star_by_closure(k, simplex):
     return SimplicialComplex.build(k.vertices, found, size_limit=None)
 
 
+def maximal_simplices_by_global_sort(k):
+    """``SimplicialComplex.maximal_simplices`` as it was before it sorted layer by
+    layer: every layer's maximal simplices gathered, then sorted together through a
+    key function."""
+    out = []
+    for d, layer in k.simplices.items():
+        covered = {
+            s[:omit] + s[omit + 1 :] for s in k.simplices.get(d + 1, ()) for omit in range(d + 2)
+        }
+        out.extend(layer - covered)
+    return sorted(out, key=lambda s: (len(s), s))
+
+
+def cofaces_by_full_scan(k, simplex):
+    """``complexes._cofaces`` as it was before it read only the layers above the
+    simplex: the vertex set of ``simplex`` and every simplex of ``k`` containing it,
+    the simplex itself included, found by scanning its own layer and every one above."""
+    from hforge.errors import ValidationError
+
+    s = tuple(sorted(simplex))
+    if s not in k:
+        raise ValidationError(f"{simplex!r} is not a simplex of the complex")
+    sset = set(s)
+    layers = (layer for d, layer in k.simplices.items() if d >= len(s) - 1)
+    return sset, [rho for layer in layers for rho in layer if sset.issubset(rho)]
+
+
 def skeleton_by_closure(k, d):
     """The d-skeleton, face-closed again."""
     from hforge.complexes import SimplicialComplex

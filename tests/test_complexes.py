@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,7 @@ from _oracles import (
     boundary_matrices_from_facets,
     boundary_rows_by_faces,
     bounded_vertex_census,
+    cofaces_by_full_scan,
     connectivity_probe_by_comparison,
     component_roots_by_union_find,
     disjoint_pairs_by_buckets,
@@ -59,6 +61,7 @@ from _oracles import (
     images_disjoint_all_pairs,
     intermediate_on_maps,
     link_by_closure,
+    maximal_simplices_by_global_sort,
     maximal_simplices_quadratic,
     minor_gcd_diagonal,
     morse_matching_faults,
@@ -161,6 +164,22 @@ def test_build_and_face_closure():
         SizeLimitError, match=r"face closure exceeds the size limit 100: 101 simplices"
     ):
         SimplicialComplex.build(tuple(range(20)), [tuple(range(20))], size_limit=100)
+
+
+@pytest.mark.parametrize("simplex", [(0.0, 1), (True, 0), (0, "a")], ids=["float", "bool", "string"])
+def test_build_takes_integer_indices_only(simplex):
+    message = f"simplex entries must be integer vertex indices, got {list(simplex)!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        SimplicialComplex.build((0, 1), [simplex])
+
+
+def test_complex_reader_reports_the_first_faulty_simplex():
+    """``build`` checks the JSON reader's simplices one by one, in the file's order."""
+    repeat = "simplex with repeated vertices: (0, 0)"
+    not_int = "simplex entries must be integer vertex indices, got [0.5, 1]"
+    for simplices, message in [([[0, 0], [0.5, 1]], repeat), ([[0.5, 1], [0, 0]], not_int)]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            complex_from_json({"vertices": [0, 1], "maximal_simplices": simplices})
 
 
 def test_link_star_skeleton_examples():
@@ -1170,6 +1189,107 @@ def test_maximal_simplices_match_quadratic_reference_on_fixtures():
     ]
     for K in fixtures:
         assert K.maximal_simplices() == maximal_simplices_quadratic(K.simplices)
+
+
+def link_by_full_scan(K, s):
+    """``link`` as it was, on the full-scan cofaces, which hold the simplex itself."""
+    sset, cofaces = cofaces_by_full_scan(K, s)
+    by_dim = {}
+    for rho in cofaces:
+        if len(rho) > len(sset):
+            t = tuple(v for v in rho if v not in sset)
+            by_dim.setdefault(len(t) - 1, set()).add(t)
+    return SimplicialComplex(K.vertices, {d: frozenset(by_dim[d]) for d in sorted(by_dim)})
+
+
+def star_by_full_scan(K, s):
+    """``star`` as it was: the face closure of the full-scan cofaces."""
+    return SimplicialComplex.build(K.vertices, cofaces_by_full_scan(K, s)[1], size_limit=None)
+
+
+def assert_layers_match_full_scan_oracles(K, simplices):
+    """``maximal_simplices`` sorted once over all layers, and ``link`` and ``star`` of
+    each given simplex from cofaces found by scanning its own layer too."""
+    assert K.maximal_simplices() == maximal_simplices_by_global_sort(K)
+    for s in simplices:
+        assert_same_complex(link(K, s), link_by_full_scan(K, s))
+        assert_same_complex(star(K, s), star_by_full_scan(K, s))
+
+
+def test_layers_match_full_scan_oracles_on_fixtures():
+    fixtures = [
+        SimplicialComplex.build((), []),
+        *wcm_fixtures(),
+        complex_from_json(json.loads((FIXTURES / "rp2.json").read_text())),
+        link(boundary_simplex(5), (0,)),
+        SimplicialComplex.build(tuple(range(3000)), [(2990, 2991, 2992), (5, 2990)]),
+    ]
+    for K in fixtures:
+        assert_layers_match_full_scan_oracles(K, K.all_simplices())
+
+
+@pytest.mark.parametrize("include_top", [False, True], ids=["", "top"])
+@pytest.mark.parametrize(
+    "params", BOUNDED_TRUNCATIONS, ids=["".join(map(str, p)) for p in BOUNDED_TRUNCATIONS]
+)
+def test_layers_match_full_scan_oracles_on_truncations(params, include_top):
+    """Every maximal simplex, and the links and stars of six seeded simplices per
+    layer (or all of a smaller layer), since each full scan reads the whole complex."""
+    K = build_sn_truncated(*params, include_top=include_top, size_limit=None)
+    rng = random.Random("".join(map(str, params)) + str(include_top))
+    picked = [
+        s
+        for d in sorted(K.simplices)
+        for s in rng.sample(sorted(K.simplices[d]), min(6, len(K.simplices[d])))
+    ]
+    assert_layers_match_full_scan_oracles(K, picked)
+
+
+@given(
+    st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True), max_size=10),
+    st.integers(0, 20),
+)
+@settings(max_examples=200, deadline=None)
+def test_layers_match_full_scan_oracles_hypothesis(raw, unused):
+    K = SimplicialComplex.build(tuple(range(10 + unused)), raw)
+    assert_layers_match_full_scan_oracles(K, K.all_simplices())
+
+
+def test_wcm_check_lists_no_maximal_simplices(monkeypatch):
+    """At threshold -1 ``wcm_check`` reads the maximal simplices of the one layer it
+    tests, and never lists those of the whole complex."""
+    calls = []
+    listed = SimplicialComplex.maximal_simplices
+
+    def counting(self):
+        calls.append(self)
+        return listed(self)
+
+    monkeypatch.setattr(SimplicialComplex, "maximal_simplices", counting)
+    link_of = memoised_link()
+    kinds = set()
+    for K in [*wcm_fixtures(), build_sn_truncated(1, 3, 1, include_top=True)]:
+        for n in range(-3, K.dim + 3):
+            got = wcm_check(K, n)
+            assert got == wcm_check_every_link(K, n, link_of)
+            kinds.add(wcm_message_kind(*got))
+    assert "link empty" in kinds
+    assert calls == []
+
+
+def test_link_homology_ranks_only_the_links_own_vertices():
+    """A link keeps its parent's 5,000 labels; its matching relabels onto its own
+    0-simplices, ranks 0..5, the isolated 4999 included, which ties with every unused
+    label at degree 0, and its homology matches exact elimination."""
+    K = SimplicialComplex.build(
+        tuple(range(5000)), [(4990, 4991, 4992, 4993), (17, 4000, 4990), (4990, 4999)]
+    )
+    L = link(K, (4990,))
+    assert len(L.vertices) == 5000 and len(L.simplices[0]) == 6
+    cells, _, _ = complexes_module._matching(L, L.dim, complexes_module._neighbour_masks(L))
+    assert {v for layer in cells for s in layer for v in s} == set(range(6))
+    assert reduced_homology(L) == reduced_homology_by_elimination(L)
+    assert reduced_homology(L).entries == ((0, 2, ()), (1, 0, ()), (2, 0, ()))
 
 
 def _indexed_simplices(K, candidates):

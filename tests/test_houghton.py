@@ -99,6 +99,27 @@ def transposition_of_first_two_points():
     )
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_identity_map_fixes_every_copy(k, n):
+    full = Ray((1,) * k, tuple(range(1, k + 1)))
+    pieces = tuple((MarkedRay(full, c), Translation((0,) * k, c)) for c in range(1, n + 1))
+    ident = identity_map(k, n)
+    assert (ident.k, ident.m, ident.n, ident.pieces) == (k, n, n, pieces)
+
+
+@pytest.mark.parametrize("k, n, message", [
+    (0, 1, "points need at least one coordinate"),
+    (0, 0, "points need at least one coordinate"),
+    (-1, 2, "points need at least one coordinate"),
+    (1, 0, "need k, m, n >= 1"),
+    (2, -1, "need k, m, n >= 1"),
+])
+def test_identity_map_rejects_k_and_n_below_one(k, n, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        identity_map(k, n)
+
+
 def test_validate_examples():
     diag = validate(identity_map(1, 2))
     assert diag.valid and diag.bijective
