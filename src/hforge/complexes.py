@@ -11,7 +11,8 @@ bounded truncations of the complexes S_n whose vertices are ray injections
 N^k -> N^k x [n] with pairwise disjoint images, the projection recording where
 each vertex sends its full-dimensional ray, section construction and
 verification for that projection, homological connectivity, and weak
-Cohen-Macaulay certification.
+Cohen-Macaulay certification.  A section is verified on the pairs (vertex of
+S, copy), which decide the link biconditional for every pair of simplices.
 
 Conventions: connectivity is measured homologically (q-acyclicity), -1 means
 nonempty and -2 empty; a vertex is B-bounded when its canonical grid
@@ -47,7 +48,6 @@ from .houghton import (
     _k_piece,
     _map_of_cells,
     _translation,
-    equals,
     map_from_json,
     map_to_json,
     validate,
@@ -760,13 +760,14 @@ def _far_vertex(k: int, n: int, copy: int, offset: int) -> HoughtonMap:
 def verify_s_section(
     k: int, n: int, s_vertices: list[HoughtonMap], rho: list[HoughtonMap]
 ) -> tuple[bool, tuple | None]:
-    """Exhaustively check the link biconditional defining an S-section.
+    """Check the link biconditional defining an S-section.
 
     For every simplex sigma spanned by S and every simplex tau of the
     codomain skeleton: tau lies in the link of the projected sigma iff the
     section's image of tau lies in the link of sigma.  Returns the first
-    failing pair, if any.  k and n are checked first, then every vertex, the
-    section's and then S's by ``_s_images``, whose image rays the check reuses.
+    failing pair, if any; the pairs ({v}, {p}) decide, as ``_verify_s_section``
+    explains.  k and n are checked first, then every vertex, the section's and
+    then S's by ``_s_images``, whose image rays the check reuses.
     """
     _check_ambient(k, n)
     for f in rho:
@@ -781,62 +782,40 @@ def _verify_s_section(
     """``verify_s_section`` on valid vertices: S, checked by ``_s_images`` or
     built valid by the caller, and a section such as ``_s_section`` builds.
 
-    ``s_images`` are S's image rays.  One ``_cell_sets``
-    grid is fitted to them and to the section's image rays, the only ones
-    computed here.  Simplices are read off one ``_disjoint_masks`` bitmask
-    per map, taken over the section (bit p-1 for copy p) and the distinct
-    vertices of S.  S is deduplicated within groups of equal cell sets,
-    since equal maps have equal images.  The section spans a simplex
-    (checked for n >= 3; for smaller n a tau has one vertex), so
-    sigma + rho(tau) spans one exactly when it has at most n - 1 vertices
-    and tau lies in the AND of sigma's masks.  A vertex of sigma equal to a
-    section vertex shares its nonempty image, so that AND already rejects
-    the repeat.
+    Two facts reduce the biconditional to the |S| * n pairs ({v}, {p}):
+
+    - pi is injective on every simplex, since two full orthants in one copy
+      meet, so for tau missing pi(sigma) "tau + pi(sigma) spans" and
+      |sigma| + |tau| <= n - 1 agree;
+    - each side is then an AND over the pairs (v in sigma, p in tau), of
+      pi(v) != p and of "rho(p) misses v".
+
+    So for n >= 3 every (sigma, tau) passes exactly when every ({v}, {p}) does,
+    and the first failure, sigma by size and index and tau by size and value,
+    is the first such v with its least such p; a repeat of v comes after it.
+    For n < 3 no pair is short enough on either side.  Otherwise one
+    ``_cell_sets`` grid is fitted to S's image rays ``s_images`` and the
+    section's, and one ``_disjoint_masks`` bitmask per map read off it, the
+    section's first: "rho(p) misses v" is bit p-1 of v's mask, and the section
+    must span a simplex.  ``tests/_oracles.py::verify_s_section_by_pairs``, the
+    exhaustive check, is the reference.
     """
     if len(rho) != n:
         raise ValidationError(f"section must assign all {n} copies")
     for p, f in enumerate(rho, start=1):
         if pi_projection(f) != p:
             raise ValidationError(f"not a section: assigned vertex for copy {p} projects to {pi_projection(f)}")
-    cells = _cell_sets(k, [*map(_image_rays, rho), *s_images])[1]
-    maps, kept = list(rho), cells[:n]
-    groups: dict[frozenset, list[HoughtonMap]] = {}
-    for v, c in zip(s_vertices, cells[n:]):
-        group = groups.setdefault(c, [])
-        if not any(equals(v, w) for w in group):
-            group.append(v)
-            maps.append(v)
-            kept.append(c)
-    masks = list(_disjoint_masks(kept))
-
-    def is_simplex(members):
-        return all(masks[a] >> b & 1 for a, b in itertools.combinations(members, 2))
-
-    if n >= 3 and not is_simplex(range(n)):
+    if n < 3:
+        return True, None
+    masks = list(_disjoint_masks(_cell_sets(k, [*map(_image_rays, rho), *s_images])[1]))
+    section = (1 << n) - 1
+    if any(masks[p] & section != section ^ 1 << p for p in range(n)):
         raise ValidationError("not a section: assigned vertices do not span simplices")
-
-    sigmas = [
-        combo
-        for size in range(1, min(len(maps) - n, n - 1) + 1)
-        for combo in itertools.combinations(range(n, len(maps)), size)
-        if is_simplex(combo)
-    ]
-    taus = [
-        (t, sum(1 << (i - 1) for i in t))
-        for size in range(1, n)
-        for t in itertools.combinations(range(1, n + 1), size)
-    ]
-    copy_bit = [1 << (pi_projection(v) - 1) for v in maps]
-    for sigma in sigmas:
-        pi_sigma, common = 0, -1
-        for j in sigma:
-            pi_sigma |= copy_bit[j]
-            common &= masks[j]
-        for tau, tau_bits in taus:
-            lhs = not (tau_bits & pi_sigma) and (tau_bits | pi_sigma).bit_count() <= n - 1
-            rhs = len(sigma) + len(tau) <= n - 1 and tau_bits & common == tau_bits
-            if lhs != rhs:
-                return False, (tuple(map_to_json(maps[j]) for j in sigma), tau)
+    for v, mask in zip(s_vertices, masks[n:]):
+        # rho(p) should miss v exactly for p != pi(v)
+        wrong = mask & section ^ section ^ 1 << (pi_projection(v) - 1)
+        if wrong:
+            return False, ((map_to_json(v),), ((wrong & -wrong).bit_length(),))
     return True, None
 
 

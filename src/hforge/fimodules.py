@@ -215,8 +215,8 @@ def action_matrix(v: TruncatedFIModule, n: int, perm: tuple[int, ...]) -> Mat:
     """Matrix of a permutation of [n] acting on level n."""
     if sorted(perm) != list(range(1, n + 1)):
         raise ValidationError(f"{perm!r} is not a permutation of [{n}]")
-    if n > v.N:
-        raise ValidationError(f"level {n} exceeds the truncation {v.N}")
+    if not 0 <= n <= v.N:
+        raise ValidationError(f"level {n} is outside the truncation range [0, {v.N}]")
     r = v.levels[n].rank
     out = identity_matrix(r)
     for a in _adjacent_word(perm):

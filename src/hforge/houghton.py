@@ -57,6 +57,7 @@ from .rays import (
     _json_ints,
     _label_cells,
     _marked,
+    _not_int,
     _overlapping_pair,
     _partition_fault,
     _ray,
@@ -108,9 +109,9 @@ class Translation:
     target_copy: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.target_copy, int) or self.target_copy < 1:
+        if _not_int(self.target_copy) or self.target_copy < 1:
             raise ValidationError(f"target copy must be >= 1, got {self.target_copy!r}")
-        if not self.offset or any(not isinstance(d, int) for d in self.offset):
+        if not self.offset or any(map(_not_int, self.offset)):
             raise ValidationError(f"offset must be a nonempty integer vector, got {self.offset!r}")
 
 
@@ -134,7 +135,7 @@ class PermutationN:
 
     def __post_init__(self) -> None:
         n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
+        if any(map(_not_int, self.images)) or sorted(self.images) != list(range(1, n + 1)):
             raise ValidationError(f"not a permutation of [{n}]: {self.images!r}")
 
     @classmethod
@@ -179,7 +180,7 @@ class HoughtonMap:
     )
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.m < 1 or self.n < 1:
+        if any(_not_int(x) or x < 1 for x in (self.k, self.m, self.n)):
             raise ValidationError("need k, m, n >= 1")
         for dom, tr in self.pieces:
             if dom.ray.k != self.k or len(tr.offset) != self.k:

@@ -80,11 +80,16 @@ __all__ = [
 ]
 
 
+def _not_int(x) -> bool:
+    """True unless ``x`` is an int and not a bool, which Python counts as one."""
+    return not isinstance(x, int) or isinstance(x, bool)
+
+
 def _check_coords(coords: tuple[int, ...]) -> None:
     if not coords:
         raise ValidationError("points need at least one coordinate")
     for c in coords:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+        if _not_int(c) or c < 1:
             raise ValidationError(f"coordinates must be integers >= 1, got {coords!r}")
 
 
@@ -103,7 +108,7 @@ class Ray:
         k = len(self.base)
         prev = 0
         for j in self.dirs:
-            if not isinstance(j, int) or j <= prev or j > k:
+            if _not_int(j) or j <= prev or j > k:
                 raise ValidationError(
                     f"dirs must be strictly increasing within 1..{k}, got {self.dirs!r}"
                 )
@@ -169,7 +174,7 @@ class MarkedRay:
     copy: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.copy, int) or self.copy < 1:
+        if _not_int(self.copy) or self.copy < 1:
             raise ValidationError(f"copy index must be >= 1, got {self.copy!r}")
 
     def contains(self, point: tuple[int, ...], copy: int) -> bool:
@@ -415,7 +420,7 @@ class Region:
     rays: tuple[MarkedRay, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 1:
+        if any(_not_int(x) or x < 1 for x in (self.k, self.n)):
             raise ValidationError("ambient needs k >= 1 and n >= 1")
         for m in self.rays:
             if m.ray.k != self.k:
@@ -568,7 +573,7 @@ def ray_to_json(r: Ray) -> dict:
 def _json_int(data: dict, field: str) -> int:
     """``data[field]`` when it is a JSON integer; bools, floats and strings are rejected."""
     value = data[field]
-    if not isinstance(value, int) or isinstance(value, bool):
+    if _not_int(value):
         raise ValidationError(f"field {field!r} must be an integer, got {value!r}")
     return value
 
@@ -576,7 +581,7 @@ def _json_int(data: dict, field: str) -> int:
 def _json_ints(data: dict, field: str) -> tuple[int, ...]:
     """``data[field]`` as a tuple when every entry is a JSON integer."""
     values = tuple(data[field])
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
+    if any(map(_not_int, values)):
         raise ValidationError(f"field {field!r} must hold integers, got {data[field]!r}")
     return values
 

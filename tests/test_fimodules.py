@@ -167,6 +167,15 @@ def test_action_matrix_matches_permutation_matrices():
             assert action_matrix(v, n, perm) == perm_matrix(perm)
 
 
+@pytest.mark.parametrize("n", [-1, -2, 4], ids=["minus-1", "minus-2", "N-plus-1"])
+def test_action_matrix_rejects_levels_outside_the_truncation(n):
+    """A negative level would otherwise index the levels from the end."""
+    v = permutation_module(3)
+    perm = tuple(range(1, n + 1))
+    with pytest.raises(ValidationError, match=re.escape(f"level {n} is outside the truncation range [0, 3]")):
+        action_matrix(v, n, perm)
+
+
 def test_evaluate_injection_examples():
     v = permutation_module(3)
     assert evaluate_injection(v, (1, 2), 2) == ((1, 0), (0, 1))

@@ -120,6 +120,44 @@ def test_identity_map_rejects_k_and_n_below_one(k, n, message):
         identity_map(k, n)
 
 
+BOOL_FIELDS = [
+    ("permutation", lambda: PermutationN((True, 2)), "not a permutation of [2]: (True, 2)"),
+    ("embedded-permutation", lambda: map_to_json(embed_symmetric(PermutationN((True, 2)), 1)),
+     "not a permutation of [2]: (True, 2)"),
+    ("offset", lambda: Translation((True,), 1),
+     "offset must be a nonempty integer vector, got (True,)"),
+    ("target-copy", lambda: Translation((0,), True), "target copy must be >= 1, got True"),
+    ("copy", lambda: MarkedRay(Ray((1,), (1,)), True), "copy index must be >= 1, got True"),
+    ("dirs", lambda: Ray((1,), (True,)), "dirs must be strictly increasing within 1..1, got (True,)"),
+    ("k", lambda: HoughtonMap(True, 1, 1, ()), "need k, m, n >= 1"),
+    ("m", lambda: HoughtonMap(1, True, 1, ()), "need k, m, n >= 1"),
+    ("n", lambda: HoughtonMap(1, 1, True, ()), "need k, m, n >= 1"),
+    ("region-k", lambda: Region(True, 1, ()), "ambient needs k >= 1 and n >= 1"),
+    ("region-n", lambda: Region(1, True, ()), "ambient needs k >= 1 and n >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", [f[1:] for f in BOOL_FIELDS], ids=[f[0] for f in BOOL_FIELDS]
+)
+def test_constructors_reject_bools_as_integers(build, message):
+    """A bool is an int to Python but not to the JSON reader, so a map built with one
+    would be written as JSON that ``map_from_json`` rejects."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_embedded_permutation_round_trips_through_json_after_a_bool_attempt():
+    """A map built with True would equal and hash like the one built with 1, so the
+    canonical cache could hand the later map its pieces, True included, to write."""
+    with pytest.raises(ValidationError):
+        map_to_json(embed_symmetric(PermutationN((True, 2)), 1))
+    g = embed_symmetric(PermutationN((1, 2)), 1)
+    data = map_to_json(g)
+    assert {type(p["target_copy"]) for p in data["pieces"]} == {int}
+    assert equals(map_from_json(data), g)
+
+
 def test_validate_examples():
     diag = validate(identity_map(1, 2))
     assert diag.valid and diag.bijective
