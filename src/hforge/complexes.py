@@ -29,8 +29,10 @@ and they and ``simplex_test`` check every vertex they are given with
 ``houghton.validate``; the enumerated vertices and a section's far vertices
 (``_far_vertex``) are built unchecked.  A truncation vertex is its enumeration leaf,
 one translation per threshold-B domain cell; ``_vertex_map`` builds its map after the
-size guards, where output needs it, and the probe only for a failing pair.  A far
-vertex of the probe is its ``(copy, offset)`` and its cells on the enumeration grid.
+size guards, where output needs it, and the probe only for a failing pair.  It reads
+the canonical table off ``_vertex_template``, the neighbour pairs and per-threshold
+cells of the domain grid, built once per (k, B), so no leaf canonicalises a grid.  A
+far vertex of the probe is its ``(copy, offset)`` and its cells on the enumeration grid.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import SizeLimitError, ValidationError
 from .houghton import (
@@ -55,7 +58,6 @@ from .houghton import (
 from .rays import (
     MarkedRay,
     Ray,
-    _canonical_grid,
     _cell_sets,
     _disjoint_cover,
     _disjoint_masks,
@@ -214,9 +216,15 @@ def link(k: SimplicialComplex, simplex) -> SimplicialComplex:
 
 
 def star(k: SimplicialComplex, simplex) -> SimplicialComplex:
-    """Closed star: all simplices joining with ``simplex``, plus faces."""
+    """Closed star: all simplices joining with ``simplex``, plus faces.  The cofaces are
+    sorted simplices of ``k`` already, so they are filed by dimension and face-closed
+    as found, as ``link`` builds."""
     s, cofaces = _cofaces(k, simplex)
-    return SimplicialComplex.build(k.vertices, [s, *cofaces], size_limit=None)
+    by_dim: dict[int, set[tuple[int, ...]]] = {}
+    for rho in (s, *cofaces):
+        by_dim.setdefault(len(rho) - 1, set()).add(rho)
+    _close_faces(by_dim, None)
+    return SimplicialComplex(k.vertices, {d: frozenset(by_dim[d]) for d in sorted(by_dim)})
 
 
 def skeleton(k: SimplicialComplex, d: int) -> SimplicialComplex:
@@ -535,11 +543,41 @@ def _bounded_vertices(
     return domain, leaves, cuts, cells
 
 
+@lru_cache(maxsize=32)
+def _vertex_template(k: int, bound: int) -> tuple[tuple, tuple]:
+    """What every leaf's canonical table reads off the domain cells ``grid_cells(k, B)``.
+
+    ``pairs``: each ``(b, i, j)`` with domain cells i and j neighbours in one coordinate,
+    at values b and b+1, highest b first.  ``levels[t]``: for each t <= B, the t-cells in
+    ``(dirs, base)`` order as unchecked ``MarkedRay``s on copy 1, each with the index of
+    the domain cell at its base, one of the domain cells it is the union of.
+    """
+    domain = grid_cells(k, bound)
+    index = {cell.base: i for i, cell in enumerate(domain)}
+    pairs = sorted(
+        ((base[j], i, index[base[:j] + (base[j] + 1,) + base[j + 1:]])
+         for base, i in index.items() for j in range(k) if base[j] <= bound),
+        reverse=True,
+    )
+    levels = tuple(
+        tuple((_marked(cell, 1), index[cell.base]) for cell in grid_cells(k, t))
+        for t in range(bound + 1)
+    )
+    return tuple(pairs), levels
+
+
 def _vertex_map(k: int, n: int, bound: int, domain: tuple[Ray, ...], leaf: tuple) -> HoughtonMap:
-    """The vertex of a leaf, built by ``houghton._map_of_cells`` on the canonical pieces and
-    table ``rays._canonical_grid`` reads off the domain cells, the cells of the cuts 1..B+1."""
-    labels = {(1, cell.base): tr for cell, tr in zip(domain, leaf)}
-    return _map_of_cells(k, 1, n, _canonical_grid((list(range(1, bound + 2)),) * k, labels, labels))
+    """The vertex of a leaf, one translation per cell of ``domain`` (``grid_cells(k, B)``),
+    built by ``houghton._map_of_cells`` on its canonical table, read off ``_vertex_template``.
+
+    A level merges exactly when no coordinate changes translation between t and t+1, so the
+    threshold t* is the b of the first pair whose translations differ, or 0; a t*-cell takes
+    the translation of the domain cell at its base.  This is the table
+    ``rays._canonical_grid`` reads off the domain cells, the cells of the cuts 1..B+1.
+    """
+    pairs, levels = _vertex_template(k, bound)
+    t = next((b for b, i, j in pairs if leaf[i] != leaf[j]), 0)
+    return _map_of_cells(k, 1, n, (t, tuple((cell, leaf[i]) for cell, i in levels[t])))
 
 
 def enumerate_bounded_vertices(

@@ -301,9 +301,9 @@ def _map_of_cells(k: int, m: int, n: int, table: tuple[int, tuple]) -> HoughtonM
     """The map N^k x [m] -> N^k x [n] whose canonical table is ``table``, carrying it:
     the map's pieces are the table's own tuple.
 
-    The table comes from ``rays._canonical_grid`` on the grid of a valid map or of a
-    vertex, so its pieces partition the domain and every image lies in N^k; the map is
-    built without ``__post_init__``.
+    The table comes from ``rays._canonical_grid`` on the grid of a valid map, or from
+    the template ``complexes._vertex_map`` reads a vertex's off, so its pieces partition
+    the domain and every image lies in N^k; the map is built without ``__post_init__``.
     """
     return _unchecked_map(k, m, n, table[1], table)
 

@@ -804,6 +804,16 @@ def enumerate_bounded_vertices_by_meets(k, n, bound):
     return found
 
 
+def vertex_map_by_canonical_grid(k, n, bound, domain, leaf):
+    """``complexes._vertex_map`` as it was before it read a per-(k, B) template: the leaf's
+    translations labelled on the domain cells and canonicalised by ``rays._canonical_grid``."""
+    from hforge.houghton import _map_of_cells
+    from hforge.rays import _canonical_grid
+
+    labels = {(1, cell.base): tr for cell, tr in zip(domain, leaf)}
+    return _map_of_cells(k, 1, n, _canonical_grid((list(range(1, bound + 2)),) * k, labels, labels))
+
+
 # -- vertex images and probe intermediates read off maps, before leaves -------
 
 

@@ -75,6 +75,7 @@ from _oracles import (
     star_by_closure,
     uncovered_cells_by_containment,
     verify_s_section_by_pairs,
+    vertex_map_by_canonical_grid,
     wcm_check_every_link,
     RP2_FACETS,
 )
@@ -1816,3 +1817,43 @@ def test_size_guards_and_a_passing_probe_build_no_vertex_map(monkeypatch):
     assert (report["connected_pairs"], report["disconnected_pairs"]) == (60, 0)
     assert calls == []
     assert len(build_sn_truncated(1, 3, 1).vertices) == len(calls) == 45
+
+
+TEMPLATE_TRUNCATIONS = BOUNDED_TRUNCATIONS + [(1, 2, 3), (2, 3, 0)]
+
+
+@pytest.mark.parametrize(
+    "params", TEMPLATE_TRUNCATIONS, ids=["".join(map(str, p)) for p in TEMPLATE_TRUNCATIONS]
+)
+def test_vertex_maps_match_canonical_grid_oracle(params):
+    """The per-(k, B) template gives every leaf the threshold, pieces and JSON that
+    ``rays._canonical_grid`` reads off its labelled domain grid, and the map's pieces
+    are its table's own tuple."""
+    k, n, bound = params
+    domain, leaves, _, _ = complexes_module._bounded_vertices(*params, size_limit=None)
+    for leaf in leaves:
+        got = complexes_module._vertex_map(k, n, bound, domain, leaf)
+        want = vertex_map_by_canonical_grid(k, n, bound, domain, leaf)
+        assert got._table == want._table, leaf
+        assert got.pieces is got._table[1]
+        assert map_to_json(got) == map_to_json(want)
+
+
+def test_vertex_maps_build_one_template_and_no_canonical_grid(monkeypatch):
+    """A build and a probe with failing pairs canonicalise no grid: their maps come from
+    one bounded-cache template for their (k, B)."""
+    from hforge import houghton, rays
+
+    def refuse(*args):
+        raise AssertionError("a vertex map canonicalised its grid")
+
+    monkeypatch.setattr(rays, "_canonical_grid", refuse)
+    monkeypatch.setattr(houghton, "_canonical_grid", refuse)
+    template = complexes_module._vertex_template
+    template.cache_clear()
+    assert len(build_sn_truncated(1, 3, 2).vertices) == 1077
+    report = connectivity_probe(1, 3, 2, 1, trials=30, seed=3)
+    assert report["disconnected_pairs"] == len(report["failures"]) > 0
+    info = template.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.maxsize is not None
