@@ -28,11 +28,10 @@ ranks only the complex's own vertices.  The public section functions check k and
 and they and ``simplex_test`` check every vertex they are given with
 ``houghton.validate``; the enumerated vertices and a section's far vertices
 (``_far_vertex``) are built unchecked.  A truncation vertex is its enumeration leaf,
-one translation per threshold-B domain cell; ``_vertex_map`` builds its map after the
-size guards, where output needs it, and the probe only for a failing pair.  It reads
-the canonical table off ``_vertex_template``, the neighbour pairs and per-threshold
-cells of the domain grid, built once per (k, B), so no leaf canonicalises a grid.  A
-far vertex of the probe is its ``(copy, offset)`` and its cells on the enumeration grid.
+one shared translation per threshold-B domain cell.  Its image cells on the fixed cuts
+1..2B+1 and its canonical table are read off ``_vertex_template``, built once per (k, B),
+so no grid is fitted or canonicalised per leaf.  ``_vertex_map`` builds a map after the
+size guards, where output needs it; a far vertex of the probe is its ``(copy, offset)``.
 """
 from __future__ import annotations
 
@@ -46,10 +45,10 @@ from functools import lru_cache
 from .errors import SizeLimitError, ValidationError
 from .houghton import (
     HoughtonMap,
-    Translation,
     _image_rays,
     _k_piece,
     _map_of_cells,
+    _moved,
     _translation,
     map_from_json,
     map_to_json,
@@ -58,6 +57,7 @@ from .houghton import (
 from .rays import (
     MarkedRay,
     Ray,
+    _cell_bases,
     _cell_sets,
     _disjoint_cover,
     _disjoint_masks,
@@ -498,35 +498,22 @@ def _check_truncation(k: int, n: int, bound: int) -> None:
 
 def _bounded_vertices(
     k: int, n: int, bound: int, size_limit: int | None
-) -> tuple[tuple[Ray, ...], list[tuple], tuple, list[frozenset]]:
+) -> tuple[tuple[Ray, ...], list[tuple], list[frozenset]]:
     """The threshold-B domain cells, each B-bounded vertex as its leaf (the translations
-    picked, one per domain cell) and the cuts and leaves' image cells the backtracking
-    prunes on.  One ``rays._cell_sets`` call fits those cuts to every option's image ray:
-    1..2B+1 in every coordinate, since the full cell's translates hit every value and a
-    pinned one is at most 2B.  The vertex guard counts leaves, before ``_vertex_map``.
+    picked, one per domain cell, each shared by all leaves) and the leaves' image cells the
+    backtracking prunes on.  A cell's options, target first, come off ``_vertex_template``.
+    The vertex guard counts leaves, before ``_vertex_map``.
     """
     _check_truncation(k, n, bound)
-    domain = grid_cells(k, bound)
-    translations = [
-        [
-            Translation(off, target)
-            for target in range(1, n + 1)
-            for off in itertools.product(range(-bound, bound + 1), repeat=k)
-            if all(b + d >= 1 for b, d in zip(cell.base, off))
-        ]
-        for cell in domain
-    ]
-    cuts, image_cells = _cell_sets(k, [
-        (MarkedRay(cell.translate(tr.offset), tr.target_copy),)
-        for cell, trs in zip(domain, translations)
-        for tr in trs
-    ])
-    image_cells = iter(image_cells)
-    options = [[(tr, next(image_cells)) for tr in trs] for trs in translations]
+    offsets = itertools.product(range(-bound, bound + 1), repeat=k)
+    moves = {(off, t): _translation(off, t) for off in offsets for t in range(1, n + 1)}
+    options = [[(moves[off, t], frozenset([(t, base) for base in bases]))
+                for t in range(1, n + 1) for off, bases in cell_options]
+               for cell_options in _vertex_template(k, bound)[2]]
     leaves, cells = [], []
 
     def backtrack(i: int, used: frozenset, chosen: tuple) -> None:
-        if i == len(domain):
+        if i == len(options):
             leaves.append(chosen)
             cells.append(used)
             if size_limit is not None and len(leaves) > size_limit:
@@ -540,17 +527,19 @@ def _bounded_vertices(
                 backtrack(i + 1, used | image, chosen + (tr,))
 
     backtrack(0, frozenset(), ())
-    return domain, leaves, cuts, cells
+    return grid_cells(k, bound), leaves, cells
 
 
 @lru_cache(maxsize=32)
-def _vertex_template(k: int, bound: int) -> tuple[tuple, tuple]:
-    """What every leaf's canonical table reads off the domain cells ``grid_cells(k, B)``.
+def _vertex_template(k: int, bound: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """What every leaf's canonical table and image cells read off ``grid_cells(k, B)``.
 
     ``pairs``: each ``(b, i, j)`` with domain cells i and j neighbours in one coordinate,
     at values b and b+1, highest b first.  ``levels[t]``: for each t <= B, the t-cells in
     ``(dirs, base)`` order as unchecked ``MarkedRay``s on copy 1, each with the index of
     the domain cell at its base, one of the domain cells it is the union of.
+    ``options[i]``: the offsets in [-B, B]^k, in product order, that keep domain cell i in N^k,
+    each with the bases of its translate's cells on ``cuts``, 1..2B+1, the fitted cuts of all.
     """
     domain = grid_cells(k, bound)
     index = {cell.base: i for i, cell in enumerate(domain)}
@@ -563,20 +552,24 @@ def _vertex_template(k: int, bound: int) -> tuple[tuple, tuple]:
         tuple((_marked(cell, 1), index[cell.base]) for cell in grid_cells(k, t))
         for t in range(bound + 1)
     )
-    return tuple(pairs), levels
+    cuts = (tuple(range(1, 2 * bound + 2)),) * k
+    options = tuple(tuple((off, tuple(_cell_bases(_moved(cell, off), cuts)))
+                          for off in itertools.product(range(-bound, bound + 1), repeat=k)
+                          if all(b + d >= 1 for b, d in zip(cell.base, off)))
+                    for cell in domain)
+    return tuple(pairs), levels, options, cuts
 
 
-def _vertex_map(k: int, n: int, bound: int, domain: tuple[Ray, ...], leaf: tuple) -> HoughtonMap:
-    """The vertex of a leaf, one translation per cell of ``domain`` (``grid_cells(k, B)``),
-    built by ``houghton._map_of_cells`` on its canonical table, read off ``_vertex_template``.
+def _vertex_map(k: int, n: int, bound: int, leaf: tuple) -> HoughtonMap:
+    """The vertex of a ``_bounded_vertices`` leaf, one translation per ``grid_cells(k, B)``
+    cell, built by ``houghton._map_of_cells`` on the table read off ``_vertex_template``.
 
-    A level merges exactly when no coordinate changes translation between t and t+1, so the
-    threshold t* is the b of the first pair whose translations differ, or 0; a t*-cell takes
-    the translation of the domain cell at its base.  This is the table
-    ``rays._canonical_grid`` reads off the domain cells, the cells of the cuts 1..B+1.
+    A level merges exactly when no coordinate changes translation between t and t+1, so t* is
+    the b of the first pair whose shared translations are not one object, or 0; a t*-cell
+    takes the translation of the domain cell at its base, as ``rays._canonical_grid`` would.
     """
-    pairs, levels = _vertex_template(k, bound)
-    t = next((b for b, i, j in pairs if leaf[i] != leaf[j]), 0)
+    pairs, levels, _, _ = _vertex_template(k, bound)
+    t = next((b for b, i, j in pairs if leaf[i] is not leaf[j]), 0)
     return _map_of_cells(k, 1, n, (t, tuple((cell, leaf[i]) for cell, i in levels[t])))
 
 
@@ -589,8 +582,8 @@ def enumerate_bounded_vertices(
     to each cell of the threshold-B grid of the domain, with pairwise
     disjoint images.  Backtracking prunes on shared image cells.
     """
-    domain, leaves, _, _ = _bounded_vertices(k, n, bound, size_limit)
-    return [_vertex_map(k, n, bound, domain, leaf) for leaf in leaves]
+    _, leaves, _ = _bounded_vertices(k, n, bound, size_limit)
+    return [_vertex_map(k, n, bound, leaf) for leaf in leaves]
 
 
 _ONE = re.compile("1")
@@ -674,8 +667,8 @@ def build_sn_truncated(
     simplices come out layer by layer, already face-closed, so no second
     closure pass runs.
     """
-    domain, leaves, cuts, cells = _bounded_vertices(k, n, bound, size_limit)
-    cells_total = n * math.prod(map(len, cuts))
+    _, leaves, cells = _bounded_vertices(k, n, bound, size_limit)
+    cells_total = n * (2 * bound + 1) ** k
     max_dim = n - 1 if include_top else n - 2
     if include_top and n == 1:
         leaves = [leaf for leaf, c in zip(leaves, cells) if len(c) == cells_total]
@@ -694,7 +687,7 @@ def build_sn_truncated(
                         f"disjointness graph exceeds the size limit {size_limit}: "
                         f"{total} vertices and edges"
                     )
-    labels = tuple(_vertex_map(k, n, bound, domain, leaf) for leaf in leaves)
+    labels = tuple(_vertex_map(k, n, bound, leaf) for leaf in leaves)
     # by_count[c]: the vertices whose images have c cells, for the top layer
     by_count: dict[int, int] = {}
     if include_top:
@@ -882,14 +875,15 @@ def _intermediate(n: int, domain: tuple[Ray, ...], u: tuple, w: tuple) -> tuple[
     pieces = [(cell, tr) for v in (u, w) for cell, tr in zip(domain, v)]
     occupied = {tr.target_copy for cell, tr in pieces if cell.is_full}
     copy = next(c for c in range(1, n + 1) if c not in occupied)
-    return copy, _far_offset([cell.translate(tr.offset) for cell, tr in pieces if tr.target_copy == copy])
+    return copy, _far_offset([_moved(cell, tr.offset) for cell, tr in pieces if tr.target_copy == copy])
 
 
 def _far_cells(k: int, bound: int, copy: int, offset: int) -> frozenset:
-    """The cells on the enumeration's cuts 1..2B+1 that the far vertex ``(copy, offset)``
-    meets, for an offset M above B: bases >= M+1 in every coordinate, past 2B the top one."""
-    span = range(min(offset, 2 * bound) + 1, 2 * bound + 2)
-    return frozenset((copy, base) for base in itertools.product(span, repeat=k))
+    """The cells of the enumeration grid (``_vertex_template``'s ``cuts``) that the far vertex
+    ``(copy, offset)`` meets, for M above B: its orthant's, base M+1 clipped to the top cut."""
+    cuts = _vertex_template(k, bound)[3]
+    orthant = _ray((min(offset + 1, cuts[0][-1]),) * k, tuple(range(1, k + 1)))
+    return frozenset((copy, base) for base in _cell_bases(orthant, cuts))
 
 
 def connectivity_probe(
@@ -918,7 +912,7 @@ def connectivity_probe(
     if slack < 0:
         raise ValidationError(f"slack must be >= 0, got {slack}")
     report: dict = {"k": k, "n": n, "bound": bound, "slack": slack, "trials": trials}
-    domain, leaves, _, cells = _bounded_vertices(k, n, bound, size_limit)
+    domain, leaves, cells = _bounded_vertices(k, n, bound, size_limit)
     report["bounded_vertices"] = len(leaves)
     if n < 3:
         report["claim"] = "only (-1)-connectivity (nonempty) is asserted for n < 3"
@@ -941,7 +935,7 @@ def connectivity_probe(
             if offset > bound:
                 far[copy, offset] = None
         else:
-            pair = (_vertex_map(k, n, bound, domain, leaves[x]) for x in (i, j))
+            pair = (_vertex_map(k, n, bound, leaves[x]) for x in (i, j))
             failures.append(tuple(map(map_to_json, pair)))
     report["connected_pairs"] = len(lengths)
     report["disconnected_pairs"] = len(failures)

@@ -293,7 +293,7 @@ def _table_of(f: HoughtonMap) -> tuple[int, tuple]:
     ``_canonical_table`` once and keeps the result.  Two threads that race here
     store equal immutable tables, so no lock is needed."""
     if f._table is None:
-        object.__setattr__(f, "_table", _canonical_table(f))
+        _set_table(f, _canonical_table(f))
     return f._table
 
 
@@ -308,12 +308,18 @@ def _map_of_cells(k: int, m: int, n: int, table: tuple[int, tuple]) -> HoughtonM
     return _unchecked_map(k, m, n, table[1], table)
 
 
+_set_k, _set_m, _set_n = HoughtonMap.k.__set__, HoughtonMap.m.__set__, HoughtonMap.n.__set__
+_set_pieces, _set_table = HoughtonMap.pieces.__set__, HoughtonMap._table.__set__
+
+
 def _unchecked_map(k: int, m: int, n: int, pieces: tuple, table: tuple | None) -> HoughtonMap:
     """``HoughtonMap(k, m, n, pieces)`` carrying ``table``, without ``__post_init__``."""
     f = object.__new__(HoughtonMap)
-    fields = {"k": k, "m": m, "n": n, "pieces": pieces, "_table": table}
-    for name, value in fields.items():
-        object.__setattr__(f, name, value)
+    _set_k(f, k)
+    _set_m(f, m)
+    _set_n(f, n)
+    _set_pieces(f, pieces)
+    _set_table(f, table)
     return f
 
 
@@ -385,10 +391,8 @@ def inverse(g: HoughtonMap) -> HoughtonMap:
     if g.m != g.n:
         raise ValidationError("only m = n maps can be inverted")
     try:
-        pieces = []
-        for dom, tr in _table_of(g)[1]:
-            image = _marked(_moved(dom.ray, tr.offset), tr.target_copy)
-            pieces.append((image, _translation(tuple(-d for d in tr.offset), dom.copy)))
+        pieces = [(g.image_ray((dom, tr)), _translation(tuple(-d for d in tr.offset), dom.copy))
+                  for dom, tr in _table_of(g)[1]]
         return _map_of_cells(g.k, g.n, g.m, _map_cells(g.k, g.n, pieces))
     except ValidationError as exc:
         raise ValidationError(f"map is not bijective: {exc}") from exc

@@ -26,8 +26,8 @@ cells, for ``Region`` and for ``houghton.validate``; only on a fault are the
 them, or off any labelled grid with cuts from 1: a map's, which ``houghton``
 keeps as its table and its pieces, a canonical region's or a complement's
 (``houghton.compose`` labels a grid of its own).  Vertex enumeration in
-``complexes`` prunes on ``_cell_sets`` and reads each vertex's table off a
-template it builds once per (k, B) from ``grid_cells``.
+``complexes`` reads image cells (``_cell_bases`` on the cuts 1..2B+1) and
+tables off a template it builds once per (k, B) from ``grid_cells``.
 
 Values from outside are checked once, where they enter; values hforge builds
 itself are built unchecked and never validated again.  The JSON parsers take

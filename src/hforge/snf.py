@@ -382,9 +382,10 @@ def _clear_denominators(rows: SparseRows) -> SparseRows:
 
 
 def rank(a: Sequence[Sequence[int | Fraction]]) -> int:
-    """Rank over Q of a matrix with integer or rational entries."""
+    """Rank over Q of a matrix whose entries are ``int`` or ``Fraction``, bool rejected."""
     mat = tuple(map(tuple, a))
     if len({len(row) for row in mat}) > 1:
         raise ValueError("ragged matrix")
+    _require_ints(set().union(*(map(type, row) for row in mat)) - {Fraction})
     rows = _clear_denominators(to_sparse(mat))
     return sum(1 for x in _sparse_diagonal(rows, len(mat), len(mat[0]) if mat else 0) if x)

@@ -814,6 +814,35 @@ def vertex_map_by_canonical_grid(k, n, bound, domain, leaf):
     return _map_of_cells(k, 1, n, _canonical_grid((list(range(1, bound + 2)),) * k, labels, labels))
 
 
+def option_cells_by_refit(k, n, bound) -> tuple:
+    """Each domain cell's enumeration options as ``complexes._bounded_vertices`` found them
+    before it read them off a template: checked ``Translation``s, target first, and one
+    grid fitted by ``rays._cell_sets`` to every option's image ray.  Returns the fitted
+    cuts and, per cell of ``grid_cells(k, B)``, its ``(offset, target, cells)`` options."""
+    from hforge.houghton import Translation
+    from hforge.rays import MarkedRay, _cell_sets, grid_cells
+
+    domain = grid_cells(k, bound)
+    translations = [
+        [
+            Translation(off, target)
+            for target in range(1, n + 1)
+            for off in itertools.product(range(-bound, bound + 1), repeat=k)
+            if all(b + d >= 1 for b, d in zip(cell.base, off))
+        ]
+        for cell in domain
+    ]
+    cuts, image_cells = _cell_sets(k, [
+        (MarkedRay(cell.translate(tr.offset), tr.target_copy),)
+        for cell, trs in zip(domain, translations)
+        for tr in trs
+    ])
+    image_cells = iter(image_cells)
+    return cuts, [
+        [(tr.offset, tr.target_copy, next(image_cells)) for tr in trs] for trs in translations
+    ]
+
+
 # -- vertex images and probe intermediates read off maps, before leaves -------
 
 
@@ -1316,8 +1345,8 @@ def sn_layers_bit_by_bit(k, n, bound, include_top=False, size_limit=200_000):
     from hforge.errors import SizeLimitError
     from hforge.rays import _disjoint_masks
 
-    _, leaves, cuts, cells = _bounded_vertices(k, n, bound, size_limit)
-    cells_total = n * math.prod(map(len, cuts))
+    _, leaves, cells = _bounded_vertices(k, n, bound, size_limit)
+    cells_total = n * (2 * bound + 1) ** k
     max_dim = n - 1 if include_top else n - 2
     if include_top and n == 1:
         leaves = [leaf for leaf, c in zip(leaves, cells) if len(c) == cells_total]

@@ -101,7 +101,8 @@ def test_build_sn_writes_vertices_without_recomputing_tables(capsys, monkeypatch
 
     def recorded(*args, **kwargs):
         out = inner(*args, **kwargs)
-        enumerated.append((len(out[1]), houghton._canonical_table.cache_info().misses))
+        _, leaves, _ = out
+        enumerated.append((len(leaves), houghton._canonical_table.cache_info().misses))
         return out
 
     monkeypatch.setattr(complexes, "_bounded_vertices", recorded)

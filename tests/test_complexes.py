@@ -66,6 +66,7 @@ from _oracles import (
     maximal_simplices_quadratic,
     minor_gcd_diagonal,
     morse_matching_faults,
+    option_cells_by_refit,
     reduced_homology_by_elimination,
     s_section_holds_by_pairs,
     set_bits_by_peeling,
@@ -1001,10 +1002,11 @@ def test_disjoint_masks_match_bucket_oracle(params):
 )
 def test_enumerated_cells_match_image_cells(params):
     """The cells the enumeration pruned on give the same graph and cover verdicts."""
-    _, leaves, cuts, cells = complexes_module._bounded_vertices(*params, size_limit=None)
+    k, n, bound = params
+    _, leaves, cells = complexes_module._bounded_vertices(*params, size_limit=None)
     vertices = enumerate_bounded_vertices(*params, size_limit=None)
     assert len(leaves) == len(vertices)
-    count = params[1] * math.prod(map(len, cuts))
+    count = n * (2 * bound + 1) ** k
     image_count, image_cells = image_cells_by_refit(vertices)
     assert list(_disjoint_masks(cells)) == list(_disjoint_masks(image_cells))
     covers = [len(c) == count for c in cells]
@@ -1374,7 +1376,7 @@ def test_build_sn_truncated_matches_brute_force(k, n, bound, include_top):
 
 def test_build_sn_truncated_without_vertices(monkeypatch):
     monkeypatch.setattr(
-        complexes_module, "_bounded_vertices", lambda *a, **kw: ((), [], ([1, 2, 3],), [])
+        complexes_module, "_bounded_vertices", lambda *a, **kw: ((), [], [])
     )
     for n, include_top in ((1, True), (2, True), (3, False), (3, True)):
         K = build_sn_truncated(1, n, 1, include_top=include_top)
@@ -1643,7 +1645,7 @@ def test_probe_intermediates_miss_both_endpoints(monkeypatch):
         connectivity_probe(1, 3, 1, 3, trials=20, seed=seed)
     assert len(built) > 300
     for domain, u, w, copy, offset in built:
-        u, w = (complexes_module._vertex_map(1, 3, 1, domain, leaf) for leaf in (u, w))
+        u, w = (complexes_module._vertex_map(1, 3, 1, leaf) for leaf in (u, w))
         # only a pair whose images meet needs one
         assert not images_disjoint_all_pairs(_images(u), _images(w))
         z = complexes_module._far_vertex(1, 3, copy, offset)
@@ -1747,12 +1749,66 @@ ENUMERATION_GRIDS = BOUNDED_TRUNCATIONS + [(2, 3, 0), (2, 3, 1)]
 )
 def test_enumeration_grid_cuts_are_one_to_twice_the_bound_plus_one(params):
     """The full cell's translates by [-B, B] hit every value 1..2B+1, and a pinned
-    coordinate is at most 2B, so the fitted cuts are 1..2B+1 in every coordinate."""
-    k, _, bound = params
-    domain, leaves, cuts, cells = complexes_module._bounded_vertices(*params, size_limit=None)
-    assert domain == grid_cells(k, bound)
+    coordinate is at most 2B, so one grid fitted again to every option's image ray has
+    the template's cuts 1..2B+1 in every coordinate.  The template's option cells, for
+    targets 1..n, are that refit's, in its order, and each leaf's cells are the union of
+    its options' refit cells."""
+    k, n, bound = params
+    cuts, refit = option_cells_by_refit(*params)
+    _, _, options, template_cuts = complexes_module._vertex_template(k, bound)
     assert cuts == (list(range(1, 2 * bound + 2)),) * k
+    assert [list(cut) for cut in template_cuts] == list(cuts)
+    assert refit == [
+        [(offset, target, frozenset((target, base) for base in bases))
+         for target in range(1, n + 1) for offset, bases in cell_options]
+        for cell_options in options
+    ]
+    domain, leaves, cells = complexes_module._bounded_vertices(*params, size_limit=None)
+    assert domain == grid_cells(k, bound)
     assert len(leaves) == len(cells)
+    image = {(i, offset, target): c for i, opts in enumerate(refit) for offset, target, c in opts}
+    for leaf, used in zip(leaves, cells):
+        chosen = (image[i, tr.offset, tr.target_copy] for i, tr in enumerate(leaf))
+        assert used == frozenset().union(*chosen), leaf
+
+
+def test_enumeration_checks_nothing_and_shares_translations(monkeypatch):
+    """The enumeration, its template included, fits no grid, translates no ray through
+    ``Ray.translate`` and runs no ``__post_init__`` of a translation or a marked ray.  Its
+    leaves share one translation per (offset, copy), 27 objects on (2,3,1), so
+    ``_vertex_map`` compares translations by identity, never through ``__eq__``; the probe's
+    intermediates move cells unchecked too."""
+    from collections import Counter
+
+    from hforge import houghton, rays
+
+    calls = Counter()
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for module in (rays, houghton, complexes_module):
+        for name in ("_cell_sets", "_cuts_for"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for owner, name in (
+        (Ray, "translate"), (Translation, "__post_init__"), (MarkedRay, "__post_init__")
+    ):
+        monkeypatch.setattr(owner, name, counting(f"{owner.__name__}.{name}", getattr(owner, name)))
+    complexes_module._vertex_template.cache_clear()
+    _, leaves, _ = complexes_module._bounded_vertices(2, 3, 1, None)
+    assert len(leaves) == 52056
+    assert len({id(tr) for leaf in leaves for tr in leaf}) == 27
+    report = connectivity_probe(1, 3, 1, 3, trials=30, seed=3)
+    assert report["connected_pairs"] == 30
+    assert calls == Counter()
+    monkeypatch.setattr(Translation, "__eq__", counting("Translation.__eq__", Translation.__eq__))
+    for leaf in leaves:
+        complexes_module._vertex_map(2, 3, 1, leaf)
+    assert calls == Counter()
 
 
 FAR_POOLS = [p for p in BOUNDED_TRUNCATIONS if p[1] >= 2]
@@ -1764,7 +1820,7 @@ def test_far_cells_on_the_enumeration_grid_match_the_refit(params):
     one grid fitted again to the vertex maps and the far ``_far_vertex`` maps, for
     every copy and every offset B+1..B+4, so past 2B as well."""
     k, n, bound = params
-    cells = complexes_module._bounded_vertices(*params, size_limit=None)[3]
+    cells = complexes_module._bounded_vertices(*params, size_limit=None)[2]
     keys = [(copy, offset) for copy in range(1, n + 1) for offset in range(bound + 1, bound + 5)]
     assert any(offset > 2 * bound for _, offset in keys)
     far_cells = [complexes_module._far_cells(k, bound, *key) for key in keys]
@@ -1783,7 +1839,7 @@ def test_intermediate_on_leaves_matches_the_maps(params):
     """On every ordered pair whose images meet, the leaves' translated domain cells give
     the (copy, offset) that the vertex maps' canonical image rays give."""
     k, n, bound = params
-    domain, leaves, _, cells = complexes_module._bounded_vertices(*params, size_limit=None)
+    domain, leaves, cells = complexes_module._bounded_vertices(*params, size_limit=None)
     vertices = enumerate_bounded_vertices(*params, size_limit=None)
     offsets = set()
     for i, j in itertools.product(range(len(leaves)), repeat=2):
@@ -1830,9 +1886,9 @@ def test_vertex_maps_match_canonical_grid_oracle(params):
     ``rays._canonical_grid`` reads off its labelled domain grid, and the map's pieces
     are its table's own tuple."""
     k, n, bound = params
-    domain, leaves, _, _ = complexes_module._bounded_vertices(*params, size_limit=None)
+    domain, leaves, _ = complexes_module._bounded_vertices(*params, size_limit=None)
     for leaf in leaves:
-        got = complexes_module._vertex_map(k, n, bound, domain, leaf)
+        got = complexes_module._vertex_map(k, n, bound, leaf)
         want = vertex_map_by_canonical_grid(k, n, bound, domain, leaf)
         assert got._table == want._table, leaf
         assert got.pieces is got._table[1]

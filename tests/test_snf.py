@@ -115,6 +115,9 @@ def test_rank_matches_rational_rank():
             # a row that is a rational multiple of another, so the rank drops
             m[-1] = [x * Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for x in m[0]]
         assert rank(m) == rank_over_q(m, nc), m
+    # int and Fraction entries may share a matrix, and a matrix may be empty
+    assert rank([[1, Fraction(1, 2)], [2, 1]]) == 1
+    assert rank([]) == rank([[]]) == 0
 
 
 def test_verify_rejects_broken_result():
@@ -132,6 +135,23 @@ def test_non_integer_entries_are_rejected(rows):
         snf_diagonal(rows)
     with pytest.raises(ValueError, match="must be integers"):
         smith_normal_form(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, kind",
+    [
+        ([[1.5]], "float"),
+        ([["a"]], "str"),
+        ([[None]], "NoneType"),
+        ([[True]], "bool"),
+        ([[1, 0], [Fraction(1, 2), 2.0]], "float"),
+    ],
+)
+def test_rank_rejects_entries_that_are_not_int_or_fraction(rows, kind):
+    # the sparse rows would drop None and False as zeros and keep True as 1, and a
+    # float or a str has no denominator to clear
+    with pytest.raises(ValueError, match=f"must be integers, got {kind}$"):
+        rank(rows)
 
 
 def _unit_pivot_then_planted_block(rng):
