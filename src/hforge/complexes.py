@@ -61,6 +61,7 @@ from .rays import (
     _cell_sets,
     _disjoint_cover,
     _disjoint_masks,
+    _grid_template,
     _marked,
     _ray,
     grid_cells,
@@ -536,8 +537,9 @@ def _vertex_template(k: int, bound: int) -> tuple[tuple, tuple, tuple, tuple]:
 
     ``pairs``: each ``(b, i, j)`` with domain cells i and j neighbours in one coordinate,
     at values b and b+1, highest b first.  ``levels[t]``: for each t <= B, the t-cells in
-    ``(dirs, base)`` order as unchecked ``MarkedRay``s on copy 1, each with the index of
-    the domain cell at its base, one of the domain cells it is the union of.
+    ``(dirs, base)`` order, the copy-1 ``MarkedRay``s of ``rays._grid_template`` that every
+    map table on that grid shares, each with the index of the domain cell at its base, one
+    of the domain cells it is the union of.
     ``options[i]``: the offsets in [-B, B]^k, in product order, that keep domain cell i in N^k,
     each with the bases of its translate's cells on ``cuts``, 1..2B+1, the fitted cuts of all.
     """
@@ -549,7 +551,7 @@ def _vertex_template(k: int, bound: int) -> tuple[tuple, tuple, tuple, tuple]:
         reverse=True,
     )
     levels = tuple(
-        tuple((_marked(cell, 1), index[cell.base]) for cell in grid_cells(k, t))
+        tuple(zip(_grid_template(k, t, 1), (index[cell.base] for cell in grid_cells(k, t))))
         for t in range(bound + 1)
     )
     cuts = (tuple(range(1, 2 * bound + 2)),) * k
@@ -566,7 +568,7 @@ def _vertex_map(k: int, n: int, bound: int, leaf: tuple) -> HoughtonMap:
 
     A level merges exactly when no coordinate changes translation between t and t+1, so t* is
     the b of the first pair whose shared translations are not one object, or 0; a t*-cell
-    takes the translation of the domain cell at its base, as ``rays._canonical_grid`` would.
+    takes the translation of the domain cell at its base, as ``rays._full_grid`` would.
     """
     pairs, levels, _, _ = _vertex_template(k, bound)
     t = next((b for b, i, j in pairs if leaf[i] is not leaf[j]), 0)

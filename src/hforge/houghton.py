@@ -20,7 +20,12 @@ canonical pieces ``((MarkedRay, Translation), ...)``, one per t-cell in
 ``inverse``, ``canonical_form`` or vertex enumeration) is built by
 ``_map_of_cells`` and holds its table's tuple as its pieces.  A map that comes
 from outside gets its table from one LRU cache of ``_CANONICAL_CACHE_SIZE``
-maps on its first lookup, and keeps it.  The grid work is done by ``rays``.
+maps on its first lookup, and keeps it.  The grid work is done by ``rays``:
+every table, whether of ``compose``, of ``inverse`` or of a map from outside, is
+read off ``rays._full_grid``, whose pieces are the cells of one shared per-(k, t)
+grid template, so the pieces of different maps share their ``MarkedRay``s and
+no table builds a cell or sorts one.  ``compose`` builds one ``Translation`` per
+pair of factor labels that meet, not one per cell of its grid.
 Values from outside are checked once, where they enter, and maps hforge builds
 itself are built unchecked and never validated again.  The constructors check
 fields; ``validate``, the one check of a whole map, runs on maps from JSON
@@ -36,6 +41,7 @@ Everything is immutable and pure; seeded generators are deterministic.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -48,11 +54,10 @@ from .rays import (
     Ray,
     RayPartition,
     Region,
-    _canonical_grid,
-    _cell_bases,
     _cell_sets,
     _complement_cells,
     _disjoint_cover,
+    _full_grid,
     _json_int,
     _json_ints,
     _label_cells,
@@ -274,7 +279,7 @@ def _map_cells(k: int, m: int, pieces) -> tuple[int, tuple]:
     cuts, labels = _label_cells(k, pieces)
     if len(labels) != m * math.prod(map(len, cuts)):
         raise ValidationError("domain pieces do not cover every copy")
-    return _canonical_grid(cuts, labels, labels)
+    return _full_grid(cuts, labels, m)
 
 
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
@@ -301,7 +306,7 @@ def _map_of_cells(k: int, m: int, n: int, table: tuple[int, tuple]) -> HoughtonM
     """The map N^k x [m] -> N^k x [n] whose canonical table is ``table``, carrying it:
     the map's pieces are the table's own tuple.
 
-    The table comes from ``rays._canonical_grid`` on the grid of a valid map, or from
+    The table comes from ``rays._full_grid`` on the grid of a valid map, or from
     the template ``complexes._vertex_map`` reads a vertex's off, so its pieces partition
     the domain and every image lies in N^k; the map is built without ``__post_init__``.
     """
@@ -340,9 +345,9 @@ def equals(f: HoughtonMap, g: HoughtonMap) -> bool:
 
 def apply_map(f: HoughtonMap, point: tuple[int, ...], copy: int) -> tuple[tuple[int, ...], int]:
     """Evaluate ``f`` at a point of N^k x [m]."""
-    if len(point) != f.k or any(c < 1 for c in point):
+    if len(point) != f.k or any(_not_int(c) or c < 1 for c in point):
         raise ValidationError(f"{point!r} is not a point of N^{f.k}")
-    if not 1 <= copy <= f.m:
+    if _not_int(copy) or not 1 <= copy <= f.m:
         raise ValidationError(f"copy {copy} outside [1, {f.m}]")
     t, pieces = _table_of(f)
     cell = cell_of_point(point, t)
@@ -356,7 +361,9 @@ def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
     The result is read off one grid of f's domain: f's threshold cuts 1..tf+1
     and g's 1..tg+1 pulled back by each offset d of f, c - d_j where >= 1.  f
     is constant on a cell, and so is g once it is moved, as a cut of g inside
-    would pull back inside it; a cell's label is the two translations added.
+    would pull back inside it; a cell's label is the two translations added,
+    one ``Translation`` per pair of f and g label objects that meet.  An f piece
+    is a tf-cell, so a free coordinate (at tf+1) takes the cuts ``cut[tf:]``.
     """
     if f.k != g.k or f.n != g.m:
         raise ValidationError(
@@ -369,14 +376,22 @@ def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
         sorted({*range(1, tf + 2)}.union(*(range(max(1, 1 - d), tg + 2 - d) for d in set(ds))))
         for ds in zip(*(tr.offset for _, tr in f_pieces))
     )
-    labels = {}
+    # spread[j][b]: the cuts of coordinate j in an f piece whose base there is b
+    spread = [[(b,) for b in range(tf + 1)] + [cut[tf:]] for cut in cuts]
+    labels, sums = {}, {}
     for dom, tr1 in f_pieces:
-        for base in _cell_bases(dom.ray, cuts):
-            moved = tuple(min(b + d, tg + 1) for b, d in zip(base, tr1.offset))
-            tr2 = g_at[(tr1.target_copy, moved)]
-            offset = tuple(a + b for a, b in zip(tr1.offset, tr2.offset))
-            labels[(dom.copy, base)] = _translation(offset, tr2.target_copy)
-    return _map_of_cells(f.k, f.m, g.n, _canonical_grid(cuts, labels, labels))
+        copy, offset, target = dom.copy, tr1.offset, tr1.target_copy
+        spans = list(map(list.__getitem__, spread, dom.ray.base))
+        moved = [[min(b + d, tg + 1) for b in span] for span, d in zip(spans, offset)]
+        made = sums.setdefault(id(tr1), {})
+        for base, image in zip(itertools.product(*spans), itertools.product(*moved)):
+            tr2 = g_at[target, image]
+            tr = made.get(id(tr2))
+            if tr is None:
+                tr = made[id(tr2)] = _translation(tuple(map(operator.add, offset, tr2.offset)),
+                                                  tr2.target_copy)
+            labels[copy, base] = tr
+    return _map_of_cells(f.k, f.m, g.n, _full_grid(cuts, labels, f.m))
 
 
 def inverse(g: HoughtonMap) -> HoughtonMap:

@@ -21,13 +21,20 @@ grid ``_cuts_for`` fits to a set of rays, whose size does not grow with the
 bases.  ``_disjoint_cover`` decides overlap and cover on one set of fitted
 cells, for ``Region`` and for ``houghton.validate``; only on a fault are the
 ``_cell_sets`` built, one set per ray, from which ``_overlapping_pair`` and
-``_partition_fault`` name it.  ``_label_cells`` labels the fitted cells and
-``_canonical_grid`` reads canonical pieces ``((MarkedRay, label), ...)`` off
-them, or off any labelled grid with cuts from 1: a map's, which ``houghton``
-keeps as its table and its pieces, a canonical region's or a complement's
-(``houghton.compose`` labels a grid of its own).  Vertex enumeration in
-``complexes`` reads image cells (``_cell_bases`` on the cuts 1..2B+1) and
-tables off a template it builds once per (k, B) from ``grid_cells``.
+``_partition_fault`` name it.  ``_label_cells`` labels the fitted cells, and
+canonical pieces ``((MarkedRay, label), ...)`` are read off them, or off any
+labelled grid with cuts from 1, after one shared search for the minimal
+threshold t* (``_grid_top``).  A map's grid labels every cell of its copies
+(``houghton.compose`` labels a grid of its own), so ``_full_grid`` reads its
+table off ``_grid_template``: the t*-cells of each copy, built once per
+(k, t*, copy) in a bounded cache and shared by the pieces of every map on that
+grid, each labelled through the largest cut below its base; it builds no cell
+and sorts nothing.  Regions keep their own reader, ``_canonical_grid``, which
+builds and sorts only the cells of their output (a canonical region's cells or
+a complement's gaps), far fewer than the t*-grid can hold.  Vertex enumeration
+in ``complexes`` reads image cells (``_cell_bases`` on the cuts 1..2B+1) and
+tables off a template it builds once per (k, B) from ``grid_cells`` and
+``_grid_template``.
 
 Values from outside are checked once, where they enter; values hforge builds
 itself are built unchecked and never validated again.  The JSON parsers take
@@ -38,8 +45,8 @@ pass and builds its rays with ``_ray`` and ``_marked``; it leaves input that
 fails a test to the parsers here, for their messages.  The grid code takes
 rays as already checked: ``_canonical_cells`` and ``_complement_cells`` work
 on bare rays and build no ``Region``, so a complement or a canonical form
-builds one ``Region``, its result.  The cells it builds itself skip the
-constructors' checks (``_ray``, ``_marked``).
+builds one ``Region``, its result.  The cells it builds itself, and the
+template's, skip the constructors' checks (``_ray``, ``_marked``).
 
 All values are immutable and all functions are pure; everything is safe to
 share between threads.
@@ -48,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -373,17 +380,14 @@ def _label_cells(k: int, pieces: Iterable[tuple[MarkedRay, object]]) -> tuple[tu
     return cuts, labels
 
 
-def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[int, tuple]:
-    """Minimal threshold t* of a labelled grid and the t*-cells of its cells ``keys``,
-    as pieces ``((MarkedRay, label), ...)`` in ``(copy, dirs, base)`` order.
+def _grid_top(cuts: tuple, labels: dict) -> int:
+    """t* + 1 for the minimal threshold t* of a labelled grid.
 
-    The sorted ``cuts`` start at 1; ``labels`` maps ``(copy, base)`` cells of their product,
-    every one of a map's or those of a region, to labels.  A level merges exactly when no
-    coordinate changes label between t and t+1, so t* + 1 is the largest cut, or 1, across
-    which a cell and its neighbour differ, a missing cell reading None.  A t*-cell takes the
-    label of the cell holding its base; the threshold grid is built only for output cells.
-    The rays are built unchecked (``_ray``, ``_marked``): a point of the spans is a product
-    of values from cuts >= 1, and its free directions are listed in increasing order.
+    The sorted ``cuts`` start at 1; ``labels`` maps ``(copy, base)`` cells of their product
+    to labels.  A level merges exactly when no coordinate changes label between t and t+1,
+    so t* + 1 is the largest cut, or 1, across which a cell and its neighbour differ, a
+    missing cell reading None.  Labels are compared by identity first: cells of one piece
+    share their label object.
     """
     below = [dict(zip(cut[1:], cut)) for cut in cuts]
     above = [dict(zip(cut, cut[1:])) for cut in cuts]
@@ -394,8 +398,53 @@ def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[i
         for j, b in enumerate(base):
             for d in (below[j].get(b), above[j].get(b)):
                 if d is not None and max(b, d) > top:
-                    if labels.get((copy, base[:j] + (d,) + base[j + 1:])) != label:
+                    other = labels.get((copy, base[:j] + (d,) + base[j + 1:]))
+                    if other is not label and other != label:
                         top = max(b, d)
+    return top
+
+
+# One `group` benchmark pass reads tables on 48 distinct (k, t, copy) grids (seeds 1-3).
+@lru_cache(maxsize=64)
+def _grid_template(k: int, t: int, copy: int) -> tuple[MarkedRay, ...]:
+    """The cells of ``grid_cells(k, t)`` on ``copy``, in order, as unchecked ``MarkedRay``s:
+    built once and shared by the pieces of every table on that grid."""
+    return tuple(_marked(cell, copy) for cell in grid_cells(k, t))
+
+
+def _full_grid(cuts: tuple, labels: dict, m: int) -> tuple[int, tuple]:
+    """Minimal threshold t* of a labelled grid that labels every cell of copies 1..m, a
+    map's, and its t*-cells as pieces ``((MarkedRay, label), ...)`` in ``(copy, dirs, base)``
+    order: the cells of ``_grid_template`` for t*, copy by copy, each with the label of the
+    cell holding its base.  That cell's base is the largest cut <= each coordinate, read once
+    per call; where every coordinate cuts at each of 1..t*+1 it is the base itself.  The
+    ``MarkedRay``s are the template's own, so no cell is built and nothing is sorted.
+    """
+    k, top = len(cuts), _grid_top(cuts, labels)
+    bases = [cell.base for cell in grid_cells(k, top - 1)]
+    if not all(len(cut) >= top and cut[top - 1] == top for cut in cuts):
+        # fits[j][p]: the largest cut of coordinate j that is <= p, for p in 1..top
+        fits = [[0] + [cut[bisect_right(cut, p) - 1] for p in range(1, top + 1)] for cut in cuts]
+        bases = [tuple(map(list.__getitem__, fits, base)) for base in bases]
+    pieces = []
+    for copy in range(1, m + 1):
+        pieces += zip(_grid_template(k, top - 1, copy),
+                      map(labels.__getitem__, zip(itertools.repeat(copy), bases)))
+    return top - 1, tuple(pieces)
+
+
+def _canonical_grid(cuts: tuple, labels: dict, keys: Iterable[tuple]) -> tuple[int, tuple]:
+    """Minimal threshold t* of a labelled grid and the t*-cells of its cells ``keys``,
+    as pieces ``((MarkedRay, label), ...)`` in ``(copy, dirs, base)`` order.
+
+    The reader of regions, whose ``keys`` (a canonical region's cells or a complement's
+    gaps) may cover far less than the t*-grid; a map's table, which labels every cell, is
+    read by ``_full_grid``.  t* comes from ``_grid_top``.  A t*-cell takes the label of the
+    cell holding its base; the threshold grid is built only for output cells.  The rays are
+    built unchecked (``_ray``, ``_marked``): a point of the spans is a product of values
+    from cuts >= 1, and its free directions are listed in increasing order.
+    """
+    top = _grid_top(cuts, labels)
     # spans[j][c]: the t*-grid values of coordinate j in the fitted interval from cut c
     spans = [{c: range(c, min(d, top + 1)) for c, d in zip(cut, cut[1:] + [top + 1])}
              for cut in cuts]

@@ -804,14 +804,44 @@ def enumerate_bounded_vertices_by_meets(k, n, bound):
     return found
 
 
+def canonical_grid_by_sort(cuts, labels, keys):
+    """``rays._canonical_grid`` as it was before map tables were read off a shared grid
+    template: the t* search, then one checked-free ``Ray`` and ``MarkedRay`` per output
+    cell, its ``dirs`` from a generator, and one sort on ``(copy, dirs, base)``."""
+    from hforge.rays import _marked, _ray
+
+    below = [dict(zip(cut[1:], cut)) for cut in cuts]
+    above = [dict(zip(cut, cut[1:])) for cut in cuts]
+    last, top = max(cut[-1] for cut in cuts), 1
+    for (copy, base), label in labels.items():
+        if top == last:
+            break
+        for j, b in enumerate(base):
+            for d in (below[j].get(b), above[j].get(b)):
+                if d is not None and max(b, d) > top:
+                    if labels.get((copy, base[:j] + (d,) + base[j + 1:])) != label:
+                        top = max(b, d)
+    # spans[j][c]: the t*-grid values of coordinate j in the fitted interval from cut c
+    spans = [{c: range(c, min(d, top + 1)) for c, d in zip(cut, cut[1:] + [top + 1])}
+             for cut in cuts]
+    cells = []
+    for copy, base in keys:
+        label = labels.get((copy, base))
+        for point in itertools.product(*(span[b] for span, b in zip(spans, base))):
+            cells.append((copy, tuple(j for j, p in enumerate(point, 1) if p == top), point, label))
+    cells.sort()  # (copy, dirs, base) names a cell, so labels are never compared
+    return top - 1, tuple((_marked(_ray(base, dirs), copy), label)
+                          for copy, dirs, base, label in cells)
+
+
 def vertex_map_by_canonical_grid(k, n, bound, domain, leaf):
     """``complexes._vertex_map`` as it was before it read a per-(k, B) template: the leaf's
-    translations labelled on the domain cells and canonicalised by ``rays._canonical_grid``."""
+    translations labelled on the domain cells and canonicalised by ``canonical_grid_by_sort``."""
     from hforge.houghton import _map_of_cells
-    from hforge.rays import _canonical_grid
 
     labels = {(1, cell.base): tr for cell, tr in zip(domain, leaf)}
-    return _map_of_cells(k, 1, n, _canonical_grid((list(range(1, bound + 2)),) * k, labels, labels))
+    cuts = (list(range(1, bound + 2)),) * k
+    return _map_of_cells(k, 1, n, canonical_grid_by_sort(cuts, labels, labels))
 
 
 def option_cells_by_refit(k, n, bound) -> tuple:

@@ -1904,7 +1904,8 @@ def test_vertex_maps_build_one_template_and_no_canonical_grid(monkeypatch):
         raise AssertionError("a vertex map canonicalised its grid")
 
     monkeypatch.setattr(rays, "_canonical_grid", refuse)
-    monkeypatch.setattr(houghton, "_canonical_grid", refuse)
+    monkeypatch.setattr(rays, "_full_grid", refuse)
+    monkeypatch.setattr(houghton, "_full_grid", refuse)
     template = complexes_module._vertex_template
     template.cache_clear()
     assert len(build_sn_truncated(1, 3, 2).vertices) == 1077
@@ -1913,3 +1914,6 @@ def test_vertex_maps_build_one_template_and_no_canonical_grid(monkeypatch):
     info = template.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert info.maxsize is not None
+    for t, level in enumerate(template(1, 2)[1]):
+        # the copy-1 cells are the shared grid template's, as every map table's are
+        assert all(cell is m for (cell, _), m in zip(level, rays._grid_template(1, t, 1), strict=True))

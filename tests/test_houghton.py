@@ -57,6 +57,7 @@ from _oracles import (
     apply_raw,
     box_points,
     canonical_cells_group_by_parent,
+    canonical_grid_by_sort,
     canonical_table_children_scan,
     compose_global_grid,
     inverse_via_validate,
@@ -333,9 +334,10 @@ def _assert_carries_table_for_free(calls, f):
 
 def test_compose_canonicalises_once(monkeypatch):
     """With both factors' tables cached, compose labels one grid and reads
-    the result off it: one ``_canonical_grid`` call and one map built by
-    ``_map_of_cells``, with no ``_label_cells``, ``canonical_form``,
-    ``cell_of_point`` or ``__post_init__``.  The result carries its table."""
+    the result off it: one ``_full_grid`` call and one map built by
+    ``_map_of_cells``, with no ``_canonical_grid``, ``_label_cells``,
+    ``canonical_form``, ``cell_of_point`` or ``__post_init__``.  The result
+    carries its table."""
     import hforge.houghton as houghton
     import hforge.rays as rays
     from collections import Counter
@@ -344,37 +346,167 @@ def test_compose_canonicalises_once(monkeypatch):
     houghton._canonical_table(g), houghton._canonical_table(f)
     calls = Counter()
     for module in (rays, houghton):
-        for name in ("_canonical_grid", "_label_cells", "cell_of_point"):
+        for name in ("_full_grid", "_canonical_grid", "_label_cells", "cell_of_point"):
             if hasattr(module, name):
                 _count_calls(monkeypatch, calls, module, name)
     for owner, name in ((houghton, "canonical_form"), (houghton, "_map_of_cells"),
                         (HoughtonMap, "__post_init__")):
         _count_calls(monkeypatch, calls, owner, name)
     h = compose(g, f)
-    assert calls == Counter({"_canonical_grid": 1, "_map_of_cells": 1})
+    assert calls == Counter({"_full_grid": 1, "_map_of_cells": 1})
     _assert_carries_table_for_free(calls, h)
 
 
 def test_inverse_canonicalises_once(monkeypatch):
     """With g's table cached, inverse reads the negated image pieces off one
-    grid and builds one map, by ``_map_of_cells`` and without ``__post_init__``;
-    it caches no table for a map that no caller holds, and the result carries
-    its own."""
+    grid (``_full_grid``, not the region reader ``_canonical_grid``) and builds
+    one map, by ``_map_of_cells`` and without ``__post_init__``; it caches no
+    table for a map that no caller holds, and the result carries its own."""
     import hforge.houghton as houghton
+    import hforge.rays as rays
     from collections import Counter
 
     g = random_element(2, 3, 3, seed=9)
     houghton._canonical_table(g)
     calls = Counter()
-    for owner, name in ((houghton, "_canonical_grid"), (houghton, "_map_of_cells"),
-                        (HoughtonMap, "__post_init__")):
+    for owner, name in ((houghton, "_full_grid"), (rays, "_canonical_grid"),
+                        (houghton, "_map_of_cells"), (HoughtonMap, "__post_init__")):
         _count_calls(monkeypatch, calls, owner, name)
     misses = houghton._canonical_table.cache_info().misses
     gi = inverse(g)
-    assert calls == Counter({"_canonical_grid": 1, "_map_of_cells": 1})
+    assert calls == Counter({"_full_grid": 1, "_map_of_cells": 1})
     assert houghton._canonical_table.cache_info().misses == misses
     _assert_carries_table_for_free(calls, gi)
     assert equals(compose(gi, g), identity_map(2, 3))
+
+
+def _tables_against_sort(monkeypatch):
+    """Make ``houghton._full_grid`` check each table it reads against the sorting oracle
+    on the same labelled grid, in value, order and label objects; returns the list of
+    oracle tables, one per call."""
+    import hforge.houghton as houghton
+
+    real, wants = houghton._full_grid, []
+
+    def checked(cuts, labels, m):
+        got, want = real(cuts, labels, m), canonical_grid_by_sort(cuts, labels, labels)
+        assert got == want
+        assert all(a[1] is b[1] for a, b in zip(got[1], want[1]))
+        wants.append(want)
+        return got
+
+    monkeypatch.setattr(houghton, "_full_grid", checked)
+    return wants
+
+
+def test_map_tables_match_canonical_grid_by_sort(monkeypatch):
+    """Every table read off the shared grid template equals the one the per-cell sort
+    builds, and writes the same JSON bytes: the tables ``_map_cells`` reads for seeded
+    elements and injections (k = 1..3, bound <= 3) and for the map fixtures, and those
+    of their inverses and of compositions with them.  ``far_gap.json`` has a gap, so
+    its table is refused before any grid is read."""
+    import hforge.houghton as houghton
+
+    wants, compared = _tables_against_sort(monkeypatch), []
+
+    def same_bytes(h):
+        want = houghton._map_of_cells(h.k, h.m, h.n, wants[-1])
+        assert json.dumps(map_to_json(h)) == json.dumps(map_to_json(want))
+        compared.append((h.k, h.m == h.n))
+
+    def check(f, partner):
+        table = houghton._map_cells(f.k, f.m, f.pieces)
+        assert table == wants[-1]
+        same_bytes(houghton._map_of_cells(f.k, f.m, f.n, table))
+        if f.m == f.n:
+            same_bytes(inverse(f))
+            same_bytes(compose(f, partner))
+        same_bytes(compose(partner if f.m == f.n else
+                           random_injection(f.k, f.n, f.n + 1, 2, seed=f.n), f))
+
+    rng = random.Random(34)
+    for trial in range(45):
+        k, n = 1 + trial % 3, rng.randint(1, 3)
+        bound = trial % 4
+        g = random_element(k, n, rng.randint(0, 3), rng.randrange(10**6))
+        check(random_element(k, n, bound, rng.randrange(10**6)), g)
+        check(random_injection(k, rng.randint(1, n), n, bound, rng.randrange(10**6)), g)
+    for name in ("generator.json", "far_planes.json"):
+        f = map_from_json(json.loads((FIXTURES / name).read_text()))
+        check(f, f)
+    calls = len(wants)
+    gap = _parse_map(json.loads((FIXTURES / "far_gap.json").read_text()))
+    with pytest.raises(ValidationError, match="do not cover every copy"):
+        houghton._map_cells(gap.k, gap.m, gap.pieces)
+    assert len(wants) == calls >= len(compared) > 300
+    assert set(compared) == {(k, bijective) for k in (1, 2, 3) for bijective in (True, False)}
+
+
+def test_warm_compose_builds_no_cells_and_one_translation_per_label_pair(monkeypatch):
+    """With both factors' tables and the template warm, compose builds no ``Ray`` or
+    ``MarkedRay`` (its pieces are the template's) and one ``Translation`` per pair of f
+    and g label objects that meet on a cell of its grid, each the two added.  The
+    template is a bounded ``lru_cache`` of tuples of ``MarkedRay``s, so pieces of
+    different maps on one grid share them."""
+    import hforge.houghton as houghton
+    import hforge.rays as rays
+    from collections import Counter
+    from hforge.rays import cell_of_point
+
+    g, f = random_element(2, 3, 3, seed=9), random_element(2, 3, 3, seed=11)
+    compose(g, f)
+    calls, seen = Counter(), []
+    for owner in (rays, houghton):
+        for name in ("_ray", "_marked"):
+            _count_calls(monkeypatch, calls, owner, name)
+    _count_calls(monkeypatch, calls, houghton, "_translation")
+    real = houghton._full_grid
+    monkeypatch.setattr(houghton, "_full_grid",
+                        lambda cuts, labels, m: seen.append(labels) or real(cuts, labels, m))
+    h = compose(g, f)
+    assert calls["_ray"] == calls["_marked"] == 0
+    (tf, f_pieces), (tg, g_pieces) = houghton._table_of(f), houghton._table_of(g)
+    f_at = {(dom.copy, dom.ray): tr for dom, tr in f_pieces}
+    g_at = {(dom.copy, dom.ray): tr for dom, tr in g_pieces}
+    pairs = set()
+    for (copy, base), tr in seen[0].items():
+        tr1 = f_at[copy, cell_of_point(base, tf)]
+        moved = tuple(b + d for b, d in zip(base, tr1.offset))
+        tr2 = g_at[tr1.target_copy, cell_of_point(moved, tg)]
+        pairs.add((id(tr1), id(tr2)))
+        assert tr == Translation(tuple(a + b for a, b in zip(tr1.offset, tr2.offset)),
+                                 tr2.target_copy)
+    assert calls["_translation"] == len(pairs) == len({id(tr) for tr in seen[0].values()})
+    assert len(pairs) < len(seen[0])
+
+    info = rays._grid_template.cache_info()
+    assert info.maxsize is not None
+    t = canonical_threshold(h)
+    shared = [m for c in range(1, 4) for m in rays._grid_template(2, t, c)]
+    assert type(rays._grid_template(2, t, 1)) is tuple
+    assert all(type(m) is MarkedRay for m in shared)
+    assert all(dom is m for (dom, _), m in zip(h.pieces, shared, strict=True))
+    hi = inverse(h)
+    assert canonical_threshold(hi) == t
+    assert all(dom is m for (dom, _), m in zip(hi.pieces, shared, strict=True))
+
+
+@pytest.mark.parametrize(
+    "point, copy, message",
+    [
+        ((2,), True, "copy True outside [1, 2]"),
+        ((2,), 1.0, "copy 1.0 outside [1, 2]"),
+        ((2,), "1", "copy 1 outside [1, 2]"),
+        (("a",), 1, "('a',) is not a point of N^1"),
+        ((True,), 1, "(True,) is not a point of N^1"),
+        ((2.0,), 1, "(2.0,) is not a point of N^1"),
+    ],
+)
+def test_apply_rejects_points_and_copies_that_are_not_ints(point, copy, message):
+    """``apply_map`` checks the type of each coordinate and of the copy before it compares
+    them, so a bool or a float is refused and a string raises no bare ``TypeError``."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        apply_map(spec_generator(), point, copy)
 
 
 def test_inverse_examples():

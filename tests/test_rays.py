@@ -341,6 +341,27 @@ def test_region_complement_involution():
         assert region_equal(region_complement(region_complement(sub)), sub)
 
 
+def test_regions_keep_their_keys_driven_reader(monkeypatch):
+    """Regions are read cell by cell off their own keys, never off the shared map grid
+    template, whose t*-grid can be far larger than their output: the point (120, 120, 120)
+    of N^3 is one cell on the 120-grid, which has 121^3 cells."""
+    import hforge.rays as rays
+    from hforge.houghton import HoughtonMap, Translation, image_complement
+
+    def refuse(*args):
+        raise AssertionError("a region was read off the map grid template")
+
+    monkeypatch.setattr(rays, "_grid_template", refuse)
+    monkeypatch.setattr(rays, "_full_grid", refuse)
+    point = MarkedRay(Ray((120, 120, 120), ()), 1)
+    canon = canonicalize_region(Region(3, 1, (point,)))
+    assert canon.rays == (point,)
+    assert region_equal(Region(3, 1, (point,)), canon)
+    full = MarkedRay(Ray((1, 1, 1), (1, 2, 3)), 1)
+    into_copy_1 = HoughtonMap(3, 1, 2, ((full, Translation((0, 0, 0), 1)),))
+    assert image_complement(into_copy_1).rays == (MarkedRay(full.ray, 2),)
+
+
 def test_canonicalize_region_examples():
     two_chunks = Region(1, 1, (MarkedRay(R((1,)), 1), MarkedRay(R((2,), 1), 1)))
     canon = canonicalize_region(two_chunks)
