@@ -23,10 +23,11 @@ surjective, which is opt-in via ``include_top``.
 Values from outside are checked once, where they enter, and maps hforge builds
 itself are built unchecked and never validated again.  ``SimplicialComplex.build``
 checks simplex entries for every caller, the JSON reader included.  Maximal simplices
-are found layer by layer, a simplex's cofaces in the layers above it, and a matching
-ranks only the complex's own vertices.  The public section functions check k and n,
-and they and ``simplex_test`` check every vertex they are given with
-``houghton.validate``; the enumerated vertices and a section's far vertices
+are found layer by layer, and a simplex's cofaces in the layers above it, at the bits
+of the AND of its vertices' incidence masks, which a complex builds once on its first
+link or star; a matching ranks only the complex's own vertices.  The public section
+functions check k and n, and they and ``simplex_test`` check every vertex they are
+given with ``houghton.validate``; the enumerated vertices and a section's far vertices
 (``_far_vertex``) are built unchecked.  A truncation vertex is its enumeration leaf,
 one shared translation per threshold-B domain cell.  Its image cells on the fixed cuts
 1..2B+1 and its canonical table are read off ``_vertex_template``, built once per (k, B),
@@ -40,7 +41,8 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import and_
 
 from .errors import SizeLimitError, ValidationError
 from .houghton import (
@@ -193,16 +195,41 @@ class SimplicialComplex:
         }
         return self.simplices[d] - covered
 
+    @cached_property
+    def _incidence(self) -> tuple[tuple[tuple, tuple[int, ...]], ...]:
+        """Per dimension d, the d-simplices in one fixed order and, per vertex, the bitmask
+        of the positions of those that hold it: built once per complex, on its first
+        ``link`` or ``star``, and never changed."""
+        layers = []
+        for d in range(self.dim + 1):
+            layer = tuple(self.simplices.get(d, ()))
+            holders: list[list[int]] = [[] for _ in self.vertices]
+            for i, s in enumerate(layer):
+                for v in s:
+                    holders[v].append(i)
+            layers.append((layer, tuple(map(_mask, holders))))
+        return tuple(layers)
+
+
+def _mask(positions: list[int]) -> int:
+    """The int whose set bits are ``positions``, built in one buffer: OR-ing one bit
+    at a time would copy the growing int once per bit."""
+    buf = bytearray((max(positions) >> 3) + 1 if positions else 0)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
 
 def _cofaces(k: SimplicialComplex, simplex) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """The sorted ``simplex`` and the simplices of ``k`` that properly contain it,
-    read from the layers above its own."""
+    """The sorted ``simplex`` and the simplices of ``k`` that properly contain it: in each
+    layer above its own, those at the bits of the AND of its vertices' incidence masks."""
     s = tuple(sorted(simplex))
     if s not in k:
         raise ValidationError(f"{simplex!r} is not a simplex of the complex")
-    sset = set(s)
-    layers = (layer for d, layer in k.simplices.items() if d >= len(s))
-    return s, [rho for layer in layers for rho in layer if sset.issubset(rho)]
+    cofaces: list[tuple[int, ...]] = []
+    for layer, masks in k._incidence[len(s):]:
+        cofaces += map(layer.__getitem__, _bits(reduce(and_, map(masks.__getitem__, s))))
+    return s, cofaces
 
 
 def link(k: SimplicialComplex, simplex) -> SimplicialComplex:
@@ -636,7 +663,9 @@ def simplex_test(vertices: list[HoughtonMap]) -> bool:
         raise ValidationError(f"at most {n} vertices can span a simplex")
     if len({id(v) for v in vertices}) != len(vertices):
         raise ValidationError("repeated vertex")
-    disjoint, covers = _disjoint_cover(k, n, [m for v in vertices for m in _checked_rays(v)])
+    disjoint, covers = _disjoint_cover(
+        k, n, [(m.copy, m.ray.base, m.ray.dirs) for v in vertices for m in _checked_rays(v)]
+    )
     return disjoint and (len(vertices) < n or covers)
 
 

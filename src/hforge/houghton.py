@@ -22,10 +22,15 @@ canonical pieces ``((MarkedRay, Translation), ...)``, one per t-cell in
 from outside gets its table from one LRU cache of ``_CANONICAL_CACHE_SIZE``
 maps on its first lookup, and keeps it.  The grid work is done by ``rays``:
 every table, whether of ``compose``, of ``inverse`` or of a map from outside, is
-read off ``rays._full_grid``, whose pieces are the cells of one shared per-(k, t)
-grid template, so the pieces of different maps share their ``MarkedRay``s and
-no table builds a cell or sorts one.  ``compose`` builds one ``Translation`` per
-pair of factor labels that meet, not one per cell of its grid.
+read off ``rays._full_grid`` from its grid's labels as one flat list in
+mixed-radix order, and its pieces are the cells of one shared per-(k, t) grid
+template, so the pieces of different maps share their ``MarkedRay``s and no
+table builds a cell or sorts one.  ``compose`` fills that list by index
+arithmetic and reads g's labels by index, building one ``Translation`` per
+pair of factor labels that meet, not one per cell of its grid; ``inverse`` and
+``validate`` read image rays as ``(copy, base, dirs)`` triples, and
+``apply_map`` finds its piece by index.  Pieces that overlap or leave a gap go
+to the dict path of ``rays``, which names the fault.
 Values from outside are checked once, where they enter, and maps hforge builds
 itself are built unchecked and never validated again.  The constructors check
 fields; ``validate``, the one check of a whole map, runs on maps from JSON
@@ -61,12 +66,14 @@ from .rays import (
     _json_int,
     _json_ints,
     _label_cells,
+    _label_list,
     _marked,
     _not_int,
     _overlapping_pair,
     _partition_fault,
     _ray,
-    cell_of_point,
+    _strides,
+    _template_position,
     grid_cells,
     marked_ray_from_json,
     ray_split,
@@ -238,8 +245,9 @@ def validate(f: HoughtonMap) -> MapDiagnostics:
     """Domain partition, positivity, injectivity; bijectivity when m = n.
 
     The one check of a whole map, for maps from outside; maps built here are not passed
-    to it.  Domain and images are decided on one cell set each (``_disjoint_cover``); only
-    a fault builds the per-ray ``_cell_sets`` that name it, a domain fault as
+    to it.  Domain and images are decided on one cell set each (``_disjoint_cover``), read
+    off ``(copy, base, dirs)`` triples, an image's base its piece's moved by the offset; only
+    a fault builds the image rays and per-ray ``_cell_sets`` that name it, a domain fault as
     ``partition_validate`` names it over the full domain.  That domain is listed only on
     the copies that hold pieces and the least copy that holds none, where the first gap
     lies, so a huge m costs nothing.  A map with no pieces leaves all of N^k uncovered,
@@ -249,16 +257,20 @@ def validate(f: HoughtonMap) -> MapDiagnostics:
         gap = f"uncovered cell N^{f.k} on copy 1: the map has no pieces"
         return MapDiagnostics(False, False, (f"domain is not a ray partition: {gap}",))
     problems: list[str] = []
-    domain = [dom for dom, _ in f.pieces]
-    if not all(_disjoint_cover(f.k, f.m, domain)):
+    if not all(_disjoint_cover(f.k, f.m, [(dom.copy, dom.ray.base, dom.ray.dirs)
+                                          for dom, _ in f.pieces])):
+        domain = [dom for dom, _ in f.pieces]
         copies = {dom.copy for dom in domain}
         copies.add(min(set(range(1, len(copies) + 2)) - copies))
         full = _ray((1,) * f.k, tuple(range(1, f.k + 1)))
         fault = _partition_fault(f.k, domain, [_marked(full, c) for c in copies if c <= f.m])
         problems.append(f"domain is not a ray partition: {fault}")
-    images = _image_rays(f)
-    disjoint, covers = _disjoint_cover(f.k, f.n, images)
+    disjoint, covers = _disjoint_cover(f.k, f.n, [
+        (tr.target_copy, tuple(map(operator.add, dom.ray.base, tr.offset)), dom.ray.dirs)
+        for dom, tr in f.pieces
+    ])
     if not disjoint:
+        images = _image_rays(f)
         pair = _overlapping_pair(images, _cell_sets(f.k, [(m,) for m in images])[1])
         problems.append(f"image rays overlap: {pair[0]} and {pair[1]}")
     bijective = not problems and f.m == f.n and covers
@@ -276,10 +288,26 @@ _CANONICAL_CACHE_SIZE = 4096
 def _map_cells(k: int, m: int, pieces) -> tuple[int, tuple]:
     """The canonical table of the map on ``m`` copies that ``pieces`` describe, read off
     the grid fitted to the pieces; the pieces must neither overlap nor leave a gap."""
-    cuts, labels = _label_cells(k, pieces)
-    if len(labels) != m * math.prod(map(len, cuts)):
+    pieces = tuple(pieces)
+    return _shape_table(k, m, [(dom.copy, dom.ray.base, dom.ray.dirs) for dom, _ in pieces],
+                        [label for _, label in pieces])
+
+
+def _shape_table(k: int, m: int, shapes: list[tuple], labels: list) -> tuple[int, tuple]:
+    """``_map_cells`` on pieces given as rays ``(copy, base, dirs)`` and their labels: the
+    table is read off the grid fitted to the rays, labelled as one flat list
+    (``_label_list``).  Rays that do not partition the copies go to the dict ``_label_cells``
+    on unchecked ``MarkedRay``s, which names an overlap, and a gap is refused there; equal
+    pieces that repeat are read as one, their dict turned into the list."""
+    flat = _label_list(k, m, shapes, labels)
+    if flat is not None:
+        return _full_grid(*flat, m)
+    cuts, by_cell = _label_cells(k, [(_marked(_ray(base, dirs), copy), label)
+                                     for (copy, base, dirs), label in zip(shapes, labels)])
+    if len(by_cell) != m * math.prod(map(len, cuts)):
         raise ValidationError("domain pieces do not cover every copy")
-    return _full_grid(cuts, labels, m)
+    keys = itertools.product(range(1, m + 1), itertools.product(*cuts))
+    return _full_grid(cuts, list(map(by_cell.__getitem__, keys)), m)
 
 
 @lru_cache(maxsize=_CANONICAL_CACHE_SIZE)
@@ -344,14 +372,17 @@ def equals(f: HoughtonMap, g: HoughtonMap) -> bool:
 
 
 def apply_map(f: HoughtonMap, point: tuple[int, ...], copy: int) -> tuple[tuple[int, ...], int]:
-    """Evaluate ``f`` at a point of N^k x [m]."""
+    """Evaluate ``f`` at a point of N^k x [m]: its table's piece on the t*-cell holding the
+    point is found by index, from the point's mixed-radix index clipped at t*+1."""
     if len(point) != f.k or any(_not_int(c) or c < 1 for c in point):
         raise ValidationError(f"{point!r} is not a point of N^{f.k}")
     if _not_int(copy) or not 1 <= copy <= f.m:
         raise ValidationError(f"copy {copy} outside [1, {f.m}]")
     t, pieces = _table_of(f)
-    cell = cell_of_point(point, t)
-    tr = next(label for dom, label in pieces if dom.copy == copy and dom.ray == cell)
+    index = 0
+    for p in point:
+        index = index * (t + 1) + min(p, t + 1) - 1
+    tr = pieces[(copy - 1) * (t + 1) ** f.k + _template_position(f.k, t)[index]][1]
     return tuple(x + d for x, d in zip(point, tr.offset)), tr.target_copy
 
 
@@ -364,51 +395,84 @@ def compose(g: HoughtonMap, f: HoughtonMap) -> HoughtonMap:
     would pull back inside it; a cell's label is the two translations added,
     one ``Translation`` per pair of f and g label objects that meet.  An f piece
     is a tf-cell, so a free coordinate (at tf+1) takes the cuts ``cut[tf:]``.
+    The labels fill one flat list (``rays._strides``) by index arithmetic: a cell's
+    index is a sum of stride-weighted ranks, and g's label at its image, clipped at
+    tg+1, is g's table entry ``(q-1)*(tg+1)^k + _template_position(k, tg)[i]`` for
+    the image's copy q and mixed-radix index i, read once per compose into ``g_at``.
     """
     if f.k != g.k or f.n != g.m:
         raise ValidationError(
             f"shape mismatch: cannot compose {g.m}->{g.n} after {f.m}->{f.n}"
         )
+    k = f.k
     tg, g_pieces = _table_of(g)
     tf, f_pieces = _table_of(f)
-    g_at = {(dom.copy, dom.ray.base): tr for dom, tr in g_pieces}
+    top, position = tg + 1, _template_position(k, tg)
+    whole = top ** k
+    # g_at[(q-1)*(tg+1)^k + i]: g's label on copy q at the cell of mixed-radix index i
+    g_at = [g_pieces[q + p][1] for q in range(0, len(g_pieces), whole) for p in position]
     cuts = tuple(
         sorted({*range(1, tf + 2)}.union(*(range(max(1, 1 - d), tg + 2 - d) for d in set(ds))))
         for ds in zip(*(tr.offset for _, tr in f_pieces))
     )
-    # spread[j][b]: the cuts of coordinate j in an f piece whose base there is b
-    spread = [[(b,) for b in range(tf + 1)] + [cut[tf:]] for cut in cuts]
-    labels, sums = {}, {}
+    steps, size = _strides(cuts)
+    unit = [top ** (k - j) for j in range(1, k + 1)]  # the mixed-radix digit values
+    # above[j]: the cuts of coordinate j from tf+1 on, with their rank steps from tf+1, the
+    # cuts a free coordinate of an f piece takes; None when tf+1 is the only one
+    above = [list(zip(cut[tf:], range(0, (len(cut) - tf) * s, s))) if len(cut) > tf + 1 else None
+             for cut, s in zip(cuts, steps)]
+    labels, sums = [None] * (f.m * size), {}
     for dom, tr1 in f_pieces:
-        copy, offset, target = dom.copy, tr1.offset, tr1.target_copy
-        spans = list(map(list.__getitem__, spread, dom.ray.base))
-        moved = [[min(b + d, tg + 1) for b in span] for span, d in zip(spans, offset)]
-        made = sums.setdefault(id(tr1), {})
-        for base, image in zip(itertools.product(*spans), itertools.product(*moved)):
-            tr2 = g_at[target, image]
+        offset, base = tr1.offset, dom.ray.base
+        # the (index, g_at index) of the piece's least cell; cuts 1..tf+1 have ranks 0..tf
+        cell, image = (dom.copy - 1) * size, (tr1.target_copy - 1) * whole
+        for b, d, s, u in zip(base, offset, steps, unit):
+            cell += (b - 1) * s
+            image += (min(b + d, top) - 1) * u
+        cells = [(cell, image)]
+        for j in dom.ray.dirs:
+            if tail := above[j - 1]:
+                d, u = offset[j - 1], unit[j - 1]
+                least = min(tf + 1 + d, top)
+                cells = [(i + w, x + (min(v + d, top) - least) * u)
+                         for i, x in cells for v, w in tail]
+        made = sums.get(id(tr1))
+        if made is None:
+            made = sums[id(tr1)] = {}
+        for i, x in cells:
+            tr2 = g_at[x]
             tr = made.get(id(tr2))
             if tr is None:
                 tr = made[id(tr2)] = _translation(tuple(map(operator.add, offset, tr2.offset)),
                                                   tr2.target_copy)
-            labels[copy, base] = tr
-    return _map_of_cells(f.k, f.m, g.n, _full_grid(cuts, labels, f.m))
+            labels[i] = tr
+    return _map_of_cells(k, f.m, g.n, _full_grid(cuts, labels, f.m))
 
 
 def inverse(g: HoughtonMap) -> HoughtonMap:
     """Invert a bijective element: image cells with negated translations.
 
     The inverse is read off the grid fitted to those pieces, which rejects
-    image cells that overlap or leave a gap, and built once.  g is read
+    image cells that overlap or leave a gap, and built once; the image cells
+    are ``(copy, base, dirs)`` triples, and one negated ``Translation`` is
+    built per label object of g and copy.  g is read
     through its canonical pieces, as the function it denotes, so a
     hand-built g that repeats a piece is inverted like the map without the
     repeat, as ``compose`` and ``equals`` read it.
     """
     if g.m != g.n:
         raise ValidationError("only m = n maps can be inverted")
+    shapes, labels, negated = [], [], {}
     try:
-        pieces = [(g.image_ray((dom, tr)), _translation(tuple(-d for d in tr.offset), dom.copy))
-                  for dom, tr in _table_of(g)[1]]
-        return _map_of_cells(g.k, g.n, g.m, _map_cells(g.k, g.n, pieces))
+        for dom, tr in _table_of(g)[1]:
+            shapes.append((tr.target_copy, tuple(map(operator.add, dom.ray.base, tr.offset)),
+                           dom.ray.dirs))
+            back = negated.get((id(tr), dom.copy))
+            if back is None:
+                back = negated[id(tr), dom.copy] = _translation(tuple(-d for d in tr.offset),
+                                                                dom.copy)
+            labels.append(back)
+        return _map_of_cells(g.k, g.n, g.m, _shape_table(g.k, g.n, shapes, labels))
     except ValidationError as exc:
         raise ValidationError(f"map is not bijective: {exc}") from exc
 

@@ -18,23 +18,31 @@ This module is the one owner of the grid layer.  Overlap, cover and canonical
 forms are read off grid cells named by their least points: ``_cell_bases``
 lists a ray's cells on per-coordinate cuts, either the threshold grid or the
 grid ``_cuts_for`` fits to a set of rays, whose size does not grow with the
-bases.  ``_disjoint_cover`` decides overlap and cover on one set of fitted
-cells, for ``Region`` and for ``houghton.validate``; only on a fault are the
+bases.  A map's grid labels every cell of its copies, so its labels are one
+flat list in mixed-radix order (``_strides``): cell ``(copy, base)`` sits at
+``(copy-1)*S + sum(rank_j(base_j) * s_j)``, where s_j is the product of the
+later coordinates' cut counts and S that of all of them, and ``_flat_cells``
+lists a ray's cells as those indices.  ``_disjoint_cover`` decides overlap and
+cover on one set of them, for rays given as ``(copy, base, dirs)`` triples, for
+``Region``, ``houghton.validate`` and the simplex test; only on a fault are the
 ``_cell_sets`` built, one set per ray, from which ``_overlapping_pair`` and
-``_partition_fault`` name it.  ``_label_cells`` labels the fitted cells, and
-canonical pieces ``((MarkedRay, label), ...)`` are read off them, or off any
-labelled grid with cuts from 1, after one shared search for the minimal
-threshold t* (``_grid_top``).  A map's grid labels every cell of its copies
-(``houghton.compose`` labels a grid of its own), so ``_full_grid`` reads its
-table off ``_grid_template``: the t*-cells of each copy, built once per
-(k, t*, copy) in a bounded cache and shared by the pieces of every map on that
-grid, each labelled through the largest cut below its base; it builds no cell
-and sorts nothing.  Regions keep their own reader, ``_canonical_grid``, which
-builds and sorts only the cells of their output (a canonical region's cells or
-a complement's gaps), far fewer than the t*-grid can hold.  Vertex enumeration
-in ``complexes`` reads image cells (``_cell_bases`` on the cuts 1..2B+1) and
-tables off a template it builds once per (k, B) from ``grid_cells`` and
-``_grid_template``.
+``_partition_fault`` name it.  ``_label_list`` fills a map's flat list once
+its rays' cells are counted and fill it (``houghton.compose`` fills a list of
+its own); ``_flat_top`` finds the minimal threshold t* by comparing label
+slices across each cut, and ``_full_grid`` reads the table off
+``_grid_template``: the t*-cells of each copy, built once per (k, t*, copy) in
+a bounded cache and shared by the pieces of every map on that grid, each
+labelled at the index of the cell holding its base.  It builds no cell and
+sorts nothing; ``_template_position`` maps a t*-cell's mixed-radix index to
+its place in the template, for reading a table by point.  Regions, and maps
+whose pieces overlap or leave a gap, keep the dict path: ``_label_cells``
+labels the fitted cells as ``{(copy, base): label}`` and names a fault, and
+``_canonical_grid`` (t* from the dict ``_grid_top``) builds and sorts only
+the cells of a region's output (a canonical region's cells or a complement's
+gaps), far fewer than its fitted grid can hold: one far point in k = 40 has
+3^40 fitted cells.  Vertex enumeration in ``complexes`` reads image cells
+(``_cell_bases`` on the cuts 1..2B+1) and tables off a template it builds
+once per (k, B) from ``grid_cells`` and ``_grid_template``.
 
 Values from outside are checked once, where they enter; values hforge builds
 itself are built unchecked and never validated again.  The JSON parsers take
@@ -54,7 +62,6 @@ share between threads.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -304,37 +311,73 @@ def _cell_bases(ray: Ray, cuts: Sequence[Sequence[int]]) -> Iterator[tuple[int, 
     ])
 
 
-def _cuts_for(k: int, rays: Iterable[Ray]) -> tuple[list[int], ...]:
-    """Cuts at 1, every base value and one past every pinned base, per coordinate; the
-    largest is t+1 for the largest threshold t of the rays (t = 0 for none)."""
+def _cuts_for(k: int, shapes: Iterable[tuple[tuple[int, ...], tuple[int, ...]]]
+              ) -> tuple[list[int], ...]:
+    """Cuts at 1, every base value and one past every pinned base, per coordinate, for rays
+    given as ``(base, dirs)``; the largest is t+1 for the largest threshold t of the rays
+    (t = 0 for none)."""
     cuts = [{1} for _ in range(k)]
-    for ray in rays:
-        for j, b in enumerate(ray.base, start=1):
+    for base, dirs in shapes:
+        for j, b in enumerate(base, start=1):
             cuts[j - 1].add(b)
-            if j not in ray.dirs:
+            if j not in dirs:
                 cuts[j - 1].add(b + 1)
     return tuple(sorted(c) for c in cuts)
+
+
+def _strides(cuts: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """The flat layout of a grid on ``cuts``: the stride s_j of each coordinate, the product
+    of the later coordinates' cut counts, and S, the number of cells of one copy.  Cell
+    ``(copy, base)`` sits at ``(copy-1)*S + sum(rank_j(base_j) * s_j)``, so the cells of
+    one copy lie in lexicographic (``itertools.product``) order of their bases."""
+    steps, size = [], 1
+    for cut in reversed(cuts):
+        steps.append(size)
+        size *= len(cut)
+    return steps[::-1], size
+
+
+def _flat_cells(k: int, shapes: Sequence[tuple[int, tuple[int, ...], tuple[int, ...]]]
+                ) -> tuple[tuple, int, list[list[int]]]:
+    """The ``_cuts_for`` cuts of rays given as ``(copy, base, dirs)``, S, and the indices of
+    each ray's cells on them in the ``_strides`` layout: its least cell's, a sum of
+    stride-weighted ranks, then one step per cut above the base of each free coordinate.
+    Only the rays' own cells are listed, however many the grid has."""
+    cuts = _cuts_for(k, ((base, dirs) for _, base, dirs in shapes))
+    steps, size = _strides(cuts)
+    at = [{c: i * s for i, c in enumerate(cut)} for cut, s in zip(cuts, steps)]
+    # above[j][c]: the steps from cut c to each cut of coordinate j from c on, below the top
+    above = [{c: range(0, (len(cut) - i) * s, s) for i, c in enumerate(cut[:-1])}
+             for cut, s in zip(cuts, steps)]
+    cells = []
+    for copy, base, dirs in shapes:
+        indices = [(copy - 1) * size + sum(map(dict.__getitem__, at, base))]
+        for j in dirs:
+            if span := above[j - 1].get(base[j - 1]):
+                indices = [i + step for i in indices for step in span]
+        cells.append(indices)
+    return cuts, size, cells
 
 
 def _cell_sets(k: int, groups: Sequence[Sequence[MarkedRay]]) -> tuple[tuple, list[frozenset]]:
     """The cuts ``_cuts_for`` fits to all rays of ``groups``, and each group's
     ``(copy, base)`` cells on them; two groups meet exactly when their sets do."""
-    cuts = _cuts_for(k, (m.ray for group in groups for m in group))
+    cuts = _cuts_for(k, ((m.ray.base, m.ray.dirs) for group in groups for m in group))
     return cuts, [
         frozenset((m.copy, base) for m in group for base in _cell_bases(m.ray, cuts))
         for group in groups
     ]
 
 
-def _disjoint_cover(k: int, n: int, rays: Sequence[MarkedRay]) -> tuple[bool, bool]:
-    """Whether ``rays`` are pairwise disjoint, and whether they also cover N^k x [n], decided
-    on one set of ``(copy, base)`` cells on the ``_cuts_for`` cuts: fewer distinct cells than
-    the rays list is an overlap, and disjoint rays cover when there are n times the grid's.
+def _disjoint_cover(k: int, n: int, shapes: Sequence[tuple]) -> tuple[bool, bool]:
+    """Whether rays given as ``(copy, base, dirs)`` are pairwise disjoint, and whether they
+    also cover N^k x [n], decided on one set of flat cell indices on the ``_cuts_for`` cuts
+    (``_flat_cells``): fewer distinct cells than the rays list is an overlap, and disjoint rays
+    cover when there are n times S.  No ``Ray`` need be built to ask.
     """
-    cuts = _cuts_for(k, (m.ray for m in rays))
-    keys = [(m.copy, base) for m in rays for base in _cell_bases(m.ray, cuts)]
-    cells = len(set(keys))
-    return cells == len(keys), cells == len(keys) == n * math.prod(map(len, cuts))
+    _, size, cells = _flat_cells(k, shapes)
+    count, distinct = sum(map(len, cells)), len(set(itertools.chain.from_iterable(cells)))
+    return distinct == count, distinct == count == n * size
 
 
 def _disjoint_masks(cells: list[frozenset]) -> Iterator[int]:
@@ -370,7 +413,7 @@ def _label_cells(k: int, pieces: Iterable[tuple[MarkedRay, object]]) -> tuple[tu
     no label is None.  A label may repeat on a cell; two raise, naming the first such
     cell in piece order as the threshold cell at its base, for t+1 the largest cut."""
     pieces = tuple(pieces)
-    cuts = _cuts_for(k, (m.ray for m, _ in pieces))
+    cuts = _cuts_for(k, ((m.ray.base, m.ray.dirs) for m, _ in pieces))
     labels: dict = {}
     for m, label in pieces:
         for base in _cell_bases(m.ray, cuts):
@@ -404,6 +447,53 @@ def _grid_top(cuts: tuple, labels: dict) -> int:
     return top
 
 
+def _label_list(k: int, m: int, shapes: Sequence[tuple], labels: Sequence
+                ) -> tuple[tuple, list] | None:
+    """The ``_flat_cells`` cuts of rays given as ``(copy, base, dirs)`` and the labels of the
+    cells of copies 1..m on them, each ray's cells taking its label, as one flat list in the
+    ``_strides`` layout, when the rays partition those copies; None otherwise.  The rays'
+    cells are counted before the list is allocated, so rays that cannot fill it allocate
+    nothing, and with the count right a cell listed twice means two rays overlap.  The dict
+    ``_label_cells`` names the fault."""
+    cuts, size, cells = _flat_cells(k, shapes)
+    if sum(map(len, cells)) != m * size:
+        return None
+    table = [None] * (m * size)
+    for indices, label in zip(cells, labels):
+        for i in indices:
+            table[i] = label
+    if len(set(itertools.chain.from_iterable(cells))) != len(table):
+        return None
+    return cuts, table
+
+
+def _flat_top(cuts: tuple, steps: list[int], labels: list) -> int:
+    """t* + 1 for the minimal threshold t* of a grid labelled as one flat list, ``_grid_top``
+    for a grid with every cell labelled.  Per coordinate, from its top cut down to the first
+    at most the t* + 1 found so far, the labels on either side of the cut are compared slice
+    against slice; list ``!=`` tests identity before ``==``, and cells of one piece share
+    their label object.  The slices run along whichever of the stride and the number of
+    blocks (runs of the coordinate's whole cut range) is the shorter.
+    """
+    total, top = len(labels), 1
+    for cut, step in zip(cuts, steps):
+        block = len(cut) * step
+        for r in range(len(cut) - 1, 0, -1):
+            if cut[r] <= top:
+                break
+            hi = r * step
+            lo = hi - step
+            if step * block <= total:
+                differ = any(labels[lo + o::block] != labels[hi + o::block] for o in range(step))
+            else:
+                differ = any(labels[b + lo:b + hi] != labels[b + hi:b + hi + step]
+                             for b in range(0, total, block))
+            if differ:
+                top = cut[r]
+                break
+    return top
+
+
 # One `group` benchmark pass reads tables on 48 distinct (k, t, copy) grids (seeds 1-3).
 @lru_cache(maxsize=64)
 def _grid_template(k: int, t: int, copy: int) -> tuple[MarkedRay, ...]:
@@ -412,24 +502,48 @@ def _grid_template(k: int, t: int, copy: int) -> tuple[MarkedRay, ...]:
     return tuple(_marked(cell, copy) for cell in grid_cells(k, t))
 
 
-def _full_grid(cuts: tuple, labels: dict, m: int) -> tuple[int, tuple]:
-    """Minimal threshold t* of a labelled grid that labels every cell of copies 1..m, a
-    map's, and its t*-cells as pieces ``((MarkedRay, label), ...)`` in ``(copy, dirs, base)``
-    order: the cells of ``_grid_template`` for t*, copy by copy, each with the label of the
-    cell holding its base.  That cell's base is the largest cut <= each coordinate, read once
-    per call; where every coordinate cuts at each of 1..t*+1 it is the base itself.  The
-    ``MarkedRay``s are the template's own, so no cell is built and nothing is sorted.
+@lru_cache(maxsize=64)
+def _template_order(k: int, t: int) -> tuple[int, ...]:
+    """The mixed-radix index of each cell of ``grid_cells(k, t)``, in order: the sum of
+    (b_j - 1) * (t+1)^(k-j) over its base b, the first coordinate most significant."""
+    return tuple(sum((b - 1) * (t + 1) ** (k - j) for j, b in enumerate(cell.base, start=1))
+                 for cell in grid_cells(k, t))
+
+
+@lru_cache(maxsize=64)
+def _template_position(k: int, t: int) -> tuple[int, ...]:
+    """The position in ``grid_cells(k, t)`` of the cell with each mixed-radix index, the
+    inverse of ``_template_order``: a table's piece at a point p of copy q is its entry
+    ``(q-1)*(t+1)^k + _template_position(k, t)[index of p clipped at t+1]``."""
+    position = [0] * (t + 1) ** k
+    for i, x in enumerate(_template_order(k, t)):
+        position[x] = i
+    return tuple(position)
+
+
+def _full_grid(cuts: tuple, labels: list, m: int) -> tuple[int, tuple]:
+    """Minimal threshold t* of a grid on ``cuts`` whose cells of copies 1..m are labelled
+    by the flat list ``labels`` (``_strides`` layout), a map's, and its t*-cells as pieces
+    ``((MarkedRay, label), ...)`` in ``(copy, dirs, base)`` order: the cells of
+    ``_grid_template`` for t*, copy by copy, each with the label of the cell holding its
+    base.  That cell's index is a sum over coordinates of the stride-weighted rank of the
+    largest cut <= the base's value, read once per call for the values 1..t*+1, and put in
+    template order through ``_template_order``.  The ``MarkedRay``s are the template's own,
+    so no cell is built and nothing is sorted.
     """
-    k, top = len(cuts), _grid_top(cuts, labels)
-    bases = [cell.base for cell in grid_cells(k, top - 1)]
-    if not all(len(cut) >= top and cut[top - 1] == top for cut in cuts):
-        # fits[j][p]: the largest cut of coordinate j that is <= p, for p in 1..top
-        fits = [[0] + [cut[bisect_right(cut, p) - 1] for p in range(1, top + 1)] for cut in cuts]
-        bases = [tuple(map(list.__getitem__, fits, base)) for base in bases]
+    k = len(cuts)
+    steps, size = _strides(cuts)
+    top = _flat_top(cuts, steps, labels)
+    at = [[(bisect_right(cut, p) - 1) * step for p in range(1, top + 1)]
+          for cut, step in zip(cuts, steps)]
+    lex = [0]
+    for weights in at:
+        lex = [i + w for i in lex for w in weights]
+    where = [lex[x] for x in _template_order(k, top - 1)]
     pieces = []
     for copy in range(1, m + 1):
-        pieces += zip(_grid_template(k, top - 1, copy),
-                      map(labels.__getitem__, zip(itertools.repeat(copy), bases)))
+        first = (copy - 1) * size
+        pieces += zip(_grid_template(k, top - 1, copy), [labels[first + i] for i in where])
     return top - 1, tuple(pieces)
 
 
@@ -477,7 +591,9 @@ class Region:
                 raise ValidationError(f"ray {m} does not live in N^{self.k}")
             if m.copy > self.n:
                 raise ValidationError(f"copy {m.copy} exceeds ambient copy count {self.n}")
-        if len(self.rays) > 1 and not _disjoint_cover(self.k, self.n, self.rays)[0]:
+        if len(self.rays) > 1 and not _disjoint_cover(
+            self.k, self.n, [(m.copy, m.ray.base, m.ray.dirs) for m in self.rays]
+        )[0]:
             pair = _overlapping_pair(self.rays, _cell_sets(self.k, [(m,) for m in self.rays])[1])
             raise ValidationError(f"region rays overlap: {pair[0]} and {pair[1]}")
 

@@ -101,6 +101,18 @@ def apply_raw(pieces, point, copy):
     return hits[0]
 
 
+def apply_map_by_table_scan(f, point, copy):
+    """``houghton.apply_map`` as it was before it read its piece by index: a scan of the
+    canonical table for the piece on the threshold cell that holds the point."""
+    from hforge.houghton import _table_of
+    from hforge.rays import cell_of_point
+
+    t, pieces = _table_of(f)
+    cell = cell_of_point(point, t)
+    tr = next(label for dom, label in pieces if dom.copy == copy and dom.ray == cell)
+    return tuple(x + d for x, d in zip(point, tr.offset)), tr.target_copy
+
+
 def det_cofactor(rows) -> int:
     """Determinant by cofactor expansion; exact, independent of elimination."""
     n = len(rows)

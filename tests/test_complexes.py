@@ -1288,6 +1288,37 @@ def test_layers_match_full_scan_oracles_on_fixtures():
         assert_layers_match_full_scan_oracles(K, K.all_simplices())
 
 
+@given(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True), max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_links_from_incidence_masks_match_full_scan_hypothesis(simplices):
+    """``link`` and ``star``, whose cofaces are read off the per-layer incidence masks,
+    against the full scan, for every simplex of random complexes."""
+    K = SimplicialComplex.build(tuple(range(10)), simplices)
+    for s in K.all_simplices():
+        assert_same_complex(link(K, s), link_by_full_scan(K, s))
+        assert_same_complex(star(K, s), star_by_full_scan(K, s))
+
+
+def test_incidence_masks_are_built_once_per_complex(monkeypatch):
+    """A complex builds its incidence masks on its first link, one per vertex and layer,
+    and later links and stars reuse them; the masks are tuples of ints, bit i of vertex v's
+    mask in layer d set exactly when the i-th simplex of that layer holds v."""
+    built = []
+    real = complexes_module._mask
+    monkeypatch.setattr(complexes_module, "_mask",
+                        lambda positions: built.append(1) or real(positions))
+    K = build_sn_truncated(1, 3, 1)
+    for s in K.simplices_of_dim(0)[:5] + K.simplices_of_dim(1)[:5]:
+        link(K, s)
+        star(K, s)
+    assert len(built) == len(K.vertices) * (K.dim + 1)
+    assert type(K._incidence) is tuple
+    for d, (layer, masks) in enumerate(K._incidence):
+        assert type(layer) is type(masks) is tuple and set(layer) == K.simplices[d]
+        for v, mask in enumerate(masks):
+            assert mask == sum(1 << i for i, s in enumerate(layer) if v in s)
+
+
 @pytest.mark.parametrize("include_top", [False, True], ids=["", "top"])
 @pytest.mark.parametrize(
     "params", BOUNDED_TRUNCATIONS, ids=["".join(map(str, p)) for p in BOUNDED_TRUNCATIONS]

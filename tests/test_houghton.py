@@ -54,6 +54,7 @@ from hforge.rays import (
 )
 
 from _oracles import (
+    apply_map_by_table_scan,
     apply_raw,
     box_points,
     canonical_cells_group_by_parent,
@@ -380,16 +381,25 @@ def test_inverse_canonicalises_once(monkeypatch):
     assert equals(compose(gi, g), identity_map(2, 3))
 
 
+def _labels_by_cell(cuts, labels, m):
+    """The ``{(copy, base): label}`` dict of a flat label list that ``_full_grid`` receives:
+    the cells of copies 1..m on ``cuts``, copy by copy in product order of their bases."""
+    keys = list(itertools.product(range(1, m + 1), itertools.product(*cuts)))
+    assert len(keys) == len(labels)
+    return dict(zip(keys, labels))
+
+
 def _tables_against_sort(monkeypatch):
     """Make ``houghton._full_grid`` check each table it reads against the sorting oracle
-    on the same labelled grid, in value, order and label objects; returns the list of
-    oracle tables, one per call."""
+    on the same labelled grid, its flat label list rebuilt as a dict, in value, order and
+    label objects; returns the list of oracle tables, one per call."""
     import hforge.houghton as houghton
 
     real, wants = houghton._full_grid, []
 
     def checked(cuts, labels, m):
-        got, want = real(cuts, labels, m), canonical_grid_by_sort(cuts, labels, labels)
+        by_cell = _labels_by_cell(cuts, labels, m)
+        got, want = real(cuts, labels, m), canonical_grid_by_sort(cuts, by_cell, by_cell)
         assert got == want
         assert all(a[1] is b[1] for a, b in zip(got[1], want[1]))
         wants.append(want)
@@ -442,6 +452,47 @@ def test_map_tables_match_canonical_grid_by_sort(monkeypatch):
     assert set(compared) == {(k, bijective) for k in (1, 2, 3) for bijective in (True, False)}
 
 
+def test_gapped_far_map_reaches_the_dict_error_path(monkeypatch):
+    """A hand-built k = 40 map with a far point and a gap: cuts 1, 2, 3 in every coordinate
+    give its fitted grid 3^40 cells, its two pieces hold one each.  The count refuses the
+    flat label list before it is allocated (a list of 3^40 entries could not be), so the
+    table goes to the dict ``_label_cells``, which labels two cells and refuses the gap;
+    no grid is read, and the whole lookup allocates well under a megabyte."""
+    import tracemalloc
+
+    import hforge.houghton as houghton
+    import hforge.rays as rays
+
+    k = 40
+    f = HoughtonMap(k, 1, 1, (
+        (MarkedRay(Ray((2,) * k, ()), 1), Translation((0,) * k, 1)),
+        (MarkedRay(Ray((3,) * k, tuple(range(1, k + 1))), 1), Translation((0,) * k, 1)),
+    ))
+    lists, dicts = [], []
+
+    def no_grid(*args):
+        raise AssertionError("a grid was read off a map with a gap")
+
+    real_list, real_dict = houghton._label_list, houghton._label_cells
+    monkeypatch.setattr(houghton, "_label_list",
+                        lambda *args: lists.append(real_list(*args)) or lists[-1])
+    monkeypatch.setattr(houghton, "_label_cells",
+                        lambda *args: dicts.append(real_dict(*args)) or dicts[-1])
+    monkeypatch.setattr(houghton, "_full_grid", no_grid)
+    monkeypatch.setattr(rays, "_full_grid", no_grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="^domain pieces do not cover every copy$"):
+            houghton._map_cells(f.k, f.m, f.pieces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lists == [None]
+    assert [len(labels) for _, labels in dicts] == [2]
+    assert math.prod(map(len, dicts[0][0])) == 3**k
+    assert peak < 2**20
+
+
 def test_warm_compose_builds_no_cells_and_one_translation_per_label_pair(monkeypatch):
     """With both factors' tables and the template warm, compose builds no ``Ray`` or
     ``MarkedRay`` (its pieces are the template's) and one ``Translation`` per pair of f
@@ -461,8 +512,8 @@ def test_warm_compose_builds_no_cells_and_one_translation_per_label_pair(monkeyp
             _count_calls(monkeypatch, calls, owner, name)
     _count_calls(monkeypatch, calls, houghton, "_translation")
     real = houghton._full_grid
-    monkeypatch.setattr(houghton, "_full_grid",
-                        lambda cuts, labels, m: seen.append(labels) or real(cuts, labels, m))
+    monkeypatch.setattr(houghton, "_full_grid", lambda cuts, labels, m:
+                        seen.append(_labels_by_cell(cuts, labels, m)) or real(cuts, labels, m))
     h = compose(g, f)
     assert calls["_ray"] == calls["_marked"] == 0
     (tf, f_pieces), (tg, g_pieces) = houghton._table_of(f), houghton._table_of(g)
@@ -489,6 +540,27 @@ def test_warm_compose_builds_no_cells_and_one_translation_per_label_pair(monkeyp
     hi = inverse(h)
     assert canonical_threshold(hi) == t
     assert all(dom is m for (dom, _), m in zip(hi.pieces, shared, strict=True))
+
+
+def test_apply_map_by_index_matches_table_scan():
+    """``apply_map`` reads its piece by index off the table; a scan of the table for the
+    piece on the point's threshold cell agrees, at every piece base of seeded elements and
+    injections (k = 1..3) and of ``far_planes.json``, and at each base pushed three steps
+    out along its free directions, past the threshold."""
+    rng = random.Random(36)
+    maps = [map_from_json(json.loads((FIXTURES / "far_planes.json").read_text()))]
+    for trial in range(36):
+        k, n, bound = 1 + trial % 3, rng.randint(1, 4), trial % 4
+        maps.append(random_element(k, n, bound, rng.randrange(10**6)))
+        maps.append(random_injection(k, rng.randint(1, n), n, bound, rng.randrange(10**6)))
+    checked = 0
+    for f in maps:
+        for dom, _ in f.pieces:
+            far = tuple(b + 3 if j in dom.ray.dirs else b for j, b in enumerate(dom.ray.base, 1))
+            for point in (dom.ray.base, far):
+                assert apply_map(f, point, dom.copy) == apply_map_by_table_scan(f, point, dom.copy)
+                checked += 1
+    assert {f.k for f in maps} == {1, 2, 3} and checked > 1000
 
 
 @pytest.mark.parametrize(
@@ -939,7 +1011,7 @@ def _differential_maps():
 def _fitted_grid_is_coarser(k, rays):
     """Whether the grid fitted to ``rays`` has fewer cells than their threshold grid."""
     t = max((ray.threshold for ray in rays), default=0)
-    return math.prod(map(len, _cuts_for(k, rays))) < (t + 1) ** k
+    return math.prod(map(len, _cuts_for(k, ((ray.base, ray.dirs) for ray in rays)))) < (t + 1) ** k
 
 
 def test_validate_matches_partition_oracle():

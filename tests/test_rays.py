@@ -14,6 +14,8 @@ from hforge.rays import (
     _complement_cells,
     _cuts_for,
     _partition_fault,
+    _template_order,
+    _template_position,
     Ray,
     RayPartition,
     Region,
@@ -208,6 +210,22 @@ def test_grid_partition_examples():
 def test_grid_partition_validates(k, t, n):
     assert partition_validate(grid_partition(k, t, n)).ok
     assert len(grid_partition(k, t, n).cells) == n * (t + 1) ** k
+
+
+@pytest.mark.parametrize("k,t", [(k, t) for k in (1, 2, 3) for t in (0, 1, 2, 3, 4)])
+def test_template_position_inverts_grid_cells_order(k, t):
+    """``_template_position(k, t)`` maps the mixed-radix index of each base in [1, t+1]^k,
+    the first coordinate most significant, to that cell's position in ``grid_cells(k, t)``,
+    and ``_template_order`` is its inverse; both are bounded caches of tuples."""
+    position, order = _template_position(k, t), _template_order(k, t)
+    cells = grid_cells(k, t)
+    assert type(position) is type(order) is tuple
+    assert sorted(position) == list(range(len(cells)))
+    for index, base in enumerate(itertools.product(range(1, t + 2), repeat=k)):
+        assert cells[position[index]].base == base
+        assert order[position[index]] == index
+    assert _template_position.cache_info().maxsize is not None
+    assert _template_order.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("k,t", [(k, t) for k in (1, 2, 3) for t in (0, 1, 2, 3)])
@@ -475,7 +493,7 @@ def test_cell_bases_on_fitted_cuts_match_points():
     for _ in range(100):
         k = rng.choice((1, 2, 3))
         rays = [_random_ray(rng, k, 5) for _ in range(rng.randint(1, 4))]
-        cuts = _cuts_for(k, rays)
+        cuts = _cuts_for(k, [(ray.base, ray.dirs) for ray in rays])
         cells = [set(_cell_bases(ray, cuts)) for ray in rays]
         for point in itertools.product(range(1, 8), repeat=k):
             cell = tuple(c[bisect_right(c, x) - 1] for c, x in zip(cuts, point))
